@@ -1,21 +1,11 @@
-"""End-to-end pipeline: one streaming dataflow plan vs the legacy path.
+"""End-to-end pipeline: one streaming dataflow plan.
 
-Times the full generate → simulate → ingest → figure battery three ways
-over the standard benchmark workload:
-
-* **plan (streaming, pruned)** — one :class:`~repro.dataflow.plan.Plan`
-  run with ``keep_store=False`` and projection pushdown on: blocks flow
-  straight from the simulator through the accumulator ingest with the
-  columns no declared stage reads stripped at the source.
-* **plan (streaming, full)** — the same plan with ``projection=False``:
-  every batch carries the full 13-column schema.
-* **legacy (materialising)** — the pre-dataflow composition: fully
-  ``list()`` the simulated batches, build an eager ``keep_store=True``
-  dataset, then run the study over it.
-
-All three must produce identical study summaries (asserted); wall
-seconds, the peak-resident-rows ratio, and the pruned-vs-full resident
-byte and ``bytes_pruned`` comparison land in ``BENCH_results.json``.
+Times the full generate → simulate → ingest → figure battery as one
+:class:`~repro.dataflow.plan.Plan` run with ``keep_store=False`` over the
+standard benchmark workload: blocks flow straight from the simulator
+through the accumulator ingest, so the resident set stays one batch
+window however long the trace is (asserted).  Wall seconds, the peak
+resident rows and the per-stage wall times land in ``BENCH_results.json``.
 """
 
 from __future__ import annotations
@@ -24,26 +14,8 @@ import time
 
 from conftest import BENCH_SEED, print_header, record_extra
 
-from repro.cdn.simulator import CdnSimulator, sized_simulation_config
-from repro.core.dataset import TraceDataset
-from repro.core.report import Study
 from repro.dataflow import Plan, RunConfig
-from repro.workload.generator import WorkloadGenerator
 from repro.workload.scale import ScaleConfig
-
-
-def _legacy_run(scale: ScaleConfig):
-    generator = WorkloadGenerator(scale=scale, seed=BENCH_SEED)
-    workloads = generator.generate_all()
-    catalogs = {name: workload.catalog for name, workload in workloads.items()}
-    sim_config = sized_simulation_config(catalogs.values(), BENCH_SEED)
-    simulator = CdnSimulator(profiles=generator.profiles, config=sim_config)
-    simulator.warm(catalogs.values())
-    batches = list(simulator.run_batches(generator.merged_request_batches(workloads)))
-    dataset = TraceDataset.from_batches(batches)
-    report = Study(run_clustering=False).run(dataset, catalogs=catalogs)
-    peak_rows = len(dataset)  # the whole trace is resident by construction
-    return report, peak_rows
 
 
 def test_pipeline_end_to_end(benchmark):
@@ -64,73 +36,32 @@ def test_pipeline_end_to_end(benchmark):
         start = time.perf_counter()
         plan_result = Plan(config).generate().simulate().ingest().analyze().run()
         runs["plan"] = (time.perf_counter() - start, plan_result)
-        full_config = config.replacing(projection=False)
-        start = time.perf_counter()
-        full_result = Plan(full_config).generate().simulate().ingest().analyze().run()
-        runs["plan_full"] = (time.perf_counter() - start, full_result)
-        start = time.perf_counter()
-        legacy_report, legacy_peak = _legacy_run(scale)
-        runs["legacy"] = (time.perf_counter() - start, legacy_report, legacy_peak)
         return runs
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     plan_seconds, plan_result = runs["plan"]
-    full_seconds, full_result = runs["plan_full"]
-    legacy_seconds, legacy_report, legacy_peak = runs["legacy"]
-    assert plan_result.report is not None and full_result.report is not None
-    assert plan_result.report.to_summary_dict() == legacy_report.to_summary_dict()
-    # Projection pushdown is invisible to the analyses: pruned == full.
-    assert plan_result.report.to_summary_dict() == full_result.report.to_summary_dict()
+    assert plan_result.report is not None
 
     by_name = {s.name: s for s in plan_result.stage_stats}
     plan_peak = by_name["ingest"].peak_resident_rows
     total = by_name["ingest"].rows
     assert plan_peak < total  # streaming never held the whole trace
 
-    # The pruned-vs-full comparison: the storeless plan drops chunk_index
-    # at the source, so per-batch resident bytes at ingest shrink.
-    source = by_name["simulate"]
-    assert source.bytes_pruned > 0
-    assert source.columns_out < source.columns_in
-    assert plan_result.dataset is not None and full_result.dataset is not None
-    pruned_resident = plan_result.dataset.ingest_stats.peak_resident_bytes
-    full_resident = full_result.dataset.ingest_stats.peak_resident_bytes
-    assert 0 < pruned_resident < full_resident
-
     print_header(
         "pipeline_end_to_end",
-        "single-pass streaming plan matches the materialising pipeline bit for bit",
+        "single-pass streaming plan holds one batch window, not the trace",
     )
     print(f"rows: {total:,}")
     print(f"plan (streaming, keep_store=False): {plan_seconds:8.2f}s  peak resident {plan_peak:,} rows")
-    print(f"plan (projection off):              {full_seconds:8.2f}s  peak resident {full_resident:,} bytes")
-    print(f"legacy (materialising):             {legacy_seconds:8.2f}s  peak resident {legacy_peak:,} rows")
-    print(f"peak-memory ratio: {legacy_peak / max(1, plan_peak):.1f}x smaller resident set")
-    print(
-        f"projection: cols {source.columns_in}->{source.columns_out}, "
-        f"bytes_pruned {source.bytes_pruned:,}, ingest resident "
-        f"{pruned_resident:,} vs {full_resident:,} bytes"
-    )
     print(plan_result.render_stats())
 
     record_extra(
         "pipeline_end_to_end",
         rows=total,
         plan_seconds=round(plan_seconds, 6),
-        legacy_seconds=round(legacy_seconds, 6),
         plan_peak_resident_rows=plan_peak,
-        legacy_peak_resident_rows=legacy_peak,
         stage_wall_seconds={
             s.name: round(s.wall_seconds, 6) for s in plan_result.stage_stats
-        },
-        projection={
-            "pruned_seconds": round(plan_seconds, 6),
-            "full_seconds": round(full_seconds, 6),
-            "columns_in": source.columns_in,
-            "columns_out": source.columns_out,
-            "bytes_pruned": source.bytes_pruned,
-            "peak_resident_bytes": pruned_resident,
-            "full_peak_resident_bytes": full_resident,
         },
     )

@@ -23,7 +23,7 @@ cache, so the simulation state factors into independent *shards*, one per
 counter-based stream keyed on the request (or object) itself rather than
 from one sequential generator, so a request's outcome is independent of
 execution order.  :meth:`CdnSimulator.run_batches` exploits both
-properties: with ``workers > 1`` (or ``REPRO_SIM_WORKERS`` set) the
+properties: with ``workers > 1`` the
 request stream is *streamed* through persistent shard workers: the parent
 drains the workload generator incrementally, stamps ids, and feeds
 per-shard bounded dispatch windows (``queue_depth`` requests in flight
@@ -77,14 +77,6 @@ from repro.trace.record import LogRecord
 from repro.types import CacheStatus, Continent, ContentCategory
 from repro.workload.generator import Request
 from repro.workload.profiles import SiteProfile
-
-#: Environment variable supplying the default worker count for
-#: :meth:`CdnSimulator.run_batches` (mirrors ``REPRO_DTW_WORKERS``).
-WORKERS_ENV = "REPRO_SIM_WORKERS"
-
-#: Environment variable supplying the default per-shard dispatch window
-#: (requests in flight per shard) for :meth:`CdnSimulator.run_batches`.
-QUEUE_DEPTH_ENV = "REPRO_SIM_QUEUE_DEPTH"
 
 #: Default per-shard dispatch window: enough to keep a worker busy while
 #: the parent generates the next block, small enough that peak resident
@@ -1022,11 +1014,10 @@ class CdnSimulator:
         emitted records are identical to :meth:`run`'s.  This is the
         production path into :meth:`repro.core.dataset.TraceDataset.from_batches`.
 
-        ``workers`` above 1 (default: ``REPRO_SIM_WORKERS``, else 1) runs
-        the streaming dispatcher: the request source is drained
-        incrementally and fed to persistent per-shard worker processes
-        through bounded dispatch windows of ``queue_depth`` requests each
-        (default: ``REPRO_SIM_QUEUE_DEPTH``, else ``DEFAULT_QUEUE_DEPTH``),
+        ``workers`` above 1 (default 1) runs the streaming dispatcher: the
+        request source is drained incrementally and fed to persistent
+        per-shard worker processes through bounded dispatch windows of
+        ``queue_depth`` requests each (default ``DEFAULT_QUEUE_DEPTH``),
         so workload generation overlaps simulation and peak resident
         requests stay O(queue_depth × shards) instead of the whole stream.
         An incremental frontier merge re-emits the per-shard record
@@ -1050,11 +1041,9 @@ class CdnSimulator:
         frontier order; the output stays bit-identical at any budget.
         The sequential path buffers nothing, so the pool is unused there.
         """
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1") or 1)
-        workers = max(1, workers)
+        workers = 1 if workers is None else max(1, workers)
         if queue_depth is None:
-            queue_depth = int(os.environ.get(QUEUE_DEPTH_ENV, "0") or 0) or DEFAULT_QUEUE_DEPTH
+            queue_depth = DEFAULT_QUEUE_DEPTH
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         self.sim_stats = None

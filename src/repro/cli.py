@@ -24,10 +24,8 @@ from collections.abc import Sequence
 from repro.cdn.simulator import SimulationConfig
 from repro.cdn.policies import policy_names
 from repro.core.dataset import TraceDataset
-from repro.core.report import Study
 from repro.dataflow import Plan, RunConfig
 from repro.pipeline import generate_trace_plan, run_pipeline
-from repro.trace.reader import read_trace
 from repro.workload.scale import ScaleConfig
 
 _SCALES = {"tiny": ScaleConfig.tiny, "small": ScaleConfig.small, "medium": ScaleConfig.medium}
@@ -97,10 +95,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "scale": getattr(args, "scale", None),
         "batch_size": getattr(args, "batch_size", None),
         "keep_store": getattr(args, "keep_store", None),
-        "engine": getattr(args, "engine", None),
         "sim_workers": getattr(args, "sim_workers", None),
         "sim_queue_depth": getattr(args, "sim_queue_depth", None),
-        "projection": getattr(args, "projection", None),
         "run_clustering": False if no_clustering else None,
         "memory_budget": getattr(args, "memory_budget", None),
         "spill_dir": getattr(args, "spill_dir", None),
@@ -176,15 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--no-clustering", action="store_true", help="skip the O(n^2) DTW clustering")
     ana.add_argument("--export-dir", help="also write one CSV per figure into this directory")
     ana.add_argument(
-        "--engine",
-        choices=("batch", "record"),
-        default=None,
-        help=(
-            "ingest engine: columnar batches (default) or the record-at-a-time "
-            "reference (needs --trace)"
-        ),
-    )
-    ana.add_argument(
         "--batch-size",
         type=int,
         default=None,
@@ -197,18 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "retain the columnar row store after ingest (default); "
             "--no-keep-store streams batches through the accumulators and "
-            "keeps only aggregates, bounding memory by one dispatch window "
-            "(batch engine only)"
-        ),
-    )
-    ana.add_argument(
-        "--projection",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "prune batch columns no stage declared a read for at the plan's "
-            "source (default: REPRO_PROJECTION, else on); with the row store "
-            "kept the full schema is pinned and pruning is a no-op"
+            "keeps only aggregates, bounding memory by one dispatch window"
         ),
     )
 
@@ -385,17 +361,6 @@ def _maybe_export(report, export_dir: str | None) -> None:
 
 def _analyze(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if config.engine == "record":
-        if not args.trace:
-            print("analyze --engine record needs --trace FILE")
-            return 2
-        records = read_trace(args.trace, batch_size=config.batch_size)
-        dataset = TraceDataset.from_records(records, engine="record")
-        study = Study(run_clustering=config.run_clustering)
-        report = study.run(dataset)
-        print(report.render_text())
-        _maybe_export(report, args.export_dir)
-        return 0
     plan = Plan(config)
     if args.trace:
         plan.read_trace(args.trace)

@@ -59,32 +59,6 @@ HOURLY_HOUR_BITS = 32
 #: ``(site * n_categories + category) * STATUS_SPAN + status``.
 RESPONSE_STATUS_SPAN = 1000
 
-#: Batch columns :meth:`StreamingAggregates.update` reads for the always-on
-#: accumulators (object group-bys, user timelines, site extents).  The
-#: column-dependency declaration projection pushdown validates against —
-#: kept next to the accumulators so a new column read updates both or the
-#: pruning tests fail loudly.
-AGGREGATE_COLUMNS: frozenset[str] = frozenset(
-    {
-        "timestamp",
-        "site",
-        "user_id",
-        "object_id",
-        "extension",
-        "category",
-        "object_size",
-        "status_code",
-        "cache_status",
-        "user_agent",
-    }
-)
-
-#: Additional columns the ``keep_store=False`` scan-table accumulators
-#: (hourly volume, response codes — fig. 3 / fig. 16) read.
-SCAN_TABLE_COLUMNS: frozenset[str] = frozenset(
-    {"site", "datacenter", "timestamp", "bytes_served", "category", "status_code"}
-)
-
 
 def segment_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start/stop bounds of the equal-value runs in a sorted key array."""

@@ -78,8 +78,6 @@ class ContentCompositionPass:
 
     name = "content_composition"
     supports_storeless = True
-    #: Index-level pass: consumes catalogs/object index, reads no chunk columns.
-    required_columns: frozenset[str] = frozenset()
 
     def __init__(self, catalogs: dict[str, ContentCatalog] | None = None):
         self.catalogs = catalogs
@@ -139,8 +137,6 @@ class TrafficCompositionPass:
 
     name = "traffic_composition"
     supports_storeless = True
-    #: Index-level pass: consumes the object index, reads no chunk columns.
-    required_columns: frozenset[str] = frozenset()
 
     def __init__(self) -> None:
         self._dataset: TraceDataset | None = None
@@ -221,8 +217,6 @@ class HourlyVolumePass:
 
     name = "hourly_volume"
     supports_storeless = True
-    #: Scan pass: folds these chunk columns into the hourly table.
-    required_columns: frozenset[str] = frozenset({"site", "datacenter", "timestamp", "bytes_served"})
 
     def __init__(self, local_time: bool = True, by_bytes: bool = False):
         self.local_time = local_time
@@ -316,8 +310,6 @@ class DeviceCompositionPass:
 
     name = "device_composition"
     supports_storeless = True
-    #: Index-level pass: consumes the user timelines, reads no chunk columns.
-    required_columns: frozenset[str] = frozenset()
 
     def __init__(self) -> None:
         self._dataset: TraceDataset | None = None

@@ -131,8 +131,6 @@ class ResponseCodePass:
 
     name = "response_codes"
     supports_storeless = True
-    #: Scan pass: folds these chunk columns into the response-code table.
-    required_columns: frozenset[str] = frozenset({"site", "category", "status_code"})
 
     #: Combined-key stride for the status code; HTTP codes are < 1000.
     _STATUS_SPAN = RESPONSE_STATUS_SPAN

@@ -28,7 +28,6 @@ Two engines build the same indices:
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import islice
@@ -37,8 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.accumulate import (
-    AGGREGATE_COLUMNS,
-    SCAN_TABLE_COLUMNS,
     IngestStats,
     ScanTables,
     SiteExtent,
@@ -50,7 +47,6 @@ from repro.errors import (
     ConfigError,
     EmptyDatasetError,
     PlanError,
-    ProjectionError,
     StorelessDatasetError,
 )
 from repro.spill import MemoryBudget, SpillPool
@@ -68,40 +64,6 @@ from repro.types import CacheStatus, ContentCategory, HOUR_SECONDS
 #: Status codes that represent an actual content access (the per-object
 #: popularity and hit-ratio analyses exclude errors and beacons).
 CONTENT_STATUS_CODES = frozenset({200, 206, 304})
-
-#: Every batch column the storeless streaming ingest reads (always-on
-#: accumulators plus the fig. 3 / fig. 16 scan tables) — what
-#: :class:`IngestStage` declares to projection pushdown when
-#: ``keep_store=False``; with a store the full schema is pinned.
-INGEST_COLUMNS: frozenset[str] = AGGREGATE_COLUMNS | SCAN_TABLE_COLUMNS
-
-#: Env fallbacks for the legacy (non-plan) ingest entry points; the plan
-#: path resolves the same knobs through :class:`repro.dataflow.RunConfig`.
-MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET"
-SPILL_DIR_ENV = "REPRO_SPILL_DIR"
-
-
-def _spill_pool_from_env(
-    memory_budget: int | None, spill_dir: str | None
-) -> SpillPool | None:
-    """Build a caller-owned spill pool from kwargs with env fallbacks.
-
-    Returns ``None`` when no budget applies — the unlimited case never
-    evicts, so skipping the pool keeps the legacy path literally
-    unchanged rather than merely equivalent.
-    """
-    if memory_budget is None:
-        raw = os.environ.get(MEMORY_BUDGET_ENV, "").strip()
-        if raw:
-            try:
-                memory_budget = int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{MEMORY_BUDGET_ENV}={raw!r} is not an integer") from exc
-    if memory_budget is None:
-        return None
-    if spill_dir is None:
-        spill_dir = os.environ.get(SPILL_DIR_ENV, "").strip() or None
-    return SpillPool(MemoryBudget(memory_budget), spill_dir=spill_dir)
 
 
 @dataclass
@@ -281,7 +243,6 @@ class TraceDataset:
         cls,
         batches: Iterable[RecordBatch],
         keep_store: bool = True,
-        columns: Iterable[str] | None = None,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
     ) -> "TraceDataset":
@@ -293,23 +254,16 @@ class TraceDataset:
         one batch plus the aggregates, independent of trace length.  The
         cost is recorded on :attr:`ingest_stats`.
 
-        ``columns`` prunes each batch to the named columns before folding
-        (``keep_store=False`` only; the row store needs full rows) — the
-        ingest-boundary flavour of projection pushdown.  Must cover every
-        column the accumulators read, or :class:`~repro.errors.ProjectionError`
-        names the missing one up front.
-
-        ``memory_budget`` (fallback: ``REPRO_MEMORY_BUDGET``) caps the
-        resident-byte estimate: past it, the timeline timestamp packs
-        spill to disk segments under ``spill_dir`` (fallback:
-        ``REPRO_SPILL_DIR``, else a tempdir) and finalize merges them
+        ``memory_budget`` caps the resident-byte estimate (``None``: no
+        cap): past it, the timeline timestamp packs spill to disk segments
+        under ``spill_dir`` (default: a tempdir) and finalize merges them
         back — the resulting dataset is bit-identical at any budget.
         """
-        pool = _spill_pool_from_env(memory_budget, spill_dir)
+        pool = None
+        if memory_budget is not None:
+            pool = SpillPool(MemoryBudget(memory_budget), spill_dir=spill_dir)
         try:
-            builder = DatasetBuilder(
-                keep_store=keep_store, dataset_cls=cls, columns=columns, spill_pool=pool
-            )
+            builder = DatasetBuilder(keep_store=keep_store, dataset_cls=cls, spill_pool=pool)
             for batch in batches:
                 builder.add(batch)
             return builder.finish()
@@ -323,7 +277,6 @@ class TraceDataset:
         path: str | Path,
         batch_size: int = DEFAULT_BATCH_SIZE,
         keep_store: bool = True,
-        columns: Iterable[str] | None = None,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
         **reader_kwargs: object,
@@ -334,7 +287,6 @@ class TraceDataset:
         (columns only), so with ``keep_store=False`` the file never
         occupies more than one batch of row memory; :attr:`ingest_stats`
         reports the fold (batches, rows, peak resident estimate).
-        ``columns`` prunes every batch at the reader boundary and
         ``memory_budget``/``spill_dir`` enable disk spilling (see
         :meth:`from_batches`).
         """
@@ -342,7 +294,6 @@ class TraceDataset:
         return cls.from_batches(
             reader.iter_batches(batch_size=batch_size, keep_records=False),
             keep_store=keep_store,
-            columns=columns,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
         )
@@ -698,24 +649,10 @@ class DatasetBuilder:
         self,
         keep_store: bool = True,
         dataset_cls: type | None = None,
-        columns: Iterable[str] | None = None,
         spill_pool: SpillPool | None = None,
     ):
         self.keep_store = keep_store
         self._dataset_cls = dataset_cls or TraceDataset
-        self._columns = None if columns is None else frozenset(columns)
-        if self._columns is not None:
-            if keep_store:
-                raise ProjectionError(
-                    "column pruning at ingest requires keep_store=False; "
-                    "the row store must retain full rows"
-                )
-            missing = INGEST_COLUMNS - self._columns
-            if missing:
-                raise ProjectionError(
-                    f"ingest requires column {min(missing)!r} but the requested "
-                    f"projection {sorted(self._columns)} does not include it"
-                )
         self._aggregates = StreamingAggregates(
             scan_aggregates=not keep_store, n_categories=len(CATEGORIES), spill_pool=spill_pool
         )
@@ -748,8 +685,6 @@ class DatasetBuilder:
         """Fold one batch into the accumulators (kept when configured)."""
         if not len(batch):
             return
-        if self._columns is not None:
-            batch = batch.select(self._columns)
         aggregates = self._aggregates
         stats = self._stats
         aggregates.update(batch)
@@ -833,14 +768,6 @@ class IngestStage:
         self.dataset: TraceDataset | None = None
         self._builder: DatasetBuilder | None = None
         self._spill_pool = None
-
-    def required_columns(self, config) -> frozenset[str] | None:
-        """Columns the ingest reads: the accumulator set when streaming,
-        the full schema (``None``) when the row store is kept — stored
-        rows must stay row-complete for ``records``/``site_records``."""
-        if config.keep_store:
-            return None
-        return INGEST_COLUMNS
 
     def use_spill(self, pool) -> None:
         """Adopt the plan's shared spill pool (called before connect)."""

@@ -37,8 +37,8 @@ UCR suite (Keogh et al.) popularised:
   loop proper.
 
 On top of the PR-1 numpy tier this module layers the compiled tier
-(:mod:`repro.core.dtw_backends`): a numba- or cc-compiled scalar DP kernel
-with in-loop early abandonment, selected by the ``REPRO_DTW_KERNEL``
+(:mod:`repro.core.dtw_backends`): a cc-compiled scalar DP kernel with
+in-loop early abandonment, selected by the ``REPRO_DTW_KERNEL``
 environment variable and falling back to the numpy/batched kernels when no
 compiler is available.  All tiers apply the same IEEE-754 operations in
 the same order, so distances stay bit-identical across tiers.  Two further
@@ -114,9 +114,9 @@ class DtwStats:
     exceeds the threshold.  ``abandoned`` counts DPs that early-abandoned
     mid-recurrence (including threshold-seeded abandons in
     :func:`pairwise_dtw`); ``full_dp`` counts DPs that ran to completion.
-    ``kernel`` names the tier that ran the DPs (``"numba"``, ``"c"`` or
-    ``"numpy"`` — see :mod:`repro.core.dtw_backends`), so speedups are
-    attributable per tier.
+    ``kernel`` names the tier that ran the DPs (``"c"`` or ``"numpy"`` —
+    see :mod:`repro.core.dtw_backends`), so speedups are attributable per
+    tier.
     """
 
     pairs_total: int = 0
@@ -843,7 +843,7 @@ def _dp_pairs_chunk(
             lengths = np.array([a.size for a in arrays], dtype=np.int64)
             offsets = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.int64)
             arena = np.concatenate(arrays)
-            # The C/numba drivers widen the band per pair to >= |n - m|.
+            # The C driver widens the band per pair to >= |n - m|.
             base_band = int(lengths.max()) if window is None else window
         out = np.empty(pair_rows.size)
         abandoned = kernel.pairs(

@@ -1,28 +1,24 @@
-"""Compiled kernel tiers for the DTW fast path.
+"""Compiled kernel tier for the DTW fast path.
 
-:mod:`repro.core.dtw` computes the same banded DP three ways, picked at
-runtime from fastest available to always-available:
+:mod:`repro.core.dtw` computes the same banded DP two ways, picked at
+runtime:
 
-1. **numba** — an ``@njit``-compiled scalar kernel (no ``fastmath``, so the
-   operation order — and therefore every IEEE-754 rounding step — matches
-   the reference kernels exactly).  Used when the optional ``numba``
-   dependency (``pip install repro[fast]``) imports cleanly.
-2. **c** — a small C kernel compiled on first use with the system C
+1. **c** — a small C kernel compiled on first use with the system C
    compiler (``cc``/``gcc``/``clang``, no third-party packages needed) and
    loaded through :mod:`ctypes`.  The shared object is cached on disk keyed
    by a digest of the C source, so the compile happens once per machine,
    and worker processes spawned by ``pairwise_dtw(parallel=True)`` reuse
    the cached build instead of recompiling.
-3. **numpy** — no compiled kernel; :mod:`repro.core.dtw` falls back to its
+2. **numpy** — no compiled kernel; :mod:`repro.core.dtw` falls back to its
    pure-numpy batched kernel and pure-Python scalar kernel.
 
-All three tiers apply ``abs(a_i - b_j) + min(up, diag, left)`` in the same
+Both tiers apply ``abs(a_i - b_j) + min(up, diag, left)`` in the same
 order, so distances are **bit-identical** across tiers; the property tests
 in ``tests/core/test_dtw_fastpath.py`` pin this down.
 
 Selection is controlled by the ``REPRO_DTW_KERNEL`` environment variable:
-``auto`` (default: numba, then c, then numpy), or a forced ``numba`` /
-``c`` / ``numpy``.  Forcing a tier that is unavailable raises
+``auto`` (default: c if the kernel builds and loads, else numpy), or a
+forced ``c`` / ``numpy``.  Forcing ``c`` when it cannot be built raises
 :class:`~repro.errors.ConfigError` — a forced choice should fail loudly,
 while ``auto`` degrades silently.  ``REPRO_DTW_BUILD_DIR`` overrides where
 the C tier caches its shared object (default: a per-user directory under
@@ -61,7 +57,7 @@ KERNEL_ENV = "REPRO_DTW_KERNEL"
 BUILD_DIR_ENV = "REPRO_DTW_BUILD_DIR"
 
 #: Valid values of :data:`KERNEL_ENV`.
-KERNEL_CHOICES = ("auto", "numba", "c", "numpy")
+KERNEL_CHOICES = ("auto", "c", "numpy")
 
 # The C kernel.  ``repro_dtw_one`` is the scalar banded DP with in-loop
 # early abandonment (``abandon < 0`` disables it); ``repro_dtw_pairs``
@@ -219,113 +215,6 @@ class CKernel:
         )
 
 
-class NumbaKernel:
-    """Wrapper around the ``@njit``-compiled scalar and chunk kernels."""
-
-    name = "numba"
-
-    def __init__(self, one, many):
-        self._one = one
-        self._many = many
-
-    def pair(self, a: np.ndarray, b: np.ndarray, band: int, abandon: float | None) -> float:
-        threshold = -1.0 if abandon is None or np.isinf(abandon) else float(abandon)
-        return float(self._one(_as_flat_f64(a), _as_flat_f64(b), int(band), threshold))
-
-    def pairs(
-        self,
-        arena: np.ndarray,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        band: int,
-        thresholds: np.ndarray | None,
-        out: np.ndarray,
-    ) -> int:
-        if thresholds is None:
-            thresholds = np.full(rows.size, -1.0)
-        else:
-            thresholds = np.where(np.isinf(thresholds), -1.0, thresholds)
-        return int(
-            self._many(
-                _as_flat_f64(arena), _as_flat_i64(offsets), _as_flat_i64(lengths),
-                _as_flat_i64(rows), _as_flat_i64(cols), int(band),
-                _as_flat_f64(thresholds), out,
-            )
-        )
-
-
-@functools.lru_cache(maxsize=None)
-def _build_numba_kernel() -> NumbaKernel | None:
-    try:
-        import numba
-    except Exception:  # pragma: no cover - exercised only when numba exists
-        return None
-
-    # fastmath stays off: reassociating the additions would break the
-    # bit-identical contract with the reference kernels.
-    @numba.njit(cache=False, fastmath=False)  # pragma: no cover
-    def _one(a, b, band, abandon):
-        n, m = a.size, b.size
-        inf = np.inf
-        prev = np.full(m + 1, inf)
-        curr = np.full(m + 1, inf)
-        prev[0] = 0.0
-        for i in range(1, n + 1):
-            j_low = max(1, i - band)
-            j_high = min(m, i + band)
-            ai = a[i - 1]
-            curr[j_low - 1] = inf
-            left = inf
-            prev_diag = prev[j_low - 1]
-            row_min = inf
-            for j in range(j_low, j_high + 1):
-                prev_here = prev[j]
-                best = prev_here
-                if prev_diag < best:
-                    best = prev_diag
-                if left < best:
-                    best = left
-                diff = ai - b[j - 1]
-                if diff < 0.0:
-                    diff = -diff
-                left = diff + best
-                curr[j] = left
-                if left < row_min:
-                    row_min = left
-                prev_diag = prev_here
-            if j_high < m:
-                curr[j_high + 1] = inf
-            prev, curr = curr, prev
-            if abandon >= 0.0 and row_min > abandon:
-                return inf
-        return prev[m]
-
-    @numba.njit(cache=False, fastmath=False)  # pragma: no cover
-    def _many(arena, offsets, lengths, rows, cols, band, thresholds, out):
-        abandoned = 0
-        for p in range(rows.size):
-            i, j = rows[p], cols[p]
-            n, m = lengths[i], lengths[j]
-            eff = max(band, abs(n - m))
-            a = arena[offsets[i] : offsets[i] + n]
-            b = arena[offsets[j] : offsets[j] + m]
-            d = _one(a, b, eff, thresholds[p])
-            out[p] = d
-            if np.isinf(d):
-                abandoned += 1
-        return abandoned
-
-    try:
-        # Warm the JIT so the first real call is not a compile.
-        probe = np.array([0.0, 1.0])
-        _one(probe, probe, 2, -1.0)
-    except Exception:  # pragma: no cover - defensive: broken numba install
-        return None
-    return NumbaKernel(_one, _many)
-
-
 def _build_cache_dir() -> Path:
     override = os.environ.get(BUILD_DIR_ENV, "").strip()
     if override:
@@ -390,21 +279,10 @@ def _resolve(choice: str):
         )
     if choice == "numpy":
         return None
-    if choice == "numba":
-        kernel = _build_numba_kernel()
-        if kernel is None:
-            raise ConfigError(
-                f"{KERNEL_ENV}=numba but numba is not importable; "
-                "install the repro[fast] extra or use auto/c/numpy"
-            )
-        return kernel
     if choice == "c":
         return _build_c_kernel(verbose_errors=True)
-    # auto: best available, degrade silently.
-    kernel = _build_numba_kernel()
-    if kernel is None:
-        kernel = _build_c_kernel()
-    return kernel
+    # auto: the C kernel when it builds and loads, else numpy, silently.
+    return _build_c_kernel()
 
 
 def resolve_kernel(choice: str | None = None):
@@ -414,7 +292,7 @@ def resolve_kernel(choice: str | None = None):
     :data:`KERNEL_CHOICES`); with ``None`` the :data:`KERNEL_ENV` variable
     is read on every call (so tests can flip tiers with a
     ``monkeypatch.setenv``).  Resolution per choice is cached, including
-    the one-off C compile and numba JIT warm-up.
+    the one-off C compile.
     """
     if choice is None:
         choice = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
@@ -422,7 +300,7 @@ def resolve_kernel(choice: str | None = None):
 
 
 def kernel_name(choice: str | None = None) -> str:
-    """Name of the active tier: ``"numba"``, ``"c"`` or ``"numpy"``."""
+    """Name of the active tier: ``"c"`` or ``"numpy"``."""
     kernel = resolve_kernel(choice)
     return kernel.name if kernel is not None else "numpy"
 
@@ -430,8 +308,6 @@ def kernel_name(choice: str | None = None) -> str:
 def available_kernel_tiers() -> tuple[str, ...]:
     """All tiers usable on this machine (always ends with ``"numpy"``)."""
     tiers: list[str] = []
-    if _build_numba_kernel() is not None:
-        tiers.append("numba")
     if _build_c_kernel() is not None:
         tiers.append("c")
     tiers.append("numpy")

@@ -36,15 +36,9 @@ DEFAULT_CHUNK_ROWS = 1 << 18
 class AnalysisPass(Protocol):
     """One column-oriented analysis, driven by :func:`run_passes`.
 
-    Optional class attributes a pass may declare:
-
-    * ``supports_storeless`` — the pass works off prebuilt indices or
-      scan tables and can run on a ``keep_store=False`` dataset.
-    * ``required_columns`` — frozenset of batch column names its
-      ``process`` reads from chunks (empty for index-level passes whose
-      ``process`` is a no-op).  Projection pushdown unions these across
-      a plan's passes; a pass without the attribute conservatively pins
-      the full schema, so an undeclared pass can never be starved.
+    A pass may declare the class attribute ``supports_storeless``: it
+    works off prebuilt indices or scan tables and can run on a
+    ``keep_store=False`` dataset.
     """
 
     #: Key under which the result lands in the ``run_passes`` mapping.
@@ -114,21 +108,6 @@ class PassSweepStage:
     def __init__(self, passes: Sequence[AnalysisPass], chunk_rows: int | None = None):
         self.passes = list(passes)
         self.chunk_rows = chunk_rows
-
-    def required_columns(self, config) -> frozenset[str] | None:
-        """Union of the swept passes' declared column reads.
-
-        A single undeclared pass pins the full schema (``None``): the
-        sweep scans the row store, so pruning anything a pass might read
-        would corrupt results silently.
-        """
-        needed: frozenset[str] = frozenset()
-        for analysis_pass in self.passes:
-            required = getattr(analysis_pass, "required_columns", None)
-            if required is None:
-                return None
-            needed = needed | frozenset(required)
-        return needed
 
     def derive(self, result, config) -> None:
         if result.dataset is None:

@@ -430,20 +430,8 @@ class StudyStage:
 
     name = "analyze"
 
-    #: Chunk columns the battery's scan passes read (the index-level
-    #: passes read none).  Derived from the pass declarations themselves,
-    #: so a new scanning pass added to :meth:`Study.run` carries its own
-    #: columns in automatically.
-    BATTERY_COLUMNS: frozenset[str] = frozenset(
-        HourlyVolumePass.required_columns | ResponseCodePass.required_columns
-    )
-
     def __init__(self, study: Study | None = None):
         self.study = study
-
-    def required_columns(self, config) -> frozenset[str]:
-        """What the figure battery reads from batches during the sweep."""
-        return self.BATTERY_COLUMNS
 
     def derive(self, result, config) -> None:
         if result.dataset is None:

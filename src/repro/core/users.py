@@ -72,8 +72,6 @@ class InterarrivalPass:
 
     name = "iat"
     supports_storeless = True
-    #: Index-level pass: consumes the user timelines, reads no chunk columns.
-    required_columns: frozenset[str] = frozenset()
 
     def __init__(self, max_samples_per_site: int | None = None):
         self.max_samples_per_site = max_samples_per_site
@@ -176,8 +174,6 @@ class SessionLengthPass:
 
     name = "sessions"
     supports_storeless = True
-    #: Index-level pass: consumes the user timelines, reads no chunk columns.
-    required_columns: frozenset[str] = frozenset()
 
     def __init__(self, timeout: float = SESSION_TIMEOUT_SECONDS, min_length_s: float = 1.0):
         self.timeout = timeout
@@ -303,8 +299,6 @@ class RepeatedAccessPass:
     """Fig. 13 as an index-level pass (one ``(site, category)`` scatter)."""
 
     supports_storeless = True
-    #: Index-level pass: consumes the object index, reads no chunk columns.
-    required_columns: frozenset[str] = frozenset()
 
     def __init__(self, site: str, category: ContentCategory, name: str | None = None):
         self.site = site
@@ -327,8 +321,6 @@ class AddictionPass:
     """Fig. 14 as an index-level pass (one category's per-site CDFs)."""
 
     supports_storeless = True
-    #: Index-level pass: consumes the object index, reads no chunk columns.
-    required_columns: frozenset[str] = frozenset()
 
     def __init__(self, category: ContentCategory, name: str | None = None):
         self.category = category

@@ -8,14 +8,13 @@ uniform per-stage telemetry (:class:`StageStats`).
 """
 
 from repro.dataflow.config import KNOBS, Knob, RunConfig
-from repro.dataflow.plan import FULL_SCHEMA, Plan, PlanResult
+from repro.dataflow.plan import Plan, PlanResult
 from repro.dataflow.stage import DeriveStage, Stage, StageStats, render_stage_stats
 
 __all__ = [
     "KNOBS",
     "Knob",
     "RunConfig",
-    "FULL_SCHEMA",
     "Plan",
     "PlanResult",
     "Stage",

@@ -1,19 +1,18 @@
 """One validated configuration for the whole dataflow plan.
 
-Before this layer existed every knob was parsed ad hoc where it was
-consumed: the simulator read ``REPRO_SIM_WORKERS`` / ``REPRO_SIM_QUEUE_DEPTH``
-itself, the DTW cascade read ``REPRO_DTW_KERNEL`` / ``REPRO_DTW_WORKERS``,
-``ScaleConfig.from_env`` read ``REPRO_SCALE``, and the CLI duplicated the
-defaults.  :class:`RunConfig` folds them into one frozen, validated object
-with a single documented precedence:
+:class:`RunConfig` folds every cross-stage knob into one frozen,
+validated object with a single documented precedence:
 
     built-in default  <  environment variable  <  keyword argument  <  CLI flag
 
 :meth:`RunConfig.resolve` applies exactly that order; ``None`` means "not
 specified" at every layer, so callers can thread optional arguments
-straight through.  The executor hands the resolved config to every stage —
-no stage parses the environment itself on the plan path (the legacy entry
-points keep their own env fallbacks for backward compatibility).
+straight through.  The executor hands the resolved config to every stage,
+and it is the only parser of the knobs it owns: the simulator and dataset
+entry points read no environment of their own (``None`` there means the
+built-in default).  Only the DTW entry points (``REPRO_DTW_KERNEL``,
+``REPRO_DTW_WORKERS``) and ``ScaleConfig.from_env`` (``REPRO_SCALE``)
+still keep env fallbacks outside the plan path.
 
 The knob table (:data:`KNOBS`) is the single source of truth: the
 precedence tests iterate it, and the README's configuration table is
@@ -36,8 +35,7 @@ from repro.workload.scale import ScaleConfig
 _DEFAULT_QUEUE_DEPTH = 8192
 
 _SCALE_NAMES = ("tiny", "small", "medium")
-_ENGINES = ("batch", "record")
-_DTW_KERNELS = ("auto", "numba", "c", "numpy")
+_DTW_KERNELS = ("auto", "c", "numpy")
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
@@ -100,20 +98,6 @@ KNOBS: tuple[Knob, ...] = (
         "retain the columnar row store after ingest; false streams aggregates only",
     ),
     Knob(
-        "projection",
-        "REPRO_PROJECTION",
-        True,
-        _parse_bool,
-        "prune batch columns no declared stage reads at the plan's source (pushdown)",
-    ),
-    Knob(
-        "engine",
-        "REPRO_ENGINE",
-        "batch",
-        _str_parse,
-        "ingest engine: columnar batches or the record-at-a-time reference",
-    ),
-    Knob(
         "sim_workers",
         "REPRO_SIM_WORKERS",
         1,
@@ -132,7 +116,7 @@ KNOBS: tuple[Knob, ...] = (
         "REPRO_DTW_KERNEL",
         "auto",
         _str_parse,
-        "DTW kernel tier for trend clustering (auto | numba | c | numpy)",
+        "DTW kernel tier for trend clustering (auto | c | numpy; auto = c when it builds)",
     ),
     Knob(
         "dtw_workers",
@@ -182,8 +166,6 @@ class RunConfig:
     scale: str | ScaleConfig = "small"
     batch_size: int = DEFAULT_BATCH_SIZE
     keep_store: bool = True
-    projection: bool = True
-    engine: str = "batch"
     sim_workers: int = 1
     sim_queue_depth: int = _DEFAULT_QUEUE_DEPTH
     dtw_kernel: str = "auto"
@@ -200,15 +182,13 @@ class RunConfig:
                 raise ConfigError(
                     f"scale must be one of {_SCALE_NAMES} or a ScaleConfig, got {self.scale!r}"
                 )
-        if self.engine not in _ENGINES:
-            raise ConfigError(f"engine must be one of {_ENGINES}, got {self.engine!r}")
         if self.dtw_kernel not in _DTW_KERNELS:
             raise ConfigError(f"dtw_kernel must be one of {_DTW_KERNELS}, got {self.dtw_kernel!r}")
         for name in ("batch_size", "sim_workers", "sim_queue_depth", "dtw_workers"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("keep_store", "projection", "run_clustering"):
+        for name in ("keep_store", "run_clustering"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if self.memory_budget is not None:

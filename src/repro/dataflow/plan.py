@@ -30,19 +30,14 @@ handle ad hoc:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.dataflow.config import RunConfig
 from repro.dataflow.stage import DeriveStage, Stage, StageStats, render_stage_stats
-from repro.errors import PlanError, ProjectionError
-from repro.trace.batch import ALL_COLUMNS
-
-#: The full trace schema, as a set; what an undeclared stage is assumed
-#: to need and what a source without ``provided_columns`` is assumed to emit.
-FULL_SCHEMA: frozenset[str] = frozenset(ALL_COLUMNS)
+from repro.errors import PlanError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cdn.simulator import CdnSimulator, SimStats, SimulationConfig
@@ -122,34 +117,6 @@ class _Instrumented:
         return block
 
 
-class _Projector:
-    """Iterator applying :meth:`RecordBatch.select` at the batch source.
-
-    Sits directly downstream of the source stage's instrumented wrapper,
-    so every consumer sees pruned batches.  The select cost is charged to
-    the source's inclusive time (pruning is part of emitting), and the
-    bytes stripped accumulate on the source's :class:`StageStats`.
-    """
-
-    __slots__ = ("_inner", "_columns", "_stats")
-
-    def __init__(self, inner: _Instrumented, columns: frozenset[str], stats: StageStats):
-        self._inner = inner
-        self._columns = columns
-        self._stats = stats
-
-    def __iter__(self) -> "_Projector":
-        return self
-
-    def __next__(self) -> Any:
-        batch = next(self._inner)
-        start = perf_counter()
-        pruned = batch.select(self._columns)
-        self._inner.inclusive += perf_counter() - start
-        self._stats.bytes_pruned += batch.nbytes - pruned.nbytes
-        return pruned
-
-
 #: Stream kinds flowing between streaming stages.
 _REQUESTS = "requests"
 _BATCHES = "batches"
@@ -179,10 +146,6 @@ class Plan:
     def __init__(self, config: RunConfig | None = None):
         self.config = config if config is not None else RunConfig.resolve()
         self._stages: list[Stage] = []
-        #: Per-stage ``(requires, produces)`` stream kinds, parallel to
-        #: ``_stages``; the projection resolver walks it backwards to find
-        #: the batch boundary.
-        self._kinds: list[tuple[str | None, str]] = []
         self._derives: list[DeriveStage] = []
         self._kind: str | None = None
         self._has_ingest = False
@@ -201,7 +164,6 @@ class Plan:
             have = "no source yet" if self._kind is None else f"a {self._kind!r} stream"
             raise PlanError(f"stage {stage.name!r} needs a {requires!r} stream but the plan has {have}")
         self._stages.append(stage)
-        self._kinds.append((requires, produces))
         self._kind = produces
         return self
 
@@ -240,22 +202,9 @@ class Plan:
 
         return self.add(TraceSourceStage(path, fmt=fmt), requires=None, produces=_BATCHES)
 
-    def source_batches(
-        self,
-        batches: "Iterable[RecordBatch]",
-        name: str = "source",
-        columns: "Iterable[str] | None" = None,
-    ) -> "Plan":
-        """Source: stream batches from an in-memory iterable.
-
-        ``columns`` declares which schema columns the batches actually
-        carry (already-pruned input, partial fixtures); a downstream
-        stage requiring anything outside it fails at build time with
-        :class:`~repro.errors.ProjectionError`.  Default: full schema.
-        """
-        return self.add(
-            _IterableSource(name, batches, columns=columns), requires=None, produces=_BATCHES
-        )
+    def source_batches(self, batches: "Iterable[RecordBatch]", name: str = "source") -> "Plan":
+        """Source: stream batches from an in-memory iterable."""
+        return self.add(_IterableSource(name, batches), requires=None, produces=_BATCHES)
 
     def write_trace(self, path: str | Path, fmt: str | None = None) -> "Plan":
         """Tee: persist the batch stream to ``path`` while passing it on."""
@@ -289,73 +238,6 @@ class Plan:
         if not self._has_ingest:
             raise PlanError(f"{what} needs an ingested dataset; add .ingest() to the plan first")
 
-    # -- projection pushdown ------------------------------------------------
-
-    def _resolve_projection(self, config: RunConfig) -> "_ProjectionSpec | None":
-        """Walk the graph backwards to the batch boundary's column set.
-
-        Finds the stage where the plan's ``batches`` stream is born (a
-        trace/iterable source, or the simulate stage turning requests into
-        batches), unions the ``required_columns`` declarations of every
-        stage downstream of it — streaming and derive alike — and
-        validates each declaration against the schema and against what
-        the source provides.  Runs at build time, before any ``connect``:
-        a stage requiring a column the source never emits, or one outside
-        the schema entirely, raises
-        :class:`~repro.errors.ProjectionError` naming the stage and
-        column — never a silent drain-time failure.  Returns ``None``
-        when the plan has no batch segment.
-        """
-        source_index = None
-        for index, (requires, produces) in enumerate(self._kinds):
-            if produces == _BATCHES and requires != _BATCHES:
-                source_index = index
-                break
-        if source_index is None:
-            return None
-        source = self._stages[source_index]
-        provided_hook = getattr(source, "provided_columns", None)
-        provided_raw = None if provided_hook is None else provided_hook()
-        provided = FULL_SCHEMA if provided_raw is None else frozenset(provided_raw)
-        bogus = provided - FULL_SCHEMA
-        if bogus:
-            raise ProjectionError(
-                f"source stage {source.name!r} declares unknown column {min(bogus)!r} "
-                f"in provided_columns(); the trace schema is {sorted(FULL_SCHEMA)}"
-            )
-
-        consumers: list[Any] = list(self._stages[source_index + 1 :]) + list(self._derives)
-        needed: frozenset[str] = frozenset()
-        for stage in consumers:
-            hook = getattr(stage, "required_columns", None)
-            required = None if hook is None else hook(config)
-            if required is None:
-                # Undeclared stage, or an explicit full-schema pin (tees
-                # that re-serialise whole rows): conservatively needs it all.
-                required_set = FULL_SCHEMA
-            else:
-                required_set = frozenset(required)
-                unknown = required_set - FULL_SCHEMA
-                if unknown:
-                    raise ProjectionError(
-                        f"stage {stage.name!r} requires unknown column {min(unknown)!r}; "
-                        f"the trace schema is {sorted(FULL_SCHEMA)}"
-                    )
-            missing = required_set - provided
-            if missing:
-                raise ProjectionError(
-                    f"stage {stage.name!r} requires column {min(missing)!r} "
-                    f"but source stage {source.name!r} does not provide it"
-                )
-            needed = needed | required_set
-        prune = bool(config.projection) and needed < provided and bool(consumers)
-        return _ProjectionSpec(
-            source_index=source_index,
-            provided=provided,
-            columns=needed if prune else provided,
-            prune=prune,
-        )
-
     # -- execution ----------------------------------------------------------
 
     def run(self) -> PlanResult:
@@ -363,7 +245,6 @@ class Plan:
         if not self._stages:
             raise PlanError("cannot run an empty plan; add at least one source stage")
         config = self.config
-        projection = self._resolve_projection(config)
         result = PlanResult(config=config)
         pool = None
         if config.memory_budget is not None:
@@ -373,14 +254,8 @@ class Plan:
         try:
             stream: Iterator[Any] | None = None
             connected: list[tuple[Stage, StageStats, _Instrumented, float]] = []
-            for index, stage in enumerate(self._stages):
+            for stage in self._stages:
                 stats = StageStats(name=stage.name)
-                if projection is not None and index >= projection.source_index:
-                    emitted = len(projection.columns)
-                    stats.columns_in = (
-                        len(projection.provided) if index == projection.source_index else emitted
-                    )
-                    stats.columns_out = emitted
                 if pool is not None:
                     use_spill = getattr(stage, "use_spill", None)
                     if use_spill is not None:
@@ -391,8 +266,6 @@ class Plan:
                 wrapper = _Instrumented(stream, stage, stats)
                 connected.append((stage, stats, wrapper, setup))
                 stream = wrapper
-                if projection is not None and index == projection.source_index and projection.prune:
-                    stream = _Projector(wrapper, projection.columns, stats)
 
             assert stream is not None
             for _ in stream:
@@ -428,36 +301,12 @@ class Plan:
         return result
 
 
-@dataclass(frozen=True)
-class _ProjectionSpec:
-    """Resolved pushdown for one plan run (see ``Plan._resolve_projection``)."""
-
-    #: Index of the stage where the batches stream is born.
-    source_index: int
-    #: Columns that source emits before pruning.
-    provided: frozenset[str]
-    #: Columns actually flowing downstream (``provided`` when not pruning).
-    columns: frozenset[str]
-    #: Whether a :class:`_Projector` must be installed at the source.
-    prune: bool
-
-
 class _IterableSource:
     """Source stage over an in-memory batch iterable (tests, re-analysis)."""
 
-    def __init__(
-        self,
-        name: str,
-        batches: "Iterable[RecordBatch]",
-        columns: "Iterable[str] | None" = None,
-    ):
+    def __init__(self, name: str, batches: "Iterable[RecordBatch]"):
         self.name = name
         self._batches = batches
-        self._columns = None if columns is None else frozenset(columns)
-
-    def provided_columns(self) -> frozenset[str] | None:
-        """Columns the supplied batches carry (``None`` = full schema)."""
-        return self._columns
 
     def connect(self, upstream: Iterator[Any] | None, config: RunConfig) -> Iterator[Any]:
         return iter(self._batches)

@@ -34,21 +34,6 @@ Optional hooks a stage may provide:
   stage registers its spillable state with the pool; the executor owns
   the pool's lifecycle and closes it (removing every live segment) after
   the drain, even on error.
-* ``required_columns(config)`` — the batch columns this stage (or derive
-  stage) reads, as a frozenset of names from
-  :data:`repro.trace.batch.ALL_COLUMNS`; return ``None`` to pin the full
-  schema (tees that re-serialise whole rows, row-store ingest).  A stage
-  that does not implement the hook is conservatively treated as needing
-  the full schema, so projection pushdown never silently starves an
-  undeclared consumer.  The executor validates every declaration at
-  build time — an unknown column name raises
-  :class:`~repro.errors.ProjectionError` naming the stage and column
-  before any block flows — and prunes once, at the batch source, via
-  :meth:`repro.trace.batch.RecordBatch.select`.
-* ``provided_columns()`` — on batch *sources* only: the columns the
-  source actually emits (defaults to the full schema).  Lets build-time
-  validation reject a plan whose downstream stages need a column the
-  source never produces.
 
 The executor (:meth:`repro.dataflow.plan.Plan.run`) owns every
 cross-cutting concern: wall-clock attribution per stage, row/batch
@@ -82,12 +67,6 @@ class StageStats:
     batches: int = 0
     wall_seconds: float = 0.0
     peak_resident_rows: int = 0
-    #: Columns entering the stage (0 = not a projected batch stream).
-    columns_in: int = 0
-    #: Columns leaving the stage (0 = not a projected batch stream).
-    columns_out: int = 0
-    #: Bytes projection pushdown stripped at this stage (sources only).
-    bytes_pruned: int = 0
     #: Spill segments this stage wrote under a memory budget.
     spill_files: int = 0
     #: Bytes this stage evicted to disk under a memory budget.
@@ -117,11 +96,6 @@ class StageStats:
             f"{self.wall_seconds:9.3f}s {self.rows_per_sec:14,.0f} rows/s "
             f"peak resident {self.peak_resident_rows:,} rows"
         )
-        if self.columns_in or self.columns_out or self.bytes_pruned:
-            line += (
-                f" cols {self.columns_in}->{self.columns_out}"
-                f" bytes_pruned {self.bytes_pruned:,}"
-            )
         if self.spill_files or self.bytes_spilled or self.bytes_restored:
             line += (
                 f" spill_files {self.spill_files} bytes_spilled {self.bytes_spilled:,}"

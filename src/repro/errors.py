@@ -26,18 +26,6 @@ class PlanError(ConfigError):
     """
 
 
-class ProjectionError(PlanError):
-    """A plan's column dependencies cannot be satisfied.
-
-    Raised at build time by :meth:`repro.dataflow.Plan.run` — before any
-    block flows — when a stage declares ``required_columns`` naming a
-    column the batch source does not provide, or names a column outside
-    the trace schema entirely.  The message names the stage and the
-    missing column, so a bad declaration never degrades into a silent
-    drain-time pruned-column access error.
-    """
-
-
 class TraceError(ReproError):
     """Base class for trace (HTTP log) related errors."""
 

@@ -95,7 +95,6 @@ def _resolve_config(
     sim_workers: int | None = None,
     sim_queue_depth: int | None = None,
     batch_size: int | None = None,
-    projection: bool | None = None,
     memory_budget: int | None = None,
     spill_dir: str | None = None,
 ) -> RunConfig:
@@ -107,7 +106,6 @@ def _resolve_config(
         sim_workers=sim_workers,
         sim_queue_depth=sim_queue_depth,
         batch_size=batch_size,
-        projection=projection,
         memory_budget=memory_budget,
         spill_dir=spill_dir,
     )
@@ -134,7 +132,6 @@ def run_pipeline(
     keep_store: bool | None = None,
     sim_workers: int | None = None,
     sim_queue_depth: int | None = None,
-    projection: bool | None = None,
     memory_budget: int | None = None,
     spill_dir: str | None = None,
 ) -> PipelineResult:
@@ -159,7 +156,7 @@ def run_pipeline(
     queue depth.
     """
     config = _resolve_config(
-        seed, scale, keep_store, sim_workers, sim_queue_depth, projection=projection,
+        seed, scale, keep_store, sim_workers, sim_queue_depth,
         memory_budget=memory_budget, spill_dir=spill_dir,
     )
     plan = Plan(config).generate(profiles).simulate(sim_config).ingest()
@@ -175,7 +172,6 @@ def run_study(
     keep_store: bool | None = None,
     sim_workers: int | None = None,
     sim_queue_depth: int | None = None,
-    projection: bool | None = None,
     memory_budget: int | None = None,
     spill_dir: str | None = None,
 ) -> tuple[PipelineResult, StudyReport]:
@@ -187,7 +183,7 @@ def run_study(
     to the eager one.
     """
     config = _resolve_config(
-        seed, scale, keep_store, sim_workers, sim_queue_depth, projection=projection,
+        seed, scale, keep_store, sim_workers, sim_queue_depth,
         memory_budget=memory_budget, spill_dir=spill_dir,
     )
     plan = Plan(config).generate(profiles).simulate(sim_config).ingest().analyze(study)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ProjectionError
 from repro.trace.record import LogRecord
 from repro.types import CacheStatus, ContentCategory, category_for_extension
 
@@ -50,67 +49,8 @@ NUMERIC_FIELDS = (
     "category",
 )
 
-#: Every batch column, numeric then string — the full trace schema as seen
-#: by projection pushdown (:meth:`RecordBatch.select`).
+#: Every batch column, numeric then string: the full trace schema.
 ALL_COLUMNS = NUMERIC_FIELDS + STRING_FIELDS
-
-
-class PrunedColumn:
-    """Placeholder left where projection pushdown dropped a column.
-
-    Keeps the row count (``size`` / ``len``) so a pruned batch still knows
-    its length, and reports ``nbytes == 0`` so footprint accounting
-    reflects the memory the pruning actually freed — for string columns
-    the whole intern table (codes *and* value list) is gone.  Any data
-    access (indexing, ``take``, ``tolist``, ``codes``, ``values``) raises
-    :class:`~repro.errors.ProjectionError` naming the column: a stage
-    reading a column it never declared fails loudly, not with garbage.
-    """
-
-    __slots__ = ("name", "_length")
-
-    def __init__(self, name: str, length: int):
-        self.name = name
-        self._length = int(length)
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def size(self) -> int:
-        """Row count, mirroring ``ndarray.size`` / ``StringColumn`` length."""
-        return self._length
-
-    @property
-    def nbytes(self) -> int:
-        """Always 0: a pruned column holds no data."""
-        return 0
-
-    def _pruned(self) -> "ProjectionError":
-        return ProjectionError(
-            f"column {self.name!r} was pruned from this batch by projection pushdown; "
-            f"declare it in the consuming stage's required_columns() to keep it"
-        )
-
-    def __getitem__(self, index):
-        raise self._pruned()
-
-    def take(self, indexer):
-        raise self._pruned()
-
-    def tolist(self):
-        raise self._pruned()
-
-    @property
-    def codes(self):
-        raise self._pruned()
-
-    @property
-    def values(self):
-        raise self._pruned()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PrunedColumn({self.name!r}, rows={self._length})"
 
 
 @dataclass
@@ -373,40 +313,6 @@ class RecordBatch:
         self._records = None
         return self
 
-    # -- projection -----------------------------------------------------------
-
-    def select(self, columns: Iterable[str]) -> "RecordBatch":
-        """A batch keeping only ``columns``; the rest become pruned.
-
-        Kept columns are shared (no copy).  Pruned columns are replaced by
-        :class:`PrunedColumn` sentinels that remember the row count but
-        hold no data — for string columns the intern table (codes and
-        value list) is dropped entirely, which is where the memory win
-        lives.  Selecting every column returns ``self`` unchanged (the
-        no-copy fast path).  An unknown column name raises ``KeyError``
-        naming it.  Pruned batches drop any cached record objects: a row
-        view over missing columns would be a lie.
-        """
-        keep = frozenset(columns)
-        for name in keep:
-            if name not in ALL_COLUMNS:
-                raise KeyError(name)
-        if keep.issuperset(ALL_COLUMNS):
-            return self
-        length = len(self)
-        kwargs = {
-            name: getattr(self, name) if name in keep else PrunedColumn(name, length)
-            for name in ALL_COLUMNS
-        }
-        return RecordBatch(records=None, **kwargs)
-
-    @property
-    def pruned_columns(self) -> tuple[str, ...]:
-        """Names of columns projection pushdown dropped from this batch."""
-        return tuple(
-            name for name in ALL_COLUMNS if isinstance(getattr(self, name), PrunedColumn)
-        )
-
     # -- record views ---------------------------------------------------------
 
     def record_at(self, index: int) -> LogRecord:
@@ -485,19 +391,12 @@ class RecordBatch:
 
     @property
     def nbytes(self) -> int:
-        """Approximate memory footprint of the column arrays.
-
-        Pruned columns contribute 0 bytes, so ``full.nbytes −
-        full.select(cols).nbytes`` measures what projection freed.
-        """
+        """Approximate memory footprint of the column arrays."""
         total = 0
         for name in NUMERIC_FIELDS:
             total += getattr(self, name).nbytes
         for name in STRING_FIELDS:
-            column = getattr(self, name)
-            if isinstance(column, PrunedColumn):
-                continue
-            total += column.codes.nbytes
+            total += getattr(self, name).codes.nbytes
         return total
 
     @property
@@ -510,15 +409,11 @@ class RecordBatch:
         accounting over *whole* batches needs the value lists too — each
         interned string's UTF-8 payload is genuinely held in memory once
         per batch — so budget decisions and peak-resident telemetry add
-        this on top of ``nbytes``.  Pruned string columns contribute 0:
-        projection dropped their intern table entirely.
+        this on top of ``nbytes``.
         """
         total = 0
         for name in STRING_FIELDS:
-            column = getattr(self, name)
-            if isinstance(column, PrunedColumn):
-                continue
-            total += sum(len(value) for value in column.values)
+            total += sum(len(value) for value in getattr(self, name).values)
         return total
 
     @property

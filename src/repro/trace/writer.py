@@ -148,11 +148,6 @@ class TraceWriteStage:
         self.fmt = fmt
         self.rows_written = 0
 
-    def required_columns(self, config) -> None:
-        """Full-schema pin: the tee re-serialises whole rows, so projection
-        pushdown must not prune anything upstream of it."""
-        return None
-
     def connect(self, upstream, config):
         if upstream is None:
             raise PlanError("write_trace needs an upstream batch stream")

@@ -98,18 +98,6 @@ class TestBitIdentity:
         assert [r.timestamp for r in records] == [r.timestamp for r in expected]
         assert [r.timestamp for r in records] == sorted(r.timestamp for r in records)
 
-    def test_workers_env_variable(self, workload, reference, monkeypatch):
-        from repro.cdn import simulator as sim_module
-
-        monkeypatch.setenv(sim_module.WORKERS_ENV, "2")
-        profiles, requests, catalogs = workload
-        _, expected = reference
-        simulator, records, _ = _run_batched(
-            profiles, requests, catalogs, workers=None, batch_size=256
-        )
-        assert records == expected
-        assert simulator.sim_stats is not None and simulator.sim_stats.workers == 2
-
 
 class TestMergedMetrics:
     def test_metrics_match_sequential_exactly(self, workload, reference):
@@ -317,16 +305,6 @@ class TestStreamingDispatch:
             profiles, requests, catalogs, workers=3, batch_size=256, queue_depth=100_000
         )
         assert stats.peak_resident_requests < big.sim_stats.peak_resident_requests
-
-    def test_queue_depth_env_variable(self, workload, monkeypatch):
-        from repro.cdn import simulator as sim_module
-
-        monkeypatch.setenv(sim_module.QUEUE_DEPTH_ENV, "41")
-        profiles, requests, catalogs = workload
-        simulator, _, _ = _run_batched(
-            profiles, requests[:600], catalogs, workers=2, batch_size=128
-        )
-        assert all(shard.queue_peak <= 41 for shard in simulator.sim_stats.shards)
 
     def test_queue_depth_validated(self, workload):
         profiles, requests, catalogs = workload

@@ -40,11 +40,9 @@ GOLDEN_RECORDS = 1500
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 
-def _build_summary(columns: frozenset[str] | None = None) -> dict:
+def _build_summary() -> dict:
     """The frozen quantity: the summary of a streaming-ingested study."""
-    dataset = TraceDataset.from_file(
-        TRACE_PATH, batch_size=256, keep_store=False, columns=columns
-    )
+    dataset = TraceDataset.from_file(TRACE_PATH, batch_size=256, keep_store=False)
     report = Study(run_clustering=False).run(dataset)
     return report.to_summary_dict()
 
@@ -105,20 +103,6 @@ class TestGoldenReport:
         if regenerated != golden:
             delta = "\n".join(_delta(golden, regenerated))
             pytest.fail(f"analysis summary drifted from the golden report:\n{delta}")
-
-    def test_projected_ingest_matches_golden(self):
-        # Projection pushdown must be invisible to the analyses: a study
-        # over a column-pruned ingest reproduces the golden report field
-        # by field, same delta machinery as the canonical leg.
-        if not (TRACE_PATH.exists() and REPORT_PATH.exists()):
-            pytest.skip("fixtures not generated yet")
-        from repro.core.dataset import INGEST_COLUMNS
-
-        golden = json.loads(REPORT_PATH.read_text())
-        regenerated = json.loads(json.dumps(_build_summary(columns=INGEST_COLUMNS)))
-        if regenerated != golden:
-            delta = "\n".join(_delta(golden, regenerated))
-            pytest.fail(f"projection-enabled summary drifted from the golden report:\n{delta}")
 
     def test_golden_trace_unchanged(self):
         # The trace fixture itself is part of the contract: a silent edit

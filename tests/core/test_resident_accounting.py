@@ -33,13 +33,6 @@ class TestInternBytes:
         assert batch.resident_nbytes == batch.nbytes + batch.intern_nbytes
         assert batch.resident_nbytes > batch.nbytes
 
-    def test_pruned_columns_contribute_nothing(self):
-        batch = RecordBatch.from_records(varied_records(24)).select(
-            frozenset({"timestamp", "bytes_served"})
-        )
-        assert batch.intern_nbytes == 0
-        assert batch.resident_nbytes == batch.nbytes
-
 
 class TestBuilderEstimate:
     def _batch(self):

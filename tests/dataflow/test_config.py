@@ -20,11 +20,9 @@ PRECEDENCE_CASES: dict[str, tuple[str, object, object, object]] = {
     "scale": ("tiny", "tiny", "medium", "tiny"),
     "batch_size": ("1024", 1024, 2048, 4096),
     "keep_store": ("false", False, True, False),
-    "projection": ("off", False, True, False),
-    "engine": ("record", "record", "batch", "record"),
     "sim_workers": ("2", 2, 3, 4),
     "sim_queue_depth": ("16", 16, 32, 64),
-    "dtw_kernel": ("numpy", "numpy", "c", "numba"),
+    "dtw_kernel": ("numpy", "numpy", "c", "numpy"),
     "dtw_workers": ("2", 2, 3, 4),
     "run_clustering": ("no", False, True, False),
     "memory_budget": ("1048576", 1048576, 2097152, 4194304),
@@ -106,14 +104,13 @@ class TestValidation:
         "overrides",
         [
             {"scale": "huge"},
-            {"engine": "rows"},
             {"dtw_kernel": "fortran"},
+            {"dtw_kernel": "numba"},
             {"batch_size": 0},
             {"sim_workers": -1},
             {"sim_queue_depth": 0},
             {"dtw_workers": 0},
             {"keep_store": "yes"},
-            {"projection": "on"},
             {"run_clustering": 1},
             {"seed": "0"},
         ],

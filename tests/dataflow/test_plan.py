@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.cdn.simulator import CdnSimulator, sized_simulation_config
 from repro.core.dataset import TraceDataset
 from repro.core.report import Study
-from repro.dataflow import Plan, RunConfig, StageStats
+from repro.dataflow import Plan, RunConfig, StageStats, render_stage_stats
 from repro.errors import ConfigError, PlanError
 from repro.trace.writer import write_trace_batches
 from repro.workload.generator import WorkloadGenerator
@@ -202,6 +202,29 @@ class TestTelemetry:
     def test_rows_per_sec_handles_zero_wall(self):
         assert StageStats(name="x").rows_per_sec == 0.0
         assert StageStats(name="x", rows=100, wall_seconds=2.0).rows_per_sec == 50.0
+
+    def test_long_stage_names_stay_aligned(self):
+        stats = [
+            StageStats(name="x", rows=1, batches=1, wall_seconds=1.0),
+            StageStats(
+                name="a_stage_name_far_beyond_twelve_chars",
+                rows=1_000_000,
+                batches=9,
+                wall_seconds=2.0,
+            ),
+        ]
+        lines = render_stage_stats(stats).splitlines()
+        assert lines[0] == "dataflow plan:"
+        offsets = {line.index(" rows ") for line in lines[1:]}
+        assert len(offsets) == 1  # the row-count column starts at one offset
+        batch_offsets = {line.index(" batches ") for line in lines[1:]}
+        assert len(batch_offsets) == 1
+
+    def test_short_names_keep_the_legacy_width(self):
+        # A table of short names must render exactly as before the fix
+        # (12-char name column), so existing telemetry greps keep working.
+        line = StageStats(name="simulate", rows=5, batches=1, wall_seconds=1.0).render()
+        assert line.startswith("stage simulate     ")
 
     def test_storeless_peak_resident_stays_bounded(self):
         config = tiny_config(seed=7, keep_store=False, batch_size=512)

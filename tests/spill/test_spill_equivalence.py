@@ -78,23 +78,21 @@ class TestIngestEquivalence:
         assert stats.bytes_spilled == 0
 
     def test_env_variable_fallback(self, pipeline_result, monkeypatch, tmp_path):
+        # The ingest reads no environment: a budget in REPRO_MEMORY_BUDGET
+        # is ignored, and only the explicit kwargs enable spilling.
         batches = [batch.drop_records() for batch in pipeline_result.batches]
         baseline = _study_outcome(TraceDataset.from_batches(batches, keep_store=False))
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1")
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path / "spill"))
-        spilled = TraceDataset.from_batches(batches, keep_store=False)
+        unbudgeted = TraceDataset.from_batches(batches, keep_store=False)
+        assert unbudgeted.ingest_stats.bytes_spilled == 0
+        spill_dir = tmp_path / "spill"
+        spilled = TraceDataset.from_batches(
+            batches, keep_store=False, memory_budget=1, spill_dir=str(spill_dir)
+        )
         assert spilled.ingest_stats.bytes_spilled > 0
         assert _study_outcome(spilled) == baseline
         # Every segment was consumed or cleaned up at pool close.
-        spill_dir = tmp_path / "spill"
         assert not spill_dir.exists() or list(spill_dir.iterdir()) == []
-
-    def test_bad_env_budget_raises_config_error(self, monkeypatch):
-        from repro.errors import ConfigError
-
-        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "lots")
-        with pytest.raises(ConfigError, match="REPRO_MEMORY_BUDGET"):
-            TraceDataset.from_batches([], keep_store=False)
 
 
 @pytest.fixture(scope="module")

@@ -116,31 +116,6 @@ class TestDataflowCli:
         assert "stage read_trace" in out
         assert "stage ingest" in out
 
-    def test_analyze_storeless_reports_projection(self, capsys):
-        # The storeless plan needs everything but chunk_index, so the
-        # telemetry must show the source narrowing 13 -> 12 columns.
-        assert main([
-            "analyze", "--seed", "1", "--scale", "tiny", "--no-clustering",
-            "--no-keep-store",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "cols 13->12" in out
-        assert "bytes_pruned" in out
-
-    def test_analyze_no_projection_flag_disables_pruning(self, capsys):
-        assert main([
-            "analyze", "--seed", "1", "--scale", "tiny", "--no-clustering",
-            "--no-keep-store", "--no-projection",
-        ]) == 0
-        out = capsys.readouterr().out
-        # Column accounting still renders, but nothing was stripped.
-        assert "cols 13->13" in out
-        assert "bytes_pruned 0" in out
-
-    def test_analyze_record_engine_requires_trace(self, capsys):
-        assert main(["analyze", "--engine", "record"]) == 2
-        assert "needs --trace" in capsys.readouterr().out
-
     def test_ingest_bench_requires_a_source(self, capsys):
         assert main(["ingest-bench"]) == 2
         assert "--trace" in capsys.readouterr().out

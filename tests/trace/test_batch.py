@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProjectionError, TraceFormatError, TraceTruncationError
+from repro.errors import TraceFormatError, TraceTruncationError
 from repro.trace import schema
 from repro.trace.batch import (
     ALL_COLUMNS,
@@ -25,7 +25,6 @@ from repro.trace.batch import (
     NUMERIC_FIELDS,
     STRING_FIELDS,
     BatchBuilder,
-    PrunedColumn,
     RecordBatch,
     iter_record_batches,
 )
@@ -80,6 +79,10 @@ def assert_dictionaries_canonical(batch: RecordBatch, records: list[LogRecord]) 
 
 
 class TestRecordBatch:
+    def test_schema_constants_cover_every_column(self):
+        assert ALL_COLUMNS == NUMERIC_FIELDS + STRING_FIELDS
+        assert len(ALL_COLUMNS) == len(set(ALL_COLUMNS)) == 13
+
     def test_from_records_roundtrip(self):
         records = varied_records()
         batch = RecordBatch.from_records(records)
@@ -181,124 +184,6 @@ class TestRecordBatch:
         for field in STRING_FIELDS:
             assert list(getattr(merged, field).values) == list(getattr(reference, field).values)
             assert np.array_equal(getattr(merged, field).codes, getattr(reference, field).codes)
-
-
-class TestSelect:
-    """Projection at the batch level: ``RecordBatch.select``."""
-
-    def test_schema_constants_cover_every_column(self):
-        assert ALL_COLUMNS == NUMERIC_FIELDS + STRING_FIELDS
-        assert len(ALL_COLUMNS) == len(set(ALL_COLUMNS)) == 13
-
-    def test_select_all_is_the_no_copy_fast_path(self):
-        batch = RecordBatch.from_records(varied_records(8))
-        assert batch.select(ALL_COLUMNS) is batch
-        assert batch.select(list(ALL_COLUMNS)) is batch
-        assert batch.select(frozenset(ALL_COLUMNS)) is batch
-
-    def test_unknown_column_raises_keyerror_naming_it(self):
-        batch = RecordBatch.from_records(varied_records(4))
-        with pytest.raises(KeyError, match="bogus"):
-            batch.select({"timestamp", "bogus"})
-
-    def test_unpruned_batch_reports_no_pruned_columns(self):
-        batch = RecordBatch.from_records(varied_records(4))
-        assert batch.pruned_columns == ()
-
-    @pytest.mark.parametrize("kept", ALL_COLUMNS)
-    def test_single_column_select(self, kept):
-        batch = RecordBatch.from_records(varied_records(12))
-        pruned = batch.select({kept})
-        assert len(pruned) == len(batch)
-        # The kept column is shared, not copied.
-        assert getattr(pruned, kept) is getattr(batch, kept)
-        # Every other column is a sentinel, reported in schema order.
-        expected = tuple(name for name in ALL_COLUMNS if name != kept)
-        assert pruned.pruned_columns == expected
-        for name in expected:
-            column = getattr(pruned, name)
-            assert isinstance(column, PrunedColumn)
-            assert len(column) == len(batch)
-            assert column.size == len(batch)
-            assert column.nbytes == 0
-
-    def test_string_columns_survive_with_intern_tables_intact(self):
-        records = varied_records(20)
-        batch = RecordBatch.from_records(records)
-        pruned = batch.select(set(STRING_FIELDS))
-        for field in STRING_FIELDS:
-            column = getattr(pruned, field)
-            raw = [getattr(record, field) for record in records]
-            # Decodes identically and keeps first-appearance dictionary
-            # order — the round-trip re-interns to the same table.
-            assert column.tolist() == raw
-            assert list(column.values) == first_appearance_order(raw)
-            assert column.values is getattr(batch, field).values
-
-    def test_empty_batch_select(self):
-        pruned = RecordBatch.empty().select({"timestamp", "site"})
-        assert len(pruned) == 0
-        assert pruned.nbytes == 0
-        assert "object_id" in pruned.pruned_columns
-
-    @pytest.mark.parametrize(
-        "access",
-        [
-            lambda c: c[0],
-            lambda c: c.take(np.array([0])),
-            lambda c: c.tolist(),
-            lambda c: c.codes,
-            lambda c: c.values,
-        ],
-        ids=["getitem", "take", "tolist", "codes", "values"],
-    )
-    def test_pruned_column_access_raises_naming_it(self, access):
-        batch = RecordBatch.from_records(varied_records(6))
-        pruned = batch.select({"timestamp"})
-        with pytest.raises(ProjectionError, match="'site' was pruned"):
-            access(pruned.site)
-
-    def test_nbytes_accounts_for_exactly_the_dropped_columns(self):
-        batch = RecordBatch.from_records(varied_records(32)).drop_records()
-        kept = {"timestamp", "site", "bytes_served"}
-        pruned = batch.select(kept)
-        dropped_numeric = sum(
-            getattr(batch, name).nbytes for name in NUMERIC_FIELDS if name not in kept
-        )
-        dropped_string = sum(
-            getattr(batch, name).codes.nbytes for name in STRING_FIELDS if name not in kept
-        )
-        assert batch.nbytes - pruned.nbytes == dropped_numeric + dropped_string
-        assert pruned.nbytes < batch.nbytes
-
-    def test_select_drops_cached_record_objects(self):
-        records = varied_records(5)
-        batch = RecordBatch.from_records(records)
-        assert batch._records is not None
-        pruned = batch.select({"timestamp", "site"})
-        # A row view over missing columns would be a lie, so the cache goes.
-        assert pruned._records is None
-        with pytest.raises(ProjectionError):
-            pruned.to_records()
-        with pytest.raises(ProjectionError):
-            pruned.record_at(0)
-
-    def test_row_views_of_pruned_batches_fail_loudly(self):
-        # Row views rebuild every column, so a pruned batch refuses them
-        # (naming the missing column) instead of yielding partial rows.
-        batch = RecordBatch.from_records(varied_records(10)).drop_records()
-        pruned = batch.select(set(ALL_COLUMNS) - {"chunk_index"})
-        with pytest.raises(ProjectionError, match="'chunk_index' was pruned"):
-            pruned.rows(2, 7)
-        with pytest.raises(ProjectionError, match="'chunk_index' was pruned"):
-            pruned.take(np.array([0, 1]))
-
-    def test_writer_rejects_pruned_batches_loudly(self, tmp_path):
-        batch = RecordBatch.from_records(varied_records(4))
-        pruned = batch.select({"timestamp", "site"})
-        with pytest.raises(ProjectionError):
-            with TraceWriter(tmp_path / "t.bin") as writer:
-                writer.write_batch(pruned)
 
 
 class TestBatchIO:
