@@ -11,9 +11,12 @@ Records/sec, per-shard wall time / queue depth, the measured speedup and
 the *ideal* speedup (total shard busy time over the busiest shard — the
 parallelism the queue balance offers a machine with enough cores) all
 land in ``BENCH_results.json`` via :func:`conftest.record_extra`, along
-with ``cpu_count`` so the measured speedup is interpretable: on a
-single-core container the parallel run cannot beat the sequential one no
-matter how clean the shard split is.
+with ``usable_cpus`` (the CPUs this process may run on, not the host's
+count) so the measured speedup is interpretable.  With one usable CPU
+the parallel run cannot beat the sequential one no matter how clean the
+shard split is, so no speedup is recorded there (``speedup: null``); the
+parallel and spilled legs still run, because they are the bit-identity
+evidence.  ``sequential_records_per_s`` is the serve loop's throughput.
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ def _timed_run(simulator: CdnSimulator, requests, workers: int):
     seconds = time.perf_counter() - start
     records = [record for batch in batches for record in batch.iter_records()]
     return seconds, records
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the host's count where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def test_simulate_throughput(benchmark):
@@ -103,8 +113,8 @@ def test_simulate_throughput(benchmark):
     seq_stats, par_stats = seq_sim.sim_stats, par_sim.sim_stats
     assert seq_stats is not None and par_stats is not None
     assert seq_stats.records == par_stats.records == total
-    speedup = seq_seconds / par_seconds
-    cpu_count = os.cpu_count() or 1
+    usable_cpus = _usable_cpus()
+    speedup = seq_seconds / par_seconds if usable_cpus > 1 else None
 
     print_header(
         "Simulate throughput — sharded parallel vs sequential serve loop",
@@ -116,7 +126,10 @@ def test_simulate_throughput(benchmark):
         f"  workers={PARALLEL_WORKERS}:         {par_seconds:8.2f}s  "
         f"{total / par_seconds:10,.0f} records/s"
     )
-    print(f"  measured speedup:  {speedup:.2f}x on {cpu_count} cpu core(s)")
+    if speedup is None:
+        print("  measured speedup:  not recorded (1 usable cpu)")
+    else:
+        print(f"  measured speedup:  {speedup:.2f}x on {usable_cpus} usable cpu(s)")
     print(f"  ideal speedup:     {par_stats.ideal_speedup:.2f}x (shard balance bound)")
     print(
         f"  spilled (budget={SPILL_BUDGET}B): {spill_seconds:8.2f}s  "
@@ -136,12 +149,12 @@ def test_simulate_throughput(benchmark):
             "requests": len(requests),
             "records": total,
             "workers": PARALLEL_WORKERS,
-            "cpu_count": cpu_count,
+            "usable_cpus": usable_cpus,
             "sequential_seconds": round(seq_seconds, 6),
             "parallel_seconds": round(par_seconds, 6),
             "sequential_records_per_s": round(total / seq_seconds, 1),
             "parallel_records_per_s": round(total / par_seconds, 1),
-            "speedup": round(speedup, 3),
+            "speedup": None if speedup is None else round(speedup, 3),
             "ideal_speedup": round(par_stats.ideal_speedup, 3),
             "parallel_matches_sequential": par_records == seq_records,
             "shards": [
@@ -167,10 +180,10 @@ def test_simulate_throughput(benchmark):
     )
 
     # The shard split must expose real parallelism regardless of how many
-    # cores this machine has; the measured speedup bar only applies where
-    # the cores exist to realise it (single-core CI boxes cannot 2x).
+    # CPUs this process may use; the measured speedup bar only applies
+    # where there is one usable CPU per worker to realise it.
     assert par_stats.ideal_speedup >= 2.0
-    if cpu_count >= PARALLEL_WORKERS:
+    if usable_cpus >= PARALLEL_WORKERS:
         assert speedup >= 2.0
 
 

@@ -64,13 +64,20 @@ class Chunker:
             raise CdnError(f"range length must be positive, got {length}")
         if start < 0 or start >= obj.size_bytes:
             raise CdnError(f"range start {start} outside object of {obj.size_bytes} bytes")
-        length = min(length, obj.size_bytes - start)
+        size = obj.size_bytes
+        chunk_bytes = self.chunk_bytes
         if not self.is_chunked(obj):
-            return [ChunkRef(key=obj.object_id, index=0, size=obj.size_bytes)]
-        first = start // self.chunk_bytes
-        last = (start + length - 1) // self.chunk_bytes
+            return [ChunkRef(key=obj.object_id, index=0, size=size)]
+        length = min(length, size - start)
+        first = start // chunk_bytes
+        last = (start + length - 1) // chunk_bytes
+        # Every chunk is full except the object's final one, which holds
+        # the remainder (``chunk_size``'s definition, computed once here).
+        final = (size - 1) // chunk_bytes
+        final_size = size - chunk_bytes * final
+        prefix = f"{obj.object_id}#c"
         return [
-            ChunkRef(key=f"{obj.object_id}#c{index}", index=index, size=self.chunk_size(obj, index))
+            ChunkRef(key=f"{prefix}{index}", index=index, size=chunk_bytes if index < final else final_size)
             for index in range(first, last + 1)
         ]
 

@@ -68,7 +68,9 @@ class SimulationMetrics:
         bytes_from_origin: int,
         latency_ms: float = 0.0,
     ) -> None:
-        metrics = self.sites.setdefault(site, SiteMetrics())
+        metrics = self.sites.get(site)
+        if metrics is None:
+            metrics = self.sites[site] = SiteMetrics()
         metrics.requests += 1
         if cache_status is CacheStatus.HIT:
             metrics.hits += 1

@@ -67,9 +67,9 @@ class OriginServer:
         self.seed = seed
         self._rng = make_rng(rng)
         #: Per-object mutation event times, extended lazily as the clock
-        #: advances: object_id -> (stream, sorted absolute event times,
-        #: schedule start).  The last stored time always lies beyond the
-        #: latest query, so earlier entries are final.
+        #: advances: object_id -> (stream, sorted absolute event times).
+        #: The last stored time always lies beyond the latest query, so
+        #: earlier entries are final.
         self._schedules: dict[str, tuple[np.random.Generator, list[float]]] = {}
         self.fetches = 0
         self.bytes_served = 0
@@ -119,3 +119,14 @@ class OriginServer:
         self.fetches += 1
         self.bytes_served += size
         return OriginResponse(allowed=True, version=self.current_version(obj, now), bytes_fetched=size)
+
+    def count_fetches(self, obj: ContentObject, count: int, size: int, now: float) -> None:
+        """Account ``count`` fetches of ``obj`` totalling ``size`` bytes.
+
+        The counters move exactly as ``count`` :meth:`fetch` calls would
+        move them; the edge, which already knows the current version,
+        skips building the responses.
+        """
+        if self.is_published(obj, now):
+            self.fetches += count
+            self.bytes_served += size

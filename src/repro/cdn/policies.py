@@ -172,6 +172,16 @@ class GdsfPolicy(EvictionPolicy):
     priority becomes the new floor ``L``.  Small, frequently used objects
     (thumbnails) survive; huge cold videos go first — the behaviour the
     paper's small/large-object caching discussion wants.
+
+    The victim is the live key with the smallest ``(priority, key)``.  The
+    heap holds, for every live key, at least one ``(p, key)`` entry with
+    ``p`` at most the key's stored priority; entries of evicted keys may
+    linger.  A key's priority only rises while it is live, so a hit just
+    stores the new priority and leaves the key's entry lagging behind it.
+    :meth:`victim` drops entries of evicted keys and re-files a lagging top
+    entry at its key's stored priority until the top entry is current —
+    the smallest ``(priority, key)`` overall, because every other live key
+    has an entry at or below its own priority.
     """
 
     name = "gdsf"
@@ -186,18 +196,15 @@ class GdsfPolicy(EvictionPolicy):
     def _score(self, key: str) -> float:
         return self._floor + self._frequency[key] / max(1, self._size[key])
 
-    def _push(self, key: str) -> None:
-        self._priority[key] = self._score(key)
-        heapq.heappush(self._heap, (self._priority[key], key))
-
     def on_insert(self, key: str, size: int, now: float) -> None:
         self._frequency[key] = 1
         self._size[key] = size
-        self._push(key)
+        priority = self._priority[key] = self._score(key)
+        heapq.heappush(self._heap, (priority, key))
 
     def on_hit(self, key: str, now: float) -> None:
         self._frequency[key] += 1
-        self._push(key)
+        self._priority[key] = self._score(key)
 
     def on_evict(self, key: str) -> None:
         priority = self._priority.pop(key, None)
@@ -207,13 +214,16 @@ class GdsfPolicy(EvictionPolicy):
         self._size.pop(key, None)
 
     def victim(self) -> str:
-        while self._heap:
-            priority, key = self._heap[0]
+        heap = self._heap
+        while heap:
+            priority, key = heap[0]
             current = self._priority.get(key)
-            if current is None or priority != current:
-                heapq.heappop(self._heap)
-                continue
-            return key
+            if current is None:
+                heapq.heappop(heap)
+            elif priority != current:
+                heapq.heapreplace(heap, (current, key))
+            else:
+                return key
         raise CachePolicyError("victim() called on an empty GDSF policy")
 
     def __len__(self) -> int:

@@ -116,18 +116,23 @@ class EdgeServer:
         bytes_from_origin = 0
         ttl = self._ttl_for(obj)
         version = self.origin.current_version(obj, now)
+        small_limit = self.chunker.chunk_bytes // 2  # cache_for's tier split
         for chunk in chunks:
-            cache = self.cache_for(chunk.size)
+            size = chunk.size
+            cache = self.small_cache if size <= small_limit else self.large_cache
             entry = cache.lookup(chunk.key, now, revalidate_version=version)
             if entry is not None:
                 hits += 1
-                bytes_from_cache += chunk.size
+                bytes_from_cache += size
                 continue
-            self.origin.fetch(obj, chunk.size, now)
-            cache.stats.bytes_fetched_from_origin += chunk.size
-            bytes_from_origin += chunk.size
+            cache.stats.bytes_fetched_from_origin += size
+            bytes_from_origin += size
             if cacheable:
-                cache.insert(chunk.key, chunk.size, now, ttl=ttl, version=version)
+                cache.insert(chunk.key, size, now, ttl=ttl, version=version)
+        if hits < len(chunks):
+            # One origin fetch per missed chunk; the version is the one
+            # already looked up above.
+            self.origin.count_fetches(obj, len(chunks) - hits, bytes_from_origin, now)
         status = CacheStatus.HIT if hits == len(chunks) else CacheStatus.MISS
         return EdgeResult(
             cache_status=status,

@@ -64,7 +64,7 @@ from repro.cdn.proxy import IspProxyLayer, ProxyConfig
 from repro.cdn.replication import PushReplicator, PushStats
 from repro.cdn.routing import Router
 from repro.cdn.server import EdgeServer
-from repro.stats.sampling import counter_rng
+from repro.stats.sampling import CounterStreams, counter_rng
 from repro.trace.anonymize import Anonymizer
 from repro.trace.batch import (
     ALL_COLUMNS,
@@ -321,6 +321,7 @@ class SimulatorShard:
         )
         self.client_model = ClientModel()
         self.anonymizer = Anonymizer(salt=f"repro-{config.seed}")
+        self._request_streams = CounterStreams(config.seed, "request")
         self.metrics = SimulationMetrics()
         self.browsers: OrderedDict[str, BrowserCache] = OrderedDict()
         self.churn_clock = 0.0
@@ -339,13 +340,19 @@ class SimulatorShard:
     def process(self, request: Request) -> list[LogRecord]:
         """Serve one request, returning the records it emitted (0..n)."""
         if self.playback is not None and self.playback.is_streamable(request.obj):
-            return list(self.serve_viewing(request))
+            return self._viewing_records(request)
         record = self.serve(request)
         return [record] if record is not None else []
 
     def _request_rng(self, request: Request) -> np.random.Generator:
-        """The request's private random stream — pure function of the id."""
-        return counter_rng(self.config.seed, "request", request.request_id)
+        """The request's private random stream — pure function of the id.
+
+        It is ``counter_rng(seed, "request", request_id)``, served by
+        re-keying the shard's one shared stream, so it stays valid only
+        until the next request's ``_request_rng`` call: every draw for a
+        request is made before the shard moves on.
+        """
+        return self._request_streams.at(request.request_id)
 
     def _browser_for(self, request: Request) -> BrowserCache:
         user = request.user
@@ -457,8 +464,14 @@ class SimulatorShard:
         Only used in playback mode: the viewing is expanded into
         sequential/seeking segment downloads with abandonment, each served
         through the edge as an independent 206 request and logged
-        separately.
+        separately.  The whole viewing is served before this returns —
+        its draws come from the request's stream, which the next request
+        re-keys — so the iterator only hands out finished records.
         """
+        return iter(self._viewing_records(request))
+
+    def _viewing_records(self, request: Request) -> list[LogRecord]:
+        """Serve one viewing eagerly; see :meth:`serve_viewing`."""
         user, obj = request.user, request.obj
         dc, edge = self.dc, self.edge
         rng = self._request_rng(request)
@@ -472,10 +485,10 @@ class SimulatorShard:
                 status_code=decision.status_code, bytes_served=0, bytes_from_origin=0,
                 latency_ms=2 * latency_ms(user.continent, dc.continent),
             )
-            yield self._record_for(request, dc, CacheStatus.MISS, decision, chunk_index=-1)
-            return
+            return [self._record_for(request, dc, CacheStatus.MISS, decision, chunk_index=-1)]
 
         assert self.playback is not None
+        records = []
         for segment in self.playback.viewing(obj, rng):
             now = request.timestamp + segment.offset_seconds
             self._apply_background_churn(now)
@@ -493,20 +506,23 @@ class SimulatorShard:
                 status_code=decision.status_code, bytes_served=decision.bytes_served,
                 bytes_from_origin=result.bytes_from_origin, latency_ms=latency,
             )
-            yield LogRecord(
-                timestamp=now,
-                site=obj.site,
-                object_id=self.anonymizer.url(obj.object_id),
-                extension=obj.extension,
-                object_size=obj.size_bytes,
-                user_id=self.anonymizer.user(user.user_id),
-                user_agent=user.user_agent,
-                cache_status=result.cache_status,
-                status_code=decision.status_code,
-                bytes_served=decision.bytes_served,
-                datacenter=dc.dc_id,
-                chunk_index=result.first_chunk_index,
+            records.append(
+                LogRecord(
+                    timestamp=now,
+                    site=obj.site,
+                    object_id=self.anonymizer.url(obj.object_id),
+                    extension=obj.extension,
+                    object_size=obj.size_bytes,
+                    user_id=self.anonymizer.user(user.user_id),
+                    user_agent=user.user_agent,
+                    cache_status=result.cache_status,
+                    status_code=decision.status_code,
+                    bytes_served=decision.bytes_served,
+                    datacenter=dc.dc_id,
+                    chunk_index=result.first_chunk_index,
+                )
             )
+        return records
 
     def _record_for(self, request: Request, dc, cache_status, decision, chunk_index: int) -> LogRecord:
         """Build a log record for a non-playback outcome (e.g. 403)."""

@@ -39,15 +39,64 @@ def counter_rng(seed: int, domain: str, index: int) -> np.random.Generator:
     consuming a parent generator's state: the stream for a given key is
     identical no matter how many other streams were created before it, in
     what order, or in which process.  The simulator keys one stream per
-    request (``domain="request"``, ``index=request_id``) so every
+    request (``domain="request"``, ``index=request_id``; it re-keys one
+    :class:`CounterStreams` rather than calling this per request) so every
     stochastic draw is a pure function of the request — the property that
     makes shard-parallel execution bit-identical to the sequential loop.
     """
-    key = np.array(
-        [(seed * _GOLDEN + zlib.crc32(domain.encode("utf-8"))) & _U64, index & _U64],
-        dtype=np.uint64,
-    )
+    key = np.array([_domain_key(seed, domain), index & _U64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _domain_key(seed: int, domain: str) -> int:
+    """First Philox key word of every ``(seed, domain)`` stream."""
+    return (seed * _GOLDEN + zlib.crc32(domain.encode("utf-8"))) & _U64
+
+
+class CounterStreams:
+    """Every ``counter_rng(seed, domain, index)`` stream from one Philox.
+
+    Building a ``Generator(Philox(key))`` costs several microseconds, more
+    than the handful of draws a per-request stream serves.  ``at(index)``
+    instead re-keys one bit generator in place: key ``[domain key,
+    index]``, counter 0 and an empty output buffer — exactly the state a
+    freshly built ``Philox(key=...)`` starts in, so the draws are
+    identical to :func:`counter_rng`'s.
+
+    The generator ``at`` returns is shared: it is valid only until the
+    next ``at`` call, which re-keys it.  Draw everything a request needs
+    before moving on to the next one.
+    """
+
+    __slots__ = ("seed", "domain", "_key", "_state", "_bit_generator", "_generator")
+
+    def __init__(self, seed: int, domain: str):
+        self.seed = seed
+        self.domain = domain
+        self._key = [_domain_key(seed, domain), 0]
+        # The state ``Philox.state`` accepts; ``at`` rewrites only the
+        # index word of the key.  buffer_pos 4 marks the buffer as used
+        # up, so the first draw computes counter block 1, as a fresh
+        # Philox does.
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bit_generator = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
+        self._generator = np.random.Generator(self._bit_generator)
+
+    def at(self, index: int) -> np.random.Generator:
+        """The stream ``counter_rng(seed, domain, index)``, until the next call."""
+        self._key[1] = index & _U64
+        self._bit_generator.state = self._state
+        return self._generator
+
+    def __reduce__(self):
+        return (CounterStreams, (self.seed, self.domain))
 
 
 def spawn_rng(rng: np.random.Generator, label: str) -> np.random.Generator:

@@ -22,8 +22,9 @@ HTTP log the analysis pipeline consumes.
 
 from __future__ import annotations
 
+import bisect
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -174,7 +175,7 @@ class WorkloadGenerator:
             workloads = self.generate_all()
         merged = heapq.merge(*(w.requests for w in workloads.values()), key=lambda r: r.timestamp)
         for request_id, request in enumerate(merged, start=start_request_id):
-            yield replace(request, request_id=request_id)
+            yield Request(request.timestamp, request.user, request.obj, request.is_repeat, request_id)
 
     def merged_request_batches(
         self,
@@ -232,6 +233,14 @@ class WorkloadGenerator:
         categories = list(profile.request_mix)
         category_probs = np.array([profile.request_mix[c] for c in categories])
         category_probs = category_probs / category_probs.sum()
+        # ``rng.choice(len(categories), p=category_probs)`` draws one
+        # ``random()`` and finds it in this normalised CDF with
+        # ``searchsorted(side="right")``; ``bisect_right`` over the same
+        # doubles gives the same index from the same single draw, without
+        # re-validating ``p`` on every request.
+        category_cdf = category_probs.cumsum()
+        category_cdf /= category_cdf[-1]
+        category_cdf = category_cdf.tolist()
 
         requests: list[Request] = []
         history: dict[int, list[ContentObject]] = {}
@@ -259,7 +268,7 @@ class WorkloadGenerator:
                 for timestamp in plan.request_times:
                     obj, is_repeat = self._pick_object(
                         profile, selector, user, user_history, favorites, user_index,
-                        float(timestamp), categories, category_probs, rng,
+                        float(timestamp), categories, category_cdf, rng,
                     )
                     if obj is None:
                         continue
@@ -279,10 +288,10 @@ class WorkloadGenerator:
         user_index: int,
         timestamp: float,
         categories: list[ContentCategory],
-        category_probs: np.ndarray,
+        category_cdf: list[float],
         rng: np.random.Generator,
     ) -> tuple[ContentObject | None, bool]:
-        category = categories[int(rng.choice(len(categories), p=category_probs))]
+        category = categories[bisect.bisect_right(category_cdf, rng.random())]
         addiction_level = profile.addiction_video if category is ContentCategory.VIDEO else profile.addiction_image
         repeat_prob = min(0.85, self.REPEAT_GAIN * user.addiction_propensity * addiction_level)
         if user_history and rng.random() < repeat_prob:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cdn.chunking import Chunker
+from repro.cdn.chunking import ChunkRef, Chunker
 from repro.errors import CdnError
 from repro.types import ContentCategory, TrendClass
 from repro.workload.catalog import ContentObject
@@ -106,3 +108,64 @@ class TestChunker:
         assert len(chunks) == 1
         assert chunks[0].key == obj.object_id
         assert chunks[0].size == 300
+
+
+def _reference_chunks(chunker: Chunker, obj: ContentObject, start: int, length: int) -> list[ChunkRef]:
+    """``chunks_for_range`` by its per-index definition, one ``chunk_size`` per chunk."""
+    length = min(length, obj.size_bytes - start)
+    if not chunker.is_chunked(obj):
+        return [ChunkRef(key=obj.object_id, index=0, size=chunker.chunk_size(obj, 0))]
+    first = start // chunker.chunk_bytes
+    last = (start + length - 1) // chunker.chunk_bytes
+    return [
+        ChunkRef(key=f"{obj.object_id}#c{index}", index=index, size=chunker.chunk_size(obj, index))
+        for index in range(first, last + 1)
+    ]
+
+
+@st.composite
+def _ranges(draw):
+    chunk_bytes = draw(st.integers(min_value=1, max_value=5_000))
+    category = draw(st.sampled_from(list(ContentCategory)))
+    size = draw(st.integers(min_value=1, max_value=40 * chunk_bytes))
+    count = -(-size // chunk_bytes)
+    start = draw(
+        st.one_of(
+            st.integers(min_value=0, max_value=size - 1),
+            # Starts inside the object's last chunk.
+            st.integers(min_value=(count - 1) * chunk_bytes, max_value=size - 1),
+        )
+    )
+    length = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=2 * size),
+            # Ends exactly at the object's end.
+            st.just(size - start),
+        )
+    )
+    return Chunker(chunk_bytes), make_object(category, size), start, length
+
+
+class TestChunksForRangeMatchesDefinition:
+    @settings(max_examples=400)
+    @given(case=_ranges())
+    def test_random_ranges(self, case):
+        chunker, obj, start, length = case
+        assert chunker.chunks_for_range(obj, start, length) == _reference_chunks(chunker, obj, start, length)
+
+    @pytest.mark.parametrize("size", [2_000, 2_001, 2_999, 3_000, 3_001])
+    def test_edges_of_the_last_chunk(self, size):
+        chunker = Chunker(chunk_bytes=1_000)
+        obj = make_object(ContentCategory.VIDEO, size)
+        last_start = (chunker.chunk_count(obj) - 1) * 1_000
+        for start in (0, last_start - 1, last_start, size - 1):
+            for length in (1, size - start, size):
+                assert chunker.chunks_for_range(obj, start, length) == _reference_chunks(
+                    chunker, obj, start, length
+                )
+
+    def test_all_chunks_matches_definition(self):
+        chunker = Chunker(chunk_bytes=1_000)
+        for size in (1, 999, 1_000, 1_001, 5_300, 6_000):
+            obj = make_object(ContentCategory.VIDEO, size)
+            assert chunker.all_chunks(obj) == _reference_chunks(chunker, obj, 0, size)
