@@ -27,8 +27,6 @@ from repro.core.dataset import ObjectStats, TraceDataset
 from repro.core.dtw import (
     DtwStats,
     dtw_distance,
-    dtw_distance_batch,
-    dtw_nearest_neighbor,
     lb_keogh,
     lb_kim,
     pairwise_dtw,
@@ -68,8 +66,6 @@ __all__ = [
     "content_composition",
     "device_composition",
     "dtw_distance",
-    "dtw_distance_batch",
-    "dtw_nearest_neighbor",
     "hit_ratio_analysis",
     "hourly_volume",
     "interarrival_times",

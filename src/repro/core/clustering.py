@@ -52,8 +52,9 @@ class TrendClusteringResult:
     series: list[np.ndarray]
     dendrogram: Dendrogram
     clusters: list[TrendCluster] = field(default_factory=list)
-    #: How the pairwise DTW matrix was computed (pairs pruned/abandoned/full
-    #: DP and wall time) — see :class:`repro.core.dtw.DtwStats`.
+    #: How the pairwise DTW matrix was computed (pairs certified by a lower
+    #: bound or run through the full DP, wall time and kernel tier) — see
+    #: :class:`repro.core.dtw.DtwStats`.
     dtw_stats: DtwStats | None = None
 
     def fractions(self) -> dict[TrendClass, float]:
@@ -176,10 +177,7 @@ def cluster_popularity_trends(
     resample_hours: int = 2,
     selection: str = "random",
     selection_seed: int = 0,
-    parallel: bool = False,
-    dtw_abandon_beyond_k: int | None = None,
     dtw_kernel: str | None = None,
-    max_workers: int | None = None,
 ) -> TrendClusteringResult:
     """Run the full Fig. 8-10 pipeline for one (site, category).
 
@@ -196,15 +194,11 @@ def cluster_popularity_trends(
     qualifying objects (default; keeps trend shares representative) and the
     ``"top"`` most-requested objects.
 
-    ``parallel``/``max_workers``/``dtw_kernel`` are forwarded to
-    :func:`repro.core.dtw.pairwise_dtw`; the matrix (and therefore the
-    clustering) is bit-identical across workers and kernel tiers, and the
-    :class:`DtwStats` describing how the matrix was computed (including
-    which kernel tier ran) land on the result's ``dtw_stats``.
-    ``dtw_abandon_beyond_k`` turns on threshold seeding in the pairwise
-    matrix; it preserves each row's k-nearest-neighbour structure exactly
-    but censors far-away distances to lower bounds, so only pass it when
-    the downstream linkage tolerates that (medoid assignment does).
+    ``dtw_kernel`` is forwarded to :func:`repro.core.dtw.pairwise_dtw`;
+    the matrix (and therefore the clustering) is bit-identical across
+    kernel tiers, and the :class:`DtwStats` describing how the matrix was
+    computed (including which kernel tier ran) land on the result's
+    ``dtw_stats``.
     """
     if selection == "top":
         objects = dataset.top_objects(site, category, limit=max_objects, min_requests=min_requests)
@@ -225,13 +219,7 @@ def cluster_popularity_trends(
     window = max(1, dtw_window // max(1, resample_hours))
 
     distances, dtw_stats = pairwise_dtw(
-        dtw_series,
-        window=window,
-        parallel=parallel,
-        max_workers=max_workers,
-        return_stats=True,
-        abandon_beyond_k=dtw_abandon_beyond_k,
-        kernel=dtw_kernel,
+        dtw_series, window=window, return_stats=True, kernel=dtw_kernel
     )
     dendrogram = AgglomerativeClustering(linkage=linkage).fit(distances)
     labels = dendrogram.cut(min(n_clusters, len(objects)))

@@ -6,9 +6,8 @@ runtime:
 1. **c** — a small C kernel compiled on first use with the system C
    compiler (``cc``/``gcc``/``clang``, no third-party packages needed) and
    loaded through :mod:`ctypes`.  The shared object is cached on disk keyed
-   by a digest of the C source, so the compile happens once per machine,
-   and worker processes spawned by ``pairwise_dtw(parallel=True)`` reuse
-   the cached build instead of recompiling.
+   by a digest of the C source, so the compile happens once per machine
+   and later processes reuse the cached build instead of recompiling.
 2. **numpy** — no compiled kernel; :mod:`repro.core.dtw` falls back to its
    pure-numpy batched kernel and pure-Python scalar kernel.
 
@@ -59,19 +58,18 @@ BUILD_DIR_ENV = "REPRO_DTW_BUILD_DIR"
 #: Valid values of :data:`KERNEL_ENV`.
 KERNEL_CHOICES = ("auto", "c", "numpy")
 
-# The C kernel.  ``repro_dtw_one`` is the scalar banded DP with in-loop
-# early abandonment (``abandon < 0`` disables it); ``repro_dtw_pairs``
-# sweeps a chunk of (row, col) index pairs over a flattened series arena so
-# one foreign call amortises the FFI overhead across thousands of DPs.
-# The inner loop mirrors the Python reference kernel operation for
-# operation; no ``-ffast-math`` is ever passed, so results stay
-# bit-identical.
+# The C kernel.  ``repro_dtw_one`` is the scalar banded DP;
+# ``repro_dtw_pairs`` sweeps a chunk of (row, col) index pairs over a
+# flattened series arena so one foreign call amortises the FFI overhead
+# across thousands of DPs.  The inner loop mirrors the Python reference
+# kernel operation for operation; no ``-ffast-math`` is ever passed, so
+# results stay bit-identical.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 
 double repro_dtw_one(const double *a, int64_t n, const double *b, int64_t m,
-                     int64_t band, double abandon, double *prev, double *curr) {
+                     int64_t band, double *prev, double *curr) {
     const double inf = INFINITY;
     for (int64_t j = 0; j <= m; j++) { prev[j] = inf; curr[j] = inf; }
     prev[0] = 0.0;
@@ -82,7 +80,6 @@ double repro_dtw_one(const double *a, int64_t n, const double *b, int64_t m,
         curr[j_low - 1] = inf;
         double left = inf;
         double prev_diag = prev[j_low - 1];
-        double row_min = inf;
         for (int64_t j = j_low; j <= j_high; j++) {
             double prev_here = prev[j];
             double best = prev_here;
@@ -92,22 +89,18 @@ double repro_dtw_one(const double *a, int64_t n, const double *b, int64_t m,
             if (diff < 0.0) diff = -diff;
             left = diff + best;
             curr[j] = left;
-            if (left < row_min) row_min = left;
             prev_diag = prev_here;
         }
         if (j_high < m) curr[j_high + 1] = inf;
         double *tmp = prev; prev = curr; curr = tmp;
-        if (abandon >= 0.0 && row_min > abandon) return inf;
     }
     return prev[m];
 }
 
-int64_t repro_dtw_pairs(const double *arena, const int64_t *offsets,
-                        const int64_t *lengths, const int64_t *rows,
-                        const int64_t *cols, int64_t npairs, int64_t band,
-                        const double *thresholds, double *out,
-                        double *scratch, int64_t scratch_stride) {
-    int64_t abandoned = 0;
+void repro_dtw_pairs(const double *arena, const int64_t *offsets,
+                     const int64_t *lengths, const int64_t *rows,
+                     const int64_t *cols, int64_t npairs, int64_t band,
+                     double *out, double *scratch, int64_t scratch_stride) {
     double *prev = scratch;
     double *curr = scratch + scratch_stride;
     for (int64_t p = 0; p < npairs; p++) {
@@ -116,17 +109,9 @@ int64_t repro_dtw_pairs(const double *arena, const int64_t *offsets,
         int64_t eff = band;
         int64_t diff = n - m; if (diff < 0) diff = -diff;
         if (eff < diff) eff = diff;
-        double t = -1.0;
-        if (thresholds) {
-            t = thresholds[p];
-            if (isinf(t)) t = -1.0;
-        }
-        double d = repro_dtw_one(arena + offsets[i], n, arena + offsets[j], m,
-                                 eff, t, prev, curr);
-        out[p] = d;
-        if (isinf(d)) abandoned++;
+        out[p] = repro_dtw_one(arena + offsets[i], n, arena + offsets[j], m,
+                               eff, prev, curr);
     }
-    return abandoned;
 }
 """
 
@@ -150,16 +135,16 @@ class CKernel:
         self._one.argtypes = [
             ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
             ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_double,
+            ctypes.c_int64,
             ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
         ]
         self._pairs = library.repro_dtw_pairs
-        self._pairs.restype = ctypes.c_int64
+        self._pairs.restype = None
         self._pairs.argtypes = [
             ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
             ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_int64),
             ctypes.POINTER(ctypes.c_int64), ctypes.c_int64, ctypes.c_int64,
-            ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_double),
             ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
         ]
 
@@ -171,15 +156,13 @@ class CKernel:
     def _iptr(array: np.ndarray) -> "ctypes.pointer":
         return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
 
-    def pair(self, a: np.ndarray, b: np.ndarray, band: int, abandon: float | None) -> float:
+    def pair(self, a: np.ndarray, b: np.ndarray, band: int) -> float:
         a = _as_flat_f64(a)
         b = _as_flat_f64(b)
         scratch = np.empty(2 * (b.size + 1), dtype=np.float64)
-        threshold = -1.0 if abandon is None or np.isinf(abandon) else float(abandon)
         return float(
             self._one(
-                self._dptr(a), a.size, self._dptr(b), b.size,
-                int(band), threshold,
+                self._dptr(a), a.size, self._dptr(b), b.size, int(band),
                 self._dptr(scratch), self._dptr(scratch[b.size + 1 :]),
             )
         )
@@ -192,9 +175,8 @@ class CKernel:
         rows: np.ndarray,
         cols: np.ndarray,
         band: int,
-        thresholds: np.ndarray | None,
         out: np.ndarray,
-    ) -> int:
+    ) -> None:
         arena = _as_flat_f64(arena)
         offsets = _as_flat_i64(offsets)
         lengths = _as_flat_i64(lengths)
@@ -202,16 +184,10 @@ class CKernel:
         cols = _as_flat_i64(cols)
         stride = int(lengths.max()) + 1
         scratch = np.empty(2 * stride, dtype=np.float64)
-        thresholds_ptr = None
-        if thresholds is not None:
-            thresholds = _as_flat_f64(thresholds)
-            thresholds_ptr = self._dptr(thresholds)
-        return int(
-            self._pairs(
-                self._dptr(arena), self._iptr(offsets), self._iptr(lengths),
-                self._iptr(rows), self._iptr(cols), rows.size, int(band),
-                thresholds_ptr, self._dptr(out), self._dptr(scratch), stride,
-            )
+        self._pairs(
+            self._dptr(arena), self._iptr(offsets), self._iptr(lengths),
+            self._iptr(rows), self._iptr(cols), rows.size, int(band),
+            self._dptr(out), self._dptr(scratch), stride,
         )
 
 
@@ -249,7 +225,7 @@ def _build_c_kernel(verbose_errors: bool = False) -> CKernel | None:
             source_path = cache_dir / f"reprodtw-{digest}.c"
             source_path.write_text(_C_SOURCE)
             # Build into a unique name, then atomically publish: concurrent
-            # processes (e.g. pairwise_dtw workers) race benignly.
+            # processes (e.g. parallel test or benchmark runs) race benignly.
             staging = cache_dir / f".build-{uuid.uuid4().hex}.so"
             subprocess.run(
                 [compiler, "-O3", "-fPIC", "-shared", "-o", str(staging), str(source_path)],

@@ -138,10 +138,12 @@ class AgglomerativeClustering:
         self.linkage = linkage
 
     def fit(self, distances: np.ndarray) -> Dendrogram:
-        """Build the dendrogram for a symmetric distance matrix."""
+        """Build the dendrogram for a finite, symmetric distance matrix."""
         matrix = np.asarray(distances, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise AnalysisError("distance matrix must be square")
+        if not np.isfinite(matrix).all():
+            raise AnalysisError("distance matrix must be finite (got NaN or inf)")
         if not np.allclose(matrix, matrix.T, atol=1e-9):
             raise AnalysisError("distance matrix must be symmetric")
         if np.any(np.diag(matrix) != 0):

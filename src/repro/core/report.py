@@ -315,13 +315,12 @@ class Study:
         image — when those sites are present.
     max_cluster_objects:
         Cap on the number of series per clustering run (O(n^2) DTW).
-    dtw_kernel / dtw_workers:
-        Forwarded to the DTW cascade of the trend clustering.  ``None``
-        (the default) keeps the legacy behaviour of reading the
-        ``REPRO_DTW_*`` environment variables at compute time; the
-        dataflow layer passes the values its :class:`RunConfig` already
-        resolved.  The clustering is bit-identical across kernels and
-        worker counts either way.
+    dtw_kernel:
+        The DTW kernel tier of the trend clustering.  ``None`` (the
+        default) reads the ``REPRO_DTW_KERNEL`` environment variable at
+        compute time; the dataflow layer passes the value its
+        :class:`RunConfig` already resolved.  The clustering is
+        bit-identical across kernel tiers either way.
     """
 
     def __init__(
@@ -330,13 +329,11 @@ class Study:
         max_cluster_objects: int = 60,
         run_clustering: bool = True,
         dtw_kernel: str | None = None,
-        dtw_workers: int | None = None,
     ):
         self.cluster_sites = cluster_sites
         self.max_cluster_objects = max_cluster_objects
         self.run_clustering = run_clustering
         self.dtw_kernel = dtw_kernel
-        self.dtw_workers = dtw_workers
 
     def run(
         self,
@@ -405,9 +402,7 @@ class Study:
                         site,
                         category,
                         max_objects=self.max_cluster_objects,
-                        parallel=(self.dtw_workers or 1) > 1,
                         dtw_kernel=self.dtw_kernel,
-                        max_workers=self.dtw_workers,
                     )
                 except EmptyDatasetError:
                     continue
@@ -425,7 +420,7 @@ class StudyStage:
     generate stage's catalogs, when the plan has one) and lands the
     :class:`StudyReport` on the plan result.  Without an explicit
     ``study`` the run's :class:`~repro.dataflow.config.RunConfig` supplies
-    the clustering toggle and DTW kernel/worker knobs.
+    the clustering toggle and the DTW kernel knob.
     """
 
     name = "analyze"
@@ -441,7 +436,6 @@ class StudyStage:
             study = Study(
                 run_clustering=config.run_clustering,
                 dtw_kernel=config.dtw_kernel,
-                dtw_workers=config.dtw_workers,
             )
         catalogs = None
         if result.workloads:

@@ -10,9 +10,9 @@ specified" at every layer, so callers can thread optional arguments
 straight through.  The executor hands the resolved config to every stage,
 and it is the only parser of the knobs it owns: the simulator and dataset
 entry points read no environment of their own (``None`` there means the
-built-in default).  Only the DTW entry points (``REPRO_DTW_KERNEL``,
-``REPRO_DTW_WORKERS``) and ``ScaleConfig.from_env`` (``REPRO_SCALE``)
-still keep env fallbacks outside the plan path.
+built-in default).  Only the DTW kernel selection (``REPRO_DTW_KERNEL``)
+and ``ScaleConfig.from_env`` (``REPRO_SCALE``) still keep env fallbacks
+outside the plan path.
 
 The knob table (:data:`KNOBS`) is the single source of truth: the
 precedence tests iterate it, and the README's configuration table is
@@ -119,13 +119,6 @@ KNOBS: tuple[Knob, ...] = (
         "DTW kernel tier for trend clustering (auto | c | numpy; auto = c when it builds)",
     ),
     Knob(
-        "dtw_workers",
-        "REPRO_DTW_WORKERS",
-        1,
-        _parse_int,
-        "worker processes for the pairwise DTW matrix (bit-identical for any value)",
-    ),
-    Knob(
         "run_clustering",
         "REPRO_RUN_CLUSTERING",
         True,
@@ -169,7 +162,6 @@ class RunConfig:
     sim_workers: int = 1
     sim_queue_depth: int = _DEFAULT_QUEUE_DEPTH
     dtw_kernel: str = "auto"
-    dtw_workers: int = 1
     run_clustering: bool = True
     memory_budget: int | None = None
     spill_dir: str | None = None
@@ -184,7 +176,7 @@ class RunConfig:
                 )
         if self.dtw_kernel not in _DTW_KERNELS:
             raise ConfigError(f"dtw_kernel must be one of {_DTW_KERNELS}, got {self.dtw_kernel!r}")
-        for name in ("batch_size", "sim_workers", "sim_queue_depth", "dtw_workers"):
+        for name in ("batch_size", "sim_workers", "sim_queue_depth"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")

@@ -52,6 +52,29 @@ class TestKnownValues:
             dtw_distance([1.0], [1.0], window=-1)
 
 
+class TestNonFinite:
+    # The band is always widened to |N - M|, so a non-finite DP result can
+    # only come from the values: NaN/inf inputs, or a float64 overflow.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(AnalysisError, match="finite"):
+            dtw_distance([bad, 1.0], [1.0, 2.0])
+
+    def test_overflow_reported(self):
+        with pytest.raises(AnalysisError, match="overflows float64"):
+            dtw_distance([1e308, -1e308], [-1e308, 1e308])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_pairwise_rejects_non_finite_series(self, bad):
+        with pytest.raises(AnalysisError, match="finite"):
+            pairwise_dtw([np.array([1.0, 2.0]), np.array([bad, 1.0]), np.array([0.0, 3.0])])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_pairwise_overflow_reported(self):
+        with pytest.raises(AnalysisError, match="overflows float64"):
+            pairwise_dtw([np.array([1e308, -1e308]), np.array([-1e308, 1e308])])
+
+
 class TestWindow:
     def test_unconstrained_equals_huge_window(self):
         rng = np.random.default_rng(0)

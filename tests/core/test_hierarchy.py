@@ -36,6 +36,19 @@ class TestValidation:
         with pytest.raises(AnalysisError):
             AgglomerativeClustering().fit(matrix)
 
+    def test_nan_distance_rejected(self):
+        # NaN != NaN, so the symmetry check alone would blame asymmetry.
+        matrix = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(AnalysisError, match="finite"):
+            AgglomerativeClustering().fit(matrix)
+
+    def test_inf_distance_rejected(self):
+        # With every off-diagonal entry inf, argmin would merge cluster 0
+        # with itself.
+        matrix = np.array([[0.0, np.inf], [np.inf, 0.0]])
+        with pytest.raises(AnalysisError, match="finite"):
+            AgglomerativeClustering().fit(matrix)
+
 
 class TestClustering:
     @pytest.mark.parametrize("linkage", ["single", "complete", "average"])

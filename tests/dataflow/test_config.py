@@ -23,7 +23,6 @@ PRECEDENCE_CASES: dict[str, tuple[str, object, object, object]] = {
     "sim_workers": ("2", 2, 3, 4),
     "sim_queue_depth": ("16", 16, 32, 64),
     "dtw_kernel": ("numpy", "numpy", "c", "numpy"),
-    "dtw_workers": ("2", 2, 3, 4),
     "run_clustering": ("no", False, True, False),
     "memory_budget": ("1048576", 1048576, 2097152, 4194304),
     "spill_dir": (" /tmp/spill-Env ", "/tmp/spill-Env", "/tmp/spill-kw", "/tmp/spill-cli"),
@@ -109,7 +108,6 @@ class TestValidation:
             {"batch_size": 0},
             {"sim_workers": -1},
             {"sim_queue_depth": 0},
-            {"dtw_workers": 0},
             {"keep_store": "yes"},
             {"run_clustering": 1},
             {"seed": "0"},
