@@ -1,9 +1,10 @@
 """Property and exactness tests for the DTW fast path.
 
 The fast path's contract is *losslessness*: lower bounds never exceed the
-true distance, and the pairwise matrix is bit-identical on every kernel
-tier, in one chunk or many, to the pure-Python scalar kernel and to
-per-pair reference calls.  These tests pin both down, mostly with
+true distance, the batched numpy kernel is bit-identical to the scalar
+kernel, and the pairwise matrix is bit-identical on every kernel tier, in
+one chunk or many, to the pure-Python scalar kernel and to per-pair
+reference calls.  These tests pin all three down, mostly with
 hypothesis-generated series.
 """
 
@@ -36,6 +37,18 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 series_strategy = st.lists(finite, min_size=1, max_size=32).map(np.asarray)
 window_strategy = st.one_of(st.none(), st.integers(min_value=0, max_value=40))
 
+# One query plus a stack of same-length series (the batched-kernel shape).
+equal_length_batch = st.integers(min_value=1, max_value=16).flatmap(
+    lambda length: st.tuples(
+        st.lists(finite, min_size=length, max_size=length).map(np.asarray),
+        st.lists(
+            st.lists(finite, min_size=length, max_size=length),
+            min_size=1,
+            max_size=5,
+        ).map(lambda rows: np.asarray(rows, dtype=float)),
+    )
+)
+
 
 class TestLowerBounds:
     @settings(max_examples=150, deadline=None)
@@ -65,6 +78,19 @@ class TestLowerBounds:
                 fn(np.zeros((2, 2)), [1.0])
         with pytest.raises(AnalysisError):
             lb_keogh([1.0, 2.0], [1.0, 2.0], window=-1)
+
+
+class TestBatchKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(equal_length_batch, window_strategy)
+    def test_batch_bit_identical_to_scalar(self, query_and_stack, window):
+        # pairwise_dtw hands equal-length pairs to the batched kernel on the
+        # numpy tier; each row must equal a scalar-kernel call bit for bit.
+        query, stack = query_and_stack
+        band = dtw_module._effective_band(query.size, stack.shape[1], window)
+        got = dtw_module._dtw_band_batch(np.tile(query, (stack.shape[0], 1)), stack, band)
+        want = np.array([dtw_module._dtw_band_scalar(query.tolist(), row.tolist(), band) for row in stack])
+        assert np.array_equal(got, want)  # exact float equality, not approx
 
 
 def _scalar_reference_matrix(series, window):
