@@ -89,7 +89,9 @@ class TestBatchKernel:
         query, stack = query_and_stack
         band = dtw_module._effective_band(query.size, stack.shape[1], window)
         got = dtw_module._dtw_band_batch(np.tile(query, (stack.shape[0], 1)), stack, band)
-        want = np.array([dtw_module._dtw_band_scalar(query.tolist(), row.tolist(), band) for row in stack])
+        want = np.array(
+            [dtw_module._dtw_band_scalar(query.tolist(), row.tolist(), band) for row in stack]
+        )
         assert np.array_equal(got, want)  # exact float equality, not approx
 
 
