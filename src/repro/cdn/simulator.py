@@ -10,10 +10,13 @@ For each workload :class:`~repro.workload.generator.Request` the simulator
    client model (:mod:`repro.cdn.http`);
 4. applies access control (403/416 paths) and serves the bytes through the
    edge cache chunk-by-chunk (:mod:`repro.cdn.server`);
-5. emits one :class:`~repro.trace.record.LogRecord` with the timestamp,
-   publisher, hashed URL, file type, size, user agent, anonymised user id,
-   cache status, status code, and bytes served — exactly the schema the
-   paper's dataset has (Section III).
+5. logs one row — timestamp, publisher, hashed URL, file type, size, user
+   agent, anonymised user id, cache status, status code, bytes served and
+   data center, exactly the schema the paper's dataset has (Section III) —
+   as a field tuple that a :class:`~repro.trace.batch.BatchBuilder` stores
+   directly; :class:`~repro.trace.record.LogRecord` objects are built only
+   by the record-at-a-time adapters (:meth:`CdnSimulator.run`,
+   :meth:`~CdnSimulator.serve`, :meth:`~CdnSimulator.serve_viewing`).
 
 Sharding and determinism
 ------------------------
@@ -71,7 +74,7 @@ from repro.trace.batch import (
     BatchBuilder,
     DEFAULT_BATCH_SIZE,
     RecordBatch,
-    iter_record_batches,
+    record_from_row,
 )
 from repro.trace.record import LogRecord
 from repro.types import CacheStatus, Continent, ContentCategory
@@ -116,17 +119,6 @@ def sized_simulation_config(catalogs: Iterable, seed: int) -> "SimulationConfig"
     catalog_bytes = sum(catalog.total_bytes() for catalog in catalogs)
     capacity = max(MIN_CACHE_CAPACITY_BYTES, int(DEFAULT_CACHE_CATALOG_FRACTION * catalog_bytes))
     return SimulationConfig(seed=seed + 1, cache_capacity_bytes=capacity)
-
-
-def _flatten_requests(
-    requests: Iterable[Request] | Iterable[list[Request]],
-) -> Iterator[Request]:
-    """Accept a flat request stream or a stream of request lists."""
-    for item in requests:
-        if isinstance(item, list):
-            yield from item
-        else:
-            yield item
 
 
 @dataclass
@@ -337,12 +329,32 @@ class SimulatorShard:
 
     # -- serving -------------------------------------------------------------
 
-    def process(self, request: Request) -> list[LogRecord]:
-        """Serve one request, returning the records it emitted (0..n)."""
+    def process(self, request: Request) -> list[tuple]:
+        """Serve one request, returning the rows it logged (0..n)."""
         if self.playback is not None and self.playback.is_streamable(request.obj):
-            return self._viewing_records(request)
-        record = self.serve(request)
-        return [record] if record is not None else []
+            return self.serve_viewing(request)
+        row = self.serve(request)
+        return [row] if row is not None else []
+
+    def _row(
+        self, request: Request, now: float, cache_status: CacheStatus, decision, chunk_index: int
+    ) -> tuple:
+        """One log row, fields in :meth:`RecordBatch.iter_rows` order."""
+        user, obj = request.user, request.obj
+        return (
+            now,
+            obj.site,
+            self.anonymizer.url(obj.object_id),
+            obj.extension,
+            obj.size_bytes,
+            self.anonymizer.user(user.user_id),
+            user.user_agent,
+            cache_status is CacheStatus.HIT,
+            decision.status_code,
+            decision.bytes_served,
+            self.dc.dc_id,
+            chunk_index,
+        )
 
     def _request_rng(self, request: Request) -> np.random.Generator:
         """The request's private random stream — pure function of the id.
@@ -369,8 +381,9 @@ class SimulatorShard:
         browser.observe_request_time(request.timestamp)
         return browser
 
-    def serve(self, request: Request) -> LogRecord | None:
-        """Serve one request end-to-end; None when served from the browser.
+    def serve(self, request: Request) -> tuple | None:
+        """Serve one request end-to-end, returning its log row; None when
+        served from the browser.
 
         A fresh local copy is served without contacting the CDN with
         probability ``browser_local_serve_prob`` — those accesses are
@@ -443,22 +456,9 @@ class SimulatorShard:
             bytes_from_origin=bytes_from_origin,
             latency_ms=latency,
         )
-        return LogRecord(
-            timestamp=now,
-            site=obj.site,
-            object_id=self.anonymizer.url(obj.object_id),
-            extension=obj.extension,
-            object_size=obj.size_bytes,
-            user_id=self.anonymizer.user(user.user_id),
-            user_agent=user.user_agent,
-            cache_status=cache_status,
-            status_code=decision.status_code,
-            bytes_served=decision.bytes_served,
-            datacenter=dc.dc_id,
-            chunk_index=chunk_index,
-        )
+        return self._row(request, now, cache_status, decision, chunk_index)
 
-    def serve_viewing(self, request: Request) -> Iterator[LogRecord]:
+    def serve_viewing(self, request: Request) -> list[tuple]:
         """Serve one video viewing as a stream of segment requests.
 
         Only used in playback mode: the viewing is expanded into
@@ -466,12 +466,8 @@ class SimulatorShard:
         through the edge as an independent 206 request and logged
         separately.  The whole viewing is served before this returns —
         its draws come from the request's stream, which the next request
-        re-keys — so the iterator only hands out finished records.
+        re-keys — and its rows come back as one list.
         """
-        return iter(self._viewing_records(request))
-
-    def _viewing_records(self, request: Request) -> list[LogRecord]:
-        """Serve one viewing eagerly; see :meth:`serve_viewing`."""
         user, obj = request.user, request.obj
         dc, edge = self.dc, self.edge
         rng = self._request_rng(request)
@@ -485,10 +481,10 @@ class SimulatorShard:
                 status_code=decision.status_code, bytes_served=0, bytes_from_origin=0,
                 latency_ms=2 * latency_ms(user.continent, dc.continent),
             )
-            return [self._record_for(request, dc, CacheStatus.MISS, decision, chunk_index=-1)]
+            return [self._row(request, request.timestamp, CacheStatus.MISS, decision, -1)]
 
         assert self.playback is not None
-        records = []
+        rows = []
         for segment in self.playback.viewing(obj, rng):
             now = request.timestamp + segment.offset_seconds
             self._apply_background_churn(now)
@@ -506,40 +502,8 @@ class SimulatorShard:
                 status_code=decision.status_code, bytes_served=decision.bytes_served,
                 bytes_from_origin=result.bytes_from_origin, latency_ms=latency,
             )
-            records.append(
-                LogRecord(
-                    timestamp=now,
-                    site=obj.site,
-                    object_id=self.anonymizer.url(obj.object_id),
-                    extension=obj.extension,
-                    object_size=obj.size_bytes,
-                    user_id=self.anonymizer.user(user.user_id),
-                    user_agent=user.user_agent,
-                    cache_status=result.cache_status,
-                    status_code=decision.status_code,
-                    bytes_served=decision.bytes_served,
-                    datacenter=dc.dc_id,
-                    chunk_index=result.first_chunk_index,
-                )
-            )
-        return records
-
-    def _record_for(self, request: Request, dc, cache_status, decision, chunk_index: int) -> LogRecord:
-        """Build a log record for a non-playback outcome (e.g. 403)."""
-        return LogRecord(
-            timestamp=request.timestamp,
-            site=request.obj.site,
-            object_id=self.anonymizer.url(request.obj.object_id),
-            extension=request.obj.extension,
-            object_size=request.obj.size_bytes,
-            user_id=self.anonymizer.user(request.user.user_id),
-            user_agent=request.user.user_agent,
-            cache_status=cache_status,
-            status_code=decision.status_code,
-            bytes_served=decision.bytes_served,
-            datacenter=dc.dc_id,
-            chunk_index=chunk_index,
-        )
+            rows.append(self._row(request, now, result.cache_status, decision, result.first_chunk_index))
+        return rows
 
     def _apply_background_churn(self, now: float) -> None:
         """Evict bytes on behalf of unsimulated publishers' traffic."""
@@ -582,8 +546,8 @@ def _serve_shard_queue(
     are ``(shard_key, seq, [Request, ...])`` chunks — FIFO per shard, so
     serving them in arrival order is exactly the sequential computation —
     or ``None`` to finish.  Each served chunk is acknowledged on
-    ``out_queue`` as a column-only :class:`RecordBatch` plus the
-    per-record ``request_id`` array the parent's frontier merge needs; at
+    ``out_queue`` as a :class:`RecordBatch` plus the per-row
+    ``request_id`` array the parent's frontier merge needs; at
     EOF the worker ships every shard it mutated back whole, so the parent
     can adopt exactly the state a sequential run would have left.
     """
@@ -606,15 +570,16 @@ def _serve_shard_queue(
                     os.kill(os.getpid(), 9)  # injected hard crash (tests)
                 if request.request_id == fail_rid:
                     raise RuntimeError(f"injected worker failure at request {fail_rid}")
-                for record in shard.process(request):
-                    builder.append(record)
-                    rids.append(request.request_id)
+                rows = shard.process(request)
+                for row in rows:
+                    builder.append(*row)
+                rids.extend([request.request_id] * len(rows))
+            batch = builder.finish() if len(builder) else None
         except Exception as exc:
             out_queue.put(("error", worker_id, key, f"{type(exc).__name__}: {exc}"))
             return
         busy[key] += time.perf_counter() - start
         touched.add(key)
-        batch = builder.finish().drop_records() if len(builder) else None
         out_queue.put(
             ("result", worker_id, key, seq, batch, np.asarray(rids, dtype=np.int64), len(chunk))
         )
@@ -678,62 +643,43 @@ class _ShardChannel:
 class _MergeBlock:
     """One acked result block inside the frontier merge, resident or spilled.
 
-    Resident: ``rids`` (int64 request ids) plus the columnar ``batch``;
-    record objects and a plain-python rid list are materialised lazily the
-    first time the block reaches the merge head.  Spilled: ``segment``
-    names the on-disk columnar copy and only ``first_rid``/``rows`` stay
-    in memory.  ``cursor`` is the next row to emit (always 0 while
-    spilled: only unconsumed blocks are evictable).
+    Resident: ``rids`` (int64 request ids, non-decreasing) plus the
+    columnar ``batch``.  Spilled: ``segment`` names the on-disk columnar
+    copy and only ``first_rid``/``rows`` stay in memory.  ``cursor`` is
+    the next row to emit (always 0 while spilled: only unconsumed blocks
+    are evictable).
     """
 
-    __slots__ = ("rids", "batch", "records", "rid_values", "cursor", "nbytes", "segment", "first_rid", "rows")
+    __slots__ = ("rids", "batch", "cursor", "nbytes", "segment", "first_rid", "rows")
 
-    def __init__(self, rids: np.ndarray, batch: "RecordBatch | Iterable"):
+    def __init__(self, rids: np.ndarray, batch: RecordBatch):
         self.rids = rids
+        self.batch = batch
         self.cursor = 0
         self.segment = None
         self.first_rid = int(rids[0])
         self.rows = int(rids.size)
-        if isinstance(batch, RecordBatch):
-            self.batch: RecordBatch | None = batch
-            self.records: list[LogRecord] | None = None
-            self.rid_values: list[int] | None = None
-            self.nbytes = rids.nbytes + batch.resident_nbytes
-        else:
-            # Plain record iterable (property tests, ad-hoc callers):
-            # materialise eagerly; no columnar copy exists to spill.
-            self.batch = None
-            self.records = list(batch)
-            self.rid_values = rids.tolist()
-            self.nbytes = rids.nbytes
-
-    def head_rid(self) -> int:
-        if self.segment is not None or self.cursor == 0:
-            return self.first_rid
-        if self.rid_values is not None:
-            return self.rid_values[self.cursor]
-        return int(self.rids[self.cursor])
+        self.nbytes = rids.nbytes + batch.resident_nbytes
 
 
 class _FrontierMerger:
-    """Incremental k-way merge of per-shard ``(request_id, record)`` streams.
+    """Incremental k-way merge of per-shard ``(request_id, row)`` blocks.
 
     Each shard's stream arrives in non-decreasing request-id order and the
-    per-shard id sets are disjoint, so repeatedly emitting the globally
-    smallest buffered id — but never past the *bound* (the id through
-    which every shard's stream is known complete, see
-    :meth:`_ShardChannel.frontier`) — reproduces the sequential emission
-    order exactly, including a playback request's contiguous multi-record
-    run (equal ids are drained from one shard before re-scanning).
+    per-shard id sets are disjoint, so emitting every buffered row with an
+    id ≤ the *bound* (the id through which every shard's stream is known
+    complete, see :meth:`_ShardChannel.frontier`) in stable id order
+    reproduces the sequential emission order exactly, including a playback
+    request's contiguous multi-row run (equal ids all come from one shard,
+    already in order).
 
-    Buffering is *columnar*: each acked worker batch is kept as one
-    :class:`_MergeBlock` (ids + columns) instead of per-record tuples, and
-    record objects are only materialised when a block reaches the merge
-    head.  With a spill handle attached (:meth:`attach_spill`), buffered
-    blocks past the memory budget are evicted to disk segments — largest
-    first, never a shard's head block (the one the merge may be midway
-    through) — and restored in frontier order when emission reaches them,
-    so the emitted stream is bit-identical at any budget.
+    Buffering is columnar: each acked worker batch is kept as one
+    :class:`_MergeBlock` (ids + columns), and :meth:`emit` returns its
+    rows as one batch.  With a spill handle attached
+    (:meth:`attach_spill`), buffered blocks past the memory budget are
+    evicted to disk segments — largest first, never a shard's head block
+    (the one the merge may be midway through) — and restored when they
+    become the head, so the emitted rows are bit-identical at any budget.
     """
 
     def __init__(self, keys: Iterable[tuple[str, int]]):
@@ -769,7 +715,7 @@ class _FrontierMerger:
         for buffer in self._buffers.values():
             for index in range(1, len(buffer)):
                 block = buffer[index]
-                if block.segment is None and block.batch is not None:
+                if block.segment is None:
                     yield block
 
     def evictable_bytes(self) -> int:
@@ -790,8 +736,6 @@ class _FrontierMerger:
         freed = best.nbytes
         best.rids = None  # type: ignore[assignment]
         best.batch = None  # type: ignore[assignment]
-        best.records = None
-        best.rid_values = None
         best.nbytes = 0
         self._resident_bytes -= freed
         self._handle.set_level(self._resident_bytes)
@@ -801,7 +745,7 @@ class _FrontierMerger:
         [columns] = self._handle.read_run(block.segment)
         rids = columns.pop("request_id")
         block.rids = rids
-        block.batch = RecordBatch(records=None, **columns)
+        block.batch = RecordBatch(**columns)
         block.segment = None
         block.nbytes = rids.nbytes + block.batch.resident_nbytes
         self._resident_bytes += block.nbytes
@@ -810,62 +754,32 @@ class _FrontierMerger:
 
     # -- emission -------------------------------------------------------------
 
-    def emit(self, bound: int) -> Iterator[LogRecord]:
-        """Every buffered record with id ≤ ``bound``, in global id order."""
-        buffers = self._buffers
-        while True:
-            best_key: tuple[str, int] | None = None
-            best_rid = -1
-            for key, buffer in buffers.items():
-                if not buffer:
-                    continue
-                rid = buffer[0].head_rid()
-                if rid <= bound and (best_key is None or rid < best_rid):
-                    best_key, best_rid = key, rid
-            if best_key is None:
-                return
-            buffer = buffers[best_key]
-            # Drain the equal-rid run from this shard before re-scanning
-            # (a playback request's records stay contiguous), crossing
-            # block boundaries if the run spans them.
-            while buffer and buffer[0].head_rid() == best_rid:
+    def emit(self, bound: int) -> RecordBatch:
+        """Every buffered row with id ≤ ``bound``, in global id order."""
+        parts: list[RecordBatch] = []
+        part_rids: list[np.ndarray] = []
+        for buffer in self._buffers.values():
+            while buffer:
                 block = buffer[0]
                 if block.segment is not None:
+                    if block.first_rid > bound:
+                        break
                     self._restore(block)
-                if block.records is None:
-                    block.records = block.batch.to_records()
-                    block.rid_values = block.rids.tolist()
-                records = block.records
-                rid_values = block.rid_values
-                while block.cursor < block.rows and rid_values[block.cursor] == best_rid:
-                    record = records[block.cursor]
-                    block.cursor += 1
-                    self.buffered -= 1
-                    yield record
-                if block.cursor >= block.rows:
-                    buffer.popleft()
-                    self._resident_bytes -= block.nbytes
-
-
-class _BatchEmitter:
-    """Re-blocks the merged record stream into ``batch_size`` batches."""
-
-    def __init__(self, batch_size: int):
-        self._builder = BatchBuilder()
-        self._batch_size = batch_size
-
-    def add(self, record: LogRecord) -> RecordBatch | None:
-        self._builder.append(record)
-        if len(self._builder) >= self._batch_size:
-            return self.flush()
-        return None
-
-    def flush(self) -> RecordBatch | None:
-        if not len(self._builder):
-            return None
-        batch = self._builder.finish()
-        self._builder = BatchBuilder()
-        return batch
+                stop = int(np.searchsorted(block.rids, bound, side="right"))
+                if stop > block.cursor:
+                    parts.append(block.batch.rows(block.cursor, stop))
+                    part_rids.append(block.rids[block.cursor : stop])
+                    self.buffered -= stop - block.cursor
+                    block.cursor = stop
+                if block.cursor < block.rows:
+                    break
+                buffer.popleft()
+                self._resident_bytes -= block.nbytes
+        if not parts:
+            return RecordBatch.empty()
+        # Stable: equal ids come from one shard, in that shard's order.
+        order = np.argsort(np.concatenate(part_rids), kind="stable")
+        return RecordBatch.concat(parts).take(order)
 
 
 class _TimedIterator:
@@ -1012,7 +926,8 @@ class CdnSimulator:
         perturbs cache-state realism, not correctness.
         """
         for request in self._identified(requests):
-            yield from self._shard_of(request.user).process(request)
+            for row in self._shard_of(request.user).process(request):
+                yield record_from_row(row)
 
     def run_batches(
         self,
@@ -1058,6 +973,7 @@ class CdnSimulator:
         The sequential path buffers nothing, so the pool is unused there.
         """
         workers = 1 if workers is None else max(1, workers)
+        batch_size = max(1, batch_size)
         if queue_depth is None:
             queue_depth = DEFAULT_QUEUE_DEPTH
         if queue_depth < 1:
@@ -1150,12 +1066,18 @@ class CdnSimulator:
     def serve(self, request: Request) -> LogRecord | None:
         """Serve one request end-to-end; None when served from the browser."""
         request = next(self._identified((request,)))
-        return self._shard_of(request.user).serve(request)
+        row = self._shard_of(request.user).serve(request)
+        return None if row is None else record_from_row(row)
 
     def serve_viewing(self, request: Request) -> Iterator[LogRecord]:
-        """Serve one video viewing as a stream of segment requests."""
+        """Serve one video viewing as a stream of segment requests.
+
+        The whole viewing is served before this returns (see
+        :meth:`SimulatorShard.serve_viewing`); the iterator only hands
+        out its finished records.
+        """
         request = next(self._identified((request,)))
-        return self._shard_of(request.user).serve_viewing(request)
+        return map(record_from_row, self._shard_of(request.user).serve_viewing(request))
 
     # -- internals -----------------------------------------------------------
 
@@ -1213,23 +1135,27 @@ class CdnSimulator:
         emitted = {key: 0 for key in self._shards}
         busy = {key: 0.0 for key in self._shards}
         peak_resident = 0
-
-        def stream() -> Iterator[LogRecord]:
-            nonlocal peak_resident
-            for item in source:
-                block = item if isinstance(item, list) else [item]
-                if len(block) > peak_resident:
-                    peak_resident = len(block)
-                for request in self._identified(block):
-                    key = self._shard_key(request.user)
-                    tick = time.perf_counter()
-                    records = self._shards[key].process(request)
-                    busy[key] += time.perf_counter() - tick
-                    queued[key] += 1
-                    emitted[key] += len(records)
-                    yield from records
-
-        yield from iter_record_batches(stream(), batch_size=batch_size)
+        builder = BatchBuilder()
+        for item in source:
+            block = item if isinstance(item, list) else [item]
+            if len(block) > peak_resident:
+                peak_resident = len(block)
+            for request in self._identified(block):
+                key = self._shard_key(request.user)
+                tick = time.perf_counter()
+                rows = self._shards[key].process(request)
+                busy[key] += time.perf_counter() - tick
+                queued[key] += 1
+                emitted[key] += len(rows)
+                # Cut at exactly batch_size rows: a playback request's
+                # rows may straddle two batches.
+                for row in rows:
+                    builder.append(*row)
+                    if len(builder) >= batch_size:
+                        yield builder.finish()
+                        builder = BatchBuilder()
+        if len(builder):
+            yield builder.finish()
         self.sim_stats = self._build_stats(
             workers=1,
             wall_seconds=time.perf_counter() - start,
@@ -1256,8 +1182,8 @@ class CdnSimulator:
         ``queue_depth`` requests into each shard's bounded window —
         blocking (and meanwhile draining worker results) when a window is
         full.  Worker acknowledgements advance the per-shard frontiers;
-        the frontier merge emits every record whose id all shards have
-        passed, re-blocked into ``batch_size`` batches.  Mutated shards
+        the frontier merge emits every row whose id all shards have
+        passed, cut into ``batch_size`` batches.  Mutated shards
         are adopted back only after every worker finished cleanly, so a
         failure leaves the simulator exactly as before the call.
         """
@@ -1282,7 +1208,7 @@ class CdnSimulator:
         merger = _FrontierMerger(keys)
         if spill_pool is not None:
             merger.attach_spill(spill_pool)
-        emitter = _BatchEmitter(batch_size)
+        carry: list[RecordBatch] = []  # merged rows not yet cut into a batch
         total_inflight = 0
         produced_through = -1
         peak_resident = 0
@@ -1363,11 +1289,23 @@ class CdnSimulator:
                 handle(message)
                 handled = True
 
-        def emit_ready() -> Iterator[RecordBatch]:
-            for record in merger.emit(bound()):
-                batch = emitter.add(record)
-                if batch is not None:
-                    yield batch
+        def emit_ready(final: bool = False) -> Iterator[RecordBatch]:
+            """Cut the merged rows into ``batch_size`` batches (the short
+            tail too when ``final``).  Each batch is compacted, so its
+            dictionaries are first-appearance ordered over its own rows."""
+            merged = merger.emit(bound())
+            if len(merged):
+                carry.append(merged)
+            held = sum(len(batch) for batch in carry)
+            cut = held if final else held - held % batch_size
+            if not cut:
+                return
+            rows = RecordBatch.concat(carry)
+            for start in range(0, cut, batch_size):
+                yield rows.rows(start, min(start + batch_size, cut)).compact()
+            # Compacted, the remainder does not drag every value the
+            # concatenated dictionaries ever held into the next cut.
+            carry[:] = [rows.rows(cut, held).compact()] if cut < held else []
 
         try:
             for process in processes:
@@ -1409,10 +1347,7 @@ class CdnSimulator:
             # caches/browsers/metrics match a sequential run exactly.
             for key, shard in adopted.items():
                 self._shards[key] = shard
-            yield from emit_ready()
-            tail = emitter.flush()
-            if tail is not None:
-                yield tail
+            yield from emit_ready(final=True)
             for process in processes:
                 process.join(timeout=5)
             self.sim_stats = self._build_stats(

@@ -264,17 +264,12 @@ def _ingest_bench(args: argparse.Namespace) -> int:
         _print_sim_stats(plan_result.simulator)
         batches = list(plan_result.batches or [])
         source = f"simulate(seed={config.seed}, scale={config.scale})"
-        records = [record for batch in batches for record in batch.iter_records()]
-        for batch in batches:
-            batch.drop_records()
     elif args.trace:
         batches = list(TraceReader(args.trace).iter_batches(batch_size=config.batch_size))
-        records = [record for batch in batches for record in batch.iter_records()]
-        for batch in batches:
-            batch.drop_records()
     else:
         print("ingest-bench needs --trace FILE or --simulate")
         return 2
+    records = [record for batch in batches for record in batch.iter_records()]
     total = len(records)
     if total == 0:
         print(f"{source}: trace is empty, nothing to benchmark")

@@ -143,17 +143,6 @@ def classify_trend(series: np.ndarray) -> TrendClass:
     return TrendClass.OUTLIER
 
 
-def _daily_autocorrelation(values: np.ndarray, lag: int = 24) -> float:
-    """Autocorrelation of the series at a 24-hour lag (0 when undefined)."""
-    if values.size <= lag:
-        return 0.0
-    x = values - values.mean()
-    denom = float((x**2).sum())
-    if denom == 0:
-        return 0.0
-    return float((x[:-lag] * x[lag:]).sum() / denom)
-
-
 def _resample(values: np.ndarray, factor: int) -> np.ndarray:
     """Sum consecutive groups of ``factor`` hours (tail zero-padded)."""
     if factor <= 1:

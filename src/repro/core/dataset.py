@@ -283,16 +283,14 @@ class TraceDataset:
     ) -> "TraceDataset":
         """Stream a trace file into a dataset.
 
-        Batches come off the reader without their per-batch record caches
-        (columns only), so with ``keep_store=False`` the file never
-        occupies more than one batch of row memory; :attr:`ingest_stats`
-        reports the fold (batches, rows, peak resident estimate).
-        ``memory_budget``/``spill_dir`` enable disk spilling (see
-        :meth:`from_batches`).
+        With ``keep_store=False`` the file never occupies more than one
+        batch of row memory; :attr:`ingest_stats` reports the fold
+        (batches, rows, peak resident estimate).  ``memory_budget``/
+        ``spill_dir`` enable disk spilling (see :meth:`from_batches`).
         """
         reader = TraceReader(path, **reader_kwargs)  # type: ignore[arg-type]
         return cls.from_batches(
-            reader.iter_batches(batch_size=batch_size, keep_records=False),
+            reader.iter_batches(batch_size=batch_size),
             keep_store=keep_store,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
@@ -494,8 +492,8 @@ class TraceDataset:
         if rows is None:
             return []
         row_list = rows.tolist() if isinstance(rows, np.ndarray) else rows
-        if self._records is None and self._store is not None and self._store._records is None:
-            # Fully columnar store: materialise just this site's rows.
+        if self._records is None and self._store is not None:
+            # Columnar store: materialise just this site's rows.
             return self._store.take(np.asarray(row_list, dtype=np.intp)).to_records()
         records = self.records
         return [records[row] for row in row_list]
@@ -756,10 +754,8 @@ class IngestStage:
     """Dataflow sink: fold the batch stream into a :class:`TraceDataset`.
 
     Pass-through like every stage: each batch is folded and re-yielded.
-    In ``keep_store=False`` mode the batch's row payload is dropped
-    before folding (columns only), exactly like the legacy streaming
-    path, so downstream stages see column-complete batches and peak
-    memory stays one batch plus the aggregates.
+    In ``keep_store=False`` mode nothing but the aggregates outlives the
+    fold, so peak memory stays one batch plus the aggregates.
     """
 
     name = "ingest"
@@ -782,14 +778,9 @@ class IngestStage:
     def _fold(self, upstream):
         builder = self._builder
         assert builder is not None
-        if builder.keep_store:
-            for batch in upstream:
-                builder.add(batch)
-                yield batch
-        else:
-            for batch in upstream:
-                builder.add(batch.drop_records())
-                yield batch
+        for batch in upstream:
+            builder.add(batch)
+            yield batch
         self.dataset = builder.finish()
 
     def resident_rows(self) -> int:

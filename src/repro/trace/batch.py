@@ -1,4 +1,4 @@
-"""Columnar record batches: the vectorized unit of trace flow.
+"""Columnar record batches: the one row representation of trace flow.
 
 A :class:`RecordBatch` holds a fixed number of log records as column
 arrays — float64 timestamps, int64 sizes/status codes, uint8 category and
@@ -6,8 +6,10 @@ cache-status codes — with the string-valued fields (site, object id,
 extension, user id, user agent, datacenter) dictionary-interned as int32
 codes over a per-batch value list.  Batches are what flows between the
 pipeline stages (generator → simulator → writer/reader → dataset →
-analysis passes), so the hot paths touch numpy arrays instead of millions
-of :class:`~repro.trace.record.LogRecord` objects.
+analysis passes): the simulator appends each row's field tuple straight
+into a :class:`BatchBuilder`, and a :class:`~repro.trace.record.LogRecord`
+is only ever a view built on demand (:func:`record_from_row`) for the
+record-at-a-time adapters and tests.
 
 Interning codes are assigned in first-appearance order, and
 :meth:`RecordBatch.concat` preserves that order across batches.  Iterating
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import TraceSchemaError
 from repro.trace.record import LogRecord
 from repro.types import CacheStatus, ContentCategory, category_for_extension
 
@@ -75,29 +78,59 @@ class StringColumn:
         values = self.values
         return [values[code] for code in self.codes.tolist()]
 
+    def compact(self) -> "StringColumn":
+        """The column re-coded over only the values it uses, numbered in
+        first-appearance order — what a builder scanning its rows assigns."""
+        used, first, inverse = np.unique(self.codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(used.size, dtype=np.int32)
+        rank[order] = np.arange(used.size, dtype=np.int32)
+        values = self.values
+        return StringColumn(rank[inverse], [values[code] for code in used[order].tolist()])
+
+
+def record_from_row(row: tuple) -> LogRecord:
+    """The :class:`LogRecord` view of one :meth:`RecordBatch.iter_rows` tuple."""
+    (timestamp, site, object_id, extension, object_size, user_id,
+     user_agent, hit, status_code, bytes_served, datacenter, chunk_index) = row
+    return LogRecord(
+        timestamp=timestamp,
+        site=site,
+        object_id=object_id,
+        extension=extension,
+        object_size=object_size,
+        user_id=user_id,
+        user_agent=user_agent,
+        cache_status=CacheStatus.HIT if hit else CacheStatus.MISS,
+        status_code=status_code,
+        bytes_served=bytes_served,
+        datacenter=datacenter,
+        chunk_index=chunk_index,
+    )
+
 
 class BatchBuilder:
-    """Accumulates records into column buffers; :meth:`finish` seals a batch.
+    """Accumulates rows into column buffers; :meth:`finish` seals a batch.
 
-    The builder also keeps the appended :class:`LogRecord` objects so the
-    finished batch can hand them back without reconstructing them (the
-    record-at-a-time reader API is a zero-copy adapter over batches).
+    Rows arrive as field values in :meth:`RecordBatch.iter_rows` order
+    (:meth:`append`) or as :class:`LogRecord` objects
+    (:meth:`append_record`); :meth:`finish` checks every column once
+    against the schema ``LogRecord`` enforces per record.
     """
 
     def __init__(self) -> None:
-        self._records: list[LogRecord] = []
         self._timestamp: list[float] = []
         self._object_size: list[int] = []
         self._bytes_served: list[int] = []
         self._status_code: list[int] = []
         self._chunk_index: list[int] = []
-        self._hit: list[int] = []
+        self._hit: list[bool] = []
         self._codes: dict[str, list[int]] = {name: [] for name in STRING_FIELDS}
         self._dicts: dict[str, dict[str, int]] = {name: {} for name in STRING_FIELDS}
         self._values: dict[str, list[str]] = {name: [] for name in STRING_FIELDS}
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._timestamp)
 
     def _intern(self, field: str, value: str) -> int:
         mapping = self._dicts[field]
@@ -108,23 +141,76 @@ class BatchBuilder:
             self._values[field].append(value)
         return code
 
-    def append(self, record: LogRecord) -> None:
-        self._records.append(record)
-        self._timestamp.append(record.timestamp)
-        self._object_size.append(record.object_size)
-        self._bytes_served.append(record.bytes_served)
-        self._status_code.append(record.status_code)
-        self._chunk_index.append(record.chunk_index)
-        self._hit.append(1 if record.cache_status is CacheStatus.HIT else 0)
+    def append(
+        self,
+        timestamp: float,
+        site: str,
+        object_id: str,
+        extension: str,
+        object_size: int,
+        user_id: str,
+        user_agent: str,
+        hit: bool,
+        status_code: int,
+        bytes_served: int,
+        datacenter: str,
+        chunk_index: int,
+    ) -> None:
+        """Store one row, fields in :meth:`RecordBatch.iter_rows` order."""
+        self._timestamp.append(timestamp)
+        self._object_size.append(object_size)
+        self._bytes_served.append(bytes_served)
+        self._status_code.append(status_code)
+        self._chunk_index.append(chunk_index)
+        self._hit.append(hit)
         codes = self._codes
-        codes["site"].append(self._intern("site", record.site))
-        codes["object_id"].append(self._intern("object_id", record.object_id))
-        codes["extension"].append(self._intern("extension", record.extension))
-        codes["user_id"].append(self._intern("user_id", record.user_id))
-        codes["user_agent"].append(self._intern("user_agent", record.user_agent))
-        codes["datacenter"].append(self._intern("datacenter", record.datacenter))
+        codes["site"].append(self._intern("site", site))
+        codes["object_id"].append(self._intern("object_id", object_id))
+        codes["extension"].append(self._intern("extension", extension))
+        codes["user_id"].append(self._intern("user_id", user_id))
+        codes["user_agent"].append(self._intern("user_agent", user_agent))
+        codes["datacenter"].append(self._intern("datacenter", datacenter))
+
+    def append_record(self, record: LogRecord) -> None:
+        """Store one :class:`LogRecord`'s fields as a row."""
+        self.append(
+            record.timestamp,
+            record.site,
+            record.object_id,
+            record.extension,
+            record.object_size,
+            record.user_id,
+            record.user_agent,
+            record.cache_status is CacheStatus.HIT,
+            record.status_code,
+            record.bytes_served,
+            record.datacenter,
+            record.chunk_index,
+        )
 
     def finish(self) -> "RecordBatch":
+        """Seal the rows into a batch, rejecting any value outside the schema.
+
+        Raises :class:`~repro.errors.TraceSchemaError` with the message
+        ``LogRecord`` gives the first offending value of a column.
+        """
+        timestamp = np.asarray(self._timestamp, dtype=np.float64)
+        object_size = np.asarray(self._object_size, dtype=np.int64)
+        bytes_served = np.asarray(self._bytes_served, dtype=np.int64)
+        status_code = np.asarray(self._status_code, dtype=np.int64)
+        if "" in self._dicts["site"]:
+            raise TraceSchemaError("site identifier must be non-empty")
+        if "" in self._dicts["object_id"]:
+            raise TraceSchemaError("object_id must be non-empty")
+        for column, bad, message in (
+            (timestamp, timestamp < 0, "timestamp must be non-negative"),
+            (object_size, object_size < 0, "object_size must be non-negative"),
+            (bytes_served, bytes_served < 0, "bytes_served must be non-negative"),
+            (status_code, (status_code < 100) | (status_code > 599), "status_code must be a valid HTTP code"),
+        ):
+            rows = np.flatnonzero(bad)
+            if rows.size:
+                raise TraceSchemaError(f"{message}, got {column[rows[0]].item()}")
         columns = {
             name: StringColumn(np.asarray(self._codes[name], dtype=np.int32), self._values[name])
             for name in STRING_FIELDS
@@ -135,25 +221,19 @@ class BatchBuilder:
             [_CATEGORY_CODE[category_for_extension(value)] for value in self._values["extension"]],
             dtype=np.uint8,
         )
-        if len(self._records):
+        if len(self):
             category = ext_categories[columns["extension"].codes]
         else:
             category = np.empty(0, dtype=np.uint8)
         return RecordBatch(
-            timestamp=np.asarray(self._timestamp, dtype=np.float64),
-            object_size=np.asarray(self._object_size, dtype=np.int64),
-            bytes_served=np.asarray(self._bytes_served, dtype=np.int64),
-            status_code=np.asarray(self._status_code, dtype=np.int64),
+            timestamp=timestamp,
+            object_size=object_size,
+            bytes_served=bytes_served,
+            status_code=status_code,
             chunk_index=np.asarray(self._chunk_index, dtype=np.int64),
-            cache_status=np.asarray(self._hit, dtype=np.uint8),
+            cache_status=np.asarray(self._hit, dtype=np.bool_).astype(np.uint8),
             category=category,
-            site=columns["site"],
-            object_id=columns["object_id"],
-            extension=columns["extension"],
-            user_id=columns["user_id"],
-            user_agent=columns["user_agent"],
-            datacenter=columns["datacenter"],
-            records=self._records,
+            **columns,
         )
 
 
@@ -174,7 +254,6 @@ class RecordBatch:
         "user_id",
         "user_agent",
         "datacenter",
-        "_records",
     )
 
     def __init__(
@@ -192,7 +271,6 @@ class RecordBatch:
         user_id: StringColumn,
         user_agent: StringColumn,
         datacenter: StringColumn,
-        records: list[LogRecord] | None = None,
     ):
         self.timestamp = timestamp
         self.object_size = object_size
@@ -207,7 +285,6 @@ class RecordBatch:
         self.user_id = user_id
         self.user_agent = user_agent
         self.datacenter = datacenter
-        self._records = records
 
     # -- construction ---------------------------------------------------------
 
@@ -220,7 +297,7 @@ class RecordBatch:
     def from_records(cls, records: Iterable[LogRecord]) -> "RecordBatch":
         builder = BatchBuilder()
         for record in records:
-            builder.append(record)
+            builder.append_record(record)
         return builder.finish()
 
     @staticmethod
@@ -257,9 +334,6 @@ class RecordBatch:
                     remap[local_code] = global_code
                 code_parts.append(remap[column.codes])
             string_columns[name] = StringColumn(np.concatenate(code_parts), values)
-        records: list[LogRecord] | None = None
-        if all(batch._records is not None for batch in batches):
-            records = [record for batch in batches for record in batch._records]
         return RecordBatch(
             timestamp=np.concatenate([b.timestamp for b in batches]),
             object_size=np.concatenate([b.object_size for b in batches]),
@@ -268,7 +342,6 @@ class RecordBatch:
             chunk_index=np.concatenate([b.chunk_index for b in batches]),
             cache_status=np.concatenate([b.cache_status for b in batches]),
             category=np.concatenate([b.category for b in batches]),
-            records=records,
             **string_columns,
         )
 
@@ -279,18 +352,26 @@ class RecordBatch:
 
     def rows(self, start: int, stop: int) -> "RecordBatch":
         """A zero-copy view of rows ``[start, stop)`` (dictionaries shared)."""
-        window = slice(start, stop)
-        return self._indexed(window, self._records[window] if self._records is not None else None)
+        return self._indexed(slice(start, stop))
 
     def take(self, indexer) -> "RecordBatch":
         """Rows selected by an index array (dictionaries shared)."""
-        return self._indexed(indexer, None)
+        return self._indexed(indexer)
 
     def filter(self, mask: np.ndarray) -> "RecordBatch":
         """Rows where ``mask`` is true (dictionaries shared)."""
-        return self._indexed(mask, None)
+        return self._indexed(mask)
 
-    def _indexed(self, indexer, records: list[LogRecord] | None) -> "RecordBatch":
+    def compact(self) -> "RecordBatch":
+        """A standalone copy whose dictionaries hold only this batch's own
+        values, in first-appearance order: the batch a builder appending
+        these rows would have sealed."""
+        return RecordBatch(
+            **{name: getattr(self, name).copy() for name in NUMERIC_FIELDS},
+            **{name: getattr(self, name).compact() for name in STRING_FIELDS},
+        )
+
+    def _indexed(self, indexer) -> "RecordBatch":
         return RecordBatch(
             timestamp=self.timestamp[indexer],
             object_size=self.object_size[indexer],
@@ -305,64 +386,18 @@ class RecordBatch:
             user_id=self.user_id.take(indexer),
             user_agent=self.user_agent.take(indexer),
             datacenter=self.datacenter.take(indexer),
-            records=records,
         )
-
-    def drop_records(self) -> "RecordBatch":
-        """Release the cached :class:`LogRecord` objects (columns only)."""
-        self._records = None
-        return self
 
     # -- record views ---------------------------------------------------------
 
     def record_at(self, index: int) -> LogRecord:
-        if self._records is not None:
-            return self._records[index]
-        return LogRecord(
-            timestamp=float(self.timestamp[index]),
-            site=self.site[index],
-            object_id=self.object_id[index],
-            extension=self.extension[index],
-            object_size=int(self.object_size[index]),
-            user_id=self.user_id[index],
-            user_agent=self.user_agent[index],
-            cache_status=CacheStatus.HIT if self.cache_status[index] else CacheStatus.MISS,
-            status_code=int(self.status_code[index]),
-            bytes_served=int(self.bytes_served[index]),
-            datacenter=self.datacenter[index],
-            chunk_index=int(self.chunk_index[index]),
-        )
+        return record_from_row(next(self.take([index]).iter_rows()))
 
     def iter_records(self) -> Iterator[LogRecord]:
-        """Yield :class:`LogRecord` views of every row.
-
-        When the batch was built from records (builder or reader), the
-        original objects are yielded without reconstruction.
-        """
-        if self._records is not None:
-            yield from self._records
-            return
-        for row in self.iter_rows():
-            (timestamp, site, object_id, extension, object_size, user_id,
-             user_agent, hit, status_code, bytes_served, datacenter, chunk_index) = row
-            yield LogRecord(
-                timestamp=timestamp,
-                site=site,
-                object_id=object_id,
-                extension=extension,
-                object_size=object_size,
-                user_id=user_id,
-                user_agent=user_agent,
-                cache_status=CacheStatus.HIT if hit else CacheStatus.MISS,
-                status_code=status_code,
-                bytes_served=bytes_served,
-                datacenter=datacenter,
-                chunk_index=chunk_index,
-            )
+        """Yield a :class:`LogRecord` view of every row, built on demand."""
+        return map(record_from_row, self.iter_rows())
 
     def to_records(self) -> list[LogRecord]:
-        if self._records is not None:
-            return list(self._records)
         return list(self.iter_records())
 
     def iter_rows(self) -> Iterator[tuple]:
@@ -431,7 +466,7 @@ def iter_record_batches(
     """Chunk a record stream into :class:`RecordBatch` blocks."""
     builder = BatchBuilder()
     for record in records:
-        builder.append(record)
+        builder.append_record(record)
         if len(builder) >= batch_size:
             yield builder.finish()
             builder = BatchBuilder()

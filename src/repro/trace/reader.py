@@ -1,8 +1,10 @@
 """Streaming trace readers with optional record filters.
 
 Mirror image of :mod:`repro.trace.writer`: format is inferred from the
-suffix, records are yielded one at a time, and callers can restrict by
-site, category, or time window without loading the file.
+suffix, rows stream out as columnar batches, and callers can restrict by
+site, category, or time window without loading the file.  Every parse
+failure is a :class:`~repro.errors.TraceError` naming the file and the
+line (text formats) or byte offset (binary format).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import gzip
 import json
 import struct
+import zlib
 from collections.abc import Iterator
 from pathlib import Path
 from typing import IO
@@ -77,27 +80,19 @@ class TraceReader:
         self.end = end
 
     def __iter__(self) -> Iterator[LogRecord]:
-        """Record-at-a-time view: a thin adapter over :meth:`iter_batches`.
-
-        Batches built by the reader keep their source records, so this
-        yields each parsed record exactly once (no reconstruction).
-        """
+        """Record-at-a-time view: a thin adapter over :meth:`iter_batches`
+        that builds each :class:`LogRecord` from the batch columns."""
         for batch in self.iter_batches():
             yield from batch.iter_records()
 
-    def iter_batches(
-        self, batch_size: int = DEFAULT_BATCH_SIZE, keep_records: bool = True
-    ) -> Iterator[RecordBatch]:
+    def iter_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[RecordBatch]:
         """Stream the trace as columnar :class:`RecordBatch` blocks.
 
         Filters apply record-wise before batching, so batches contain only
-        matching rows.  ``keep_records=False`` drops each batch's cached
-        :class:`LogRecord` objects (columns only) — the streaming-ingest
-        mode, where per-batch python objects would dominate the memory the
-        stream exists to bound.  On a truncated or corrupt file, any
-        complete records parsed before the error are flushed as a final
-        partial batch *before* the :class:`TraceError` propagates —
-        callers see every good record, then the failure.
+        matching rows.  On a truncated or corrupt file, any complete
+        records parsed before the error are flushed as a final partial
+        batch *before* the :class:`TraceError` propagates — callers see
+        every good record, then the failure.
         """
         raw: Iterator[LogRecord]
         if self.fmt == "csv":
@@ -107,24 +102,20 @@ class TraceReader:
         else:
             raw = self._iter_binary()
 
-        def flush(builder: BatchBuilder) -> RecordBatch:
-            batch = builder.finish()
-            return batch if keep_records else batch.drop_records()
-
         builder = BatchBuilder()
         try:
             for record in raw:
                 if self._matches(record):
-                    builder.append(record)
+                    builder.append_record(record)
                     if len(builder) >= batch_size:
-                        yield flush(builder)
+                        yield builder.finish()
                         builder = BatchBuilder()
         except TraceError:
             if len(builder):
-                yield flush(builder)
+                yield builder.finish()
             raise
         if len(builder):
-            yield flush(builder)
+            yield builder.finish()
 
     def _matches(self, record: LogRecord) -> bool:
         if self.sites is not None and record.site not in self.sites:
@@ -146,7 +137,7 @@ class TraceReader:
             if tuple(header) != schema.FIELD_NAMES:
                 raise TraceFormatError(f"unexpected CSV header in {self.path.name}: {header}")
             for row in reader:
-                yield schema.row_to_record(row)
+                yield self._parsed(schema.row_to_record, row, reader.line_num)
 
     def _iter_jsonl(self) -> Iterator[LogRecord]:
         with open(self.path, encoding="utf-8") as handle:
@@ -158,14 +149,36 @@ class TraceReader:
                     payload = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TraceFormatError(f"{self.path.name}:{line_number}: invalid JSON") from exc
-                yield schema.dict_to_record(payload)
+                yield self._parsed(schema.dict_to_record, payload, line_number)
+
+    def _parsed(self, decode, raw, line_number: int) -> LogRecord:
+        """``decode(raw)``, with any error prefixed by ``file:line``."""
+        try:
+            return decode(raw)
+        except TraceError as exc:
+            raise type(exc)(f"{self.path.name}:{line_number}: {exc}") from exc
 
     def _iter_binary(self) -> Iterator[LogRecord]:
+        try:
+            yield from self._iter_binary_stream()
+        except EOFError as exc:
+            raise TraceTruncationError(
+                f"{self.path.name}: truncated gzip stream (ends before its end-of-stream marker)"
+            ) from exc
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise TraceFormatError(f"{self.path.name}: not a valid gzip stream: {exc}") from exc
+
+    def _iter_binary_stream(self) -> Iterator[LogRecord]:
         with _open_binary(self.path) as handle:
             magic = handle.read(len(schema.BINARY_MAGIC))
             if magic != schema.BINARY_MAGIC:
                 raise TraceFormatError(f"{self.path.name}: not a repro binary trace (bad magic)")
-            (version,) = struct.unpack("<H", handle.read(2))
+            raw_version = handle.read(2)
+            if len(raw_version) < 2:
+                raise TraceTruncationError(
+                    f"{self.path.name}: truncated header (file ends inside the format version)"
+                )
+            (version,) = struct.unpack("<H", raw_version)
             if version != schema.BINARY_VERSION:
                 raise TraceFormatError(f"{self.path.name}: unsupported binary trace version {version}")
             # Absolute file offset of buffer[0]; keeps error messages
@@ -173,7 +186,9 @@ class TraceReader:
             consumed = len(schema.BINARY_MAGIC) + 2
             buffer = b""
             while True:
-                chunk = handle.read(_BINARY_CHUNK)
+                # read1: a gzip stream that breaks off mid-read still hands
+                # over every byte decompressed before the break.
+                chunk = handle.read1(_BINARY_CHUNK)
                 if not chunk:
                     break
                 buffer += chunk
@@ -202,10 +217,8 @@ class TraceSourceStage:
     """Dataflow source: stream a trace file as columnar batches.
 
     The plan adapter for :class:`TraceReader`: re-analysis plans start
-    here instead of at generate/simulate.  Batches come off the reader
-    without per-batch record caches (columns only), matching
-    :meth:`repro.core.dataset.TraceDataset.from_file`, and are sized by
-    the run's ``batch_size``.
+    here instead of at generate/simulate.  Batches are sized by the run's
+    ``batch_size``.
     """
 
     name = "read_trace"
@@ -217,7 +230,7 @@ class TraceSourceStage:
 
     def connect(self, upstream, config):
         reader = TraceReader(self.path, fmt=self.fmt, **self.reader_kwargs)  # type: ignore[arg-type]
-        return reader.iter_batches(batch_size=config.batch_size, keep_records=False)
+        return reader.iter_batches(batch_size=config.batch_size)
 
     def finish(self, stats, result) -> None:
         result.trace_path = self.path
@@ -232,8 +245,8 @@ def read_trace(
     is exactly the overhead the batch pipeline exists to avoid.  For large
     traces use :meth:`TraceReader.iter_batches` (streaming column blocks)
     or :meth:`repro.core.dataset.TraceDataset.from_file` (columnar ingest).
-    Internally this routes through the batch reader, so each record is
-    parsed and constructed exactly once.
+    Internally this routes through the batch reader and builds each
+    record from the batch columns.
     """
     records: list[LogRecord] = []
     for batch in TraceReader(path, **kwargs).iter_batches(batch_size=batch_size):  # type: ignore[arg-type]

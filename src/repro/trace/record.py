@@ -14,7 +14,7 @@ dataset (Section III):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TraceSchemaError
 from repro.types import CacheStatus, ContentCategory, category_for_extension
@@ -98,14 +98,3 @@ class LogRecord:
     def hour(self) -> int:
         """Zero-based trace hour."""
         return int(self.timestamp // 3600)
-
-
-@dataclass
-class TraceMetadata:
-    """Summary header for a stored trace file."""
-
-    seed: int = 0
-    scale: str = "unknown"
-    sites: tuple[str, ...] = field(default_factory=tuple)
-    duration_seconds: int = 7 * 86400
-    record_count: int = 0

@@ -128,28 +128,13 @@ class WorkloadGenerator:
         requests.sort(key=lambda r: r.timestamp)
         return SiteWorkload(profile=profile, catalog=catalog, population=population, requests=requests)
 
-    def generate_all(self, parallel: bool = False, max_workers: int | None = None) -> dict[str, SiteWorkload]:
+    def generate_all(self) -> dict[str, SiteWorkload]:
         """Generate every configured site.
 
-        ``parallel=True`` generates sites in separate processes.  Each
-        site's randomness derives solely from (master seed, site name), so
-        parallel and serial generation produce identical workloads; the
-        speed-up is roughly the number of sites for large scales.
+        Each site's randomness derives solely from (master seed, site
+        name), so the sites are independent of one another and of order.
         """
-        if not parallel:
-            return {profile.name: self.generate_site(profile) for profile in self.profiles}
-        import concurrent.futures
-
-        results: dict[str, SiteWorkload] = {}
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(_generate_site_task, self.profiles, self.scale, self.seed, profile.name): profile.name
-                for profile in self.profiles
-            }
-            for future in concurrent.futures.as_completed(futures):
-                workload = future.result()
-                results[workload.profile.name] = workload
-        return results
+        return {profile.name: self.generate_site(profile) for profile in self.profiles}
 
     def merged_requests(
         self,
@@ -444,10 +429,3 @@ _UNSET = object()
 def _stable_site_seed(name: str) -> int:
     """Deterministic small integer from a site name (hash() is salted)."""
     return sum((i + 1) * ord(ch) for i, ch in enumerate(name)) % 65521
-
-
-def _generate_site_task(profiles, scale, seed: int, name: str) -> SiteWorkload:
-    """Module-level worker for ProcessPoolExecutor (must be picklable)."""
-    generator = WorkloadGenerator(profiles=profiles, scale=scale, seed=seed)
-    profile = next(p for p in profiles if p.name == name)
-    return generator.generate_site(profile)

@@ -11,12 +11,14 @@ must match the sequential run's exactly.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cdn.simulator import CdnSimulator, SimulationConfig
 from repro.stats.sampling import counter_rng
+from repro.trace.batch import ALL_COLUMNS, STRING_FIELDS, BatchBuilder
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import profile_v1, profile_v2
 from repro.workload.scale import ScaleConfig
@@ -97,6 +99,43 @@ class TestBitIdentity:
         _, records, _ = _run_batched(profiles, requests, catalogs, workers=3, batch_size=128)
         assert [r.timestamp for r in records] == [r.timestamp for r in expected]
         assert [r.timestamp for r in records] == sorted(r.timestamp for r in records)
+
+
+def _columns(batches):
+    """Every batch column by column: numeric dtype and values, string
+    code dtype, codes and dictionary values, in batch order."""
+
+    def column(batch, name):
+        data = getattr(batch, name)
+        if name in STRING_FIELDS:
+            return name, data.codes.dtype.str, data.codes.tolist(), list(data.values)
+        return name, data.dtype.str, data.tolist()
+
+    return [[column(batch, name) for name in ALL_COLUMNS] for batch in batches]
+
+
+class TestBatchIdentity:
+    """DESIGN §8's invariant on the parallel path: the merged rows are cut
+    into the sequential path's exact batches, each with its dictionaries
+    in first-appearance order over its own rows."""
+
+    @pytest.mark.parametrize("playback_mode", [False, True])
+    @pytest.mark.parametrize("batch_size", [1, 64, 700])
+    def test_parallel_batches_equal_sequential_column_for_column(
+        self, workload, batch_size, playback_mode
+    ):
+        profiles, requests, catalogs = workload
+        prefix = requests[:1200]
+
+        def batches(workers):
+            return _run_batched(
+                profiles, prefix, catalogs, workers=workers, batch_size=batch_size,
+                playback_mode=playback_mode,
+            )[2]
+
+        expected = _columns(batches(1))
+        for workers in (2, 3):
+            assert _columns(batches(workers)) == expected
 
 
 class TestMergedMetrics:
@@ -391,6 +430,16 @@ def test_hypothesis_frontier_merge_order(data):
     merger = _FrontierMerger(keys)
     produced_through = n_rids - 1
 
+    def tagged(rids):
+        """A block whose rows carry (rid, token) in two columns."""
+        builder = BatchBuilder()
+        for token, rid in enumerate(rids):
+            builder.append(float(rid), "V-1", "o", "mp4", token, "u", "ua", False, 200, 0, "dc", -1)
+        return builder.finish()
+
+    def pairs(batch):
+        return list(zip(batch.timestamp.astype(np.int64).tolist(), batch.object_size.tolist()))
+
     # Chunk each shard's rid sequence (order preserved) and dispatch.
     chunks = {key: [] for key in keys}
     for key in keys:
@@ -413,14 +462,14 @@ def test_hypothesis_frontier_merge_order(data):
         seq = channels[key].pending[0][0]
         channels[key].ack(seq, len(chunk))
         rids = [rid for rid in chunk for _ in range(tokens_of[rid])]
-        merger.push(key, rids, ((rid, t) for t, rid in enumerate(rids)))
+        merger.push(key, np.asarray(rids), tagged(rids))
         head = bound()
-        for record in merger.emit(head):
+        for record in pairs(merger.emit(head)):
             assert record[0] <= head  # never emits past the bound
             emitted.append(record)
         pending_keys = [key for key in keys if chunks[key]]
 
-    emitted.extend(merger.emit(produced_through))
+    emitted.extend(pairs(merger.emit(produced_through)))
     assert merger.buffered == 0
     expected = [
         (rid, token)

@@ -122,7 +122,7 @@ class TestBudgetedParallelEquivalence:
 def _block(offset: int, rows: int = 12):
     """A RecordBatch block with one record per rid, rids consecutive."""
     records = varied_records(rows)
-    batch = RecordBatch.from_records(records).drop_records()
+    batch = RecordBatch.from_records(records)
     rids = np.arange(offset, offset + rows, dtype=np.int64)
     return rids, batch, records
 
@@ -142,8 +142,8 @@ class TestMergerEviction:
             assert buffer[0].segment is None
             assert buffer[1].segment is not None
             assert len(pool.live_segments) == 1
-            emitted = list(merger.emit(23))
-            assert emitted == records_a + records_b
+            emitted = merger.emit(23)
+            assert emitted.to_records() == records_a + records_b
             assert merger.buffered == 0
             # Restoring consumed (and deleted) the segment.
             assert pool.live_segments == ()
@@ -197,12 +197,12 @@ class TestMergerEviction:
             merger.push(key, rids_b, batch_b)
             # Emit only half the first block, then push more (triggering
             # enforcement with the head mid-consumption), then drain.
-            first = list(merger.emit(5))
-            assert first == records_a[:6]
+            first = merger.emit(5)
+            assert first.to_records() == records_a[:6]
             rids_c, batch_c, records_c = _block(24)
             merger.push(key, rids_c, batch_c)
-            rest = list(merger.emit(35))
-            assert rest == records_a[6:] + records_b + records_c
+            rest = merger.emit(35)
+            assert rest.to_records() == records_a[6:] + records_b + records_c
             assert merger.buffered == 0
 
     def test_resident_bytes_drop_on_eviction(self, tmp_path):

@@ -68,8 +68,6 @@ class TestEngineEquivalence:
         # so a chunked build equals a single-scan build.
         reference = TraceDataset.from_records(records, engine="record")
         batches = list(iter_record_batches(iter(records), batch_size=batch_size))
-        for batch in batches:
-            batch.drop_records()
         columnar = TraceDataset.from_batches(batches)
         assert_datasets_equivalent(reference, columnar)
 
@@ -91,8 +89,7 @@ class TestPipelineEquivalence:
 
     @pytest.fixture(scope="class")
     def batch_built(self, pipeline_result):
-        stripped = [b.rows(0, len(b)).drop_records() for b in pipeline_result.batches]
-        return TraceDataset.from_batches(stripped)
+        return TraceDataset.from_batches(pipeline_result.batches)
 
     def test_full_trace_equivalence(self, record_built, batch_built):
         assert_datasets_equivalent(record_built, batch_built)

@@ -187,7 +187,7 @@ class TestSiteRecords:
         ]
         from repro.trace.batch import RecordBatch
 
-        batch = RecordBatch.from_records(records).drop_records()
+        batch = RecordBatch.from_records(records)
         ds = TraceDataset.from_batches([batch])
         assert ds._records is None
         assert ds.site_records("V-1") == [records[0], records[2]]
@@ -198,7 +198,7 @@ class TestLazyMaterialization:
     def _columnar(self, records):
         from repro.trace.batch import RecordBatch
 
-        return TraceDataset.from_batches([RecordBatch.from_records(records).drop_records()])
+        return TraceDataset.from_batches([RecordBatch.from_records(records)])
 
     def test_views_deferred_until_first_access(self):
         ds = self._columnar([record(0.0), record(1.0, user="u2")])

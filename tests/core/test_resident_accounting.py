@@ -36,7 +36,7 @@ class TestInternBytes:
 
 class TestBuilderEstimate:
     def _batch(self):
-        return RecordBatch.from_records(varied_records(24)).drop_records()
+        return RecordBatch.from_records(varied_records(24))
 
     def test_streaming_resident_series_pins_the_estimate(self):
         batch = self._batch()
@@ -71,8 +71,8 @@ class TestBuilderEstimate:
     def test_peak_resident_bytes_is_the_series_max(self):
         records = varied_records(48)
         batches = [
-            RecordBatch.from_records(records[:16]).drop_records(),
-            RecordBatch.from_records(records[16:]).drop_records(),
+            RecordBatch.from_records(records[:16]),
+            RecordBatch.from_records(records[16:]),
         ]
         dataset = TraceDataset.from_batches(batches, keep_store=False)
         stats = dataset.ingest_stats

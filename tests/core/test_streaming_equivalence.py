@@ -38,10 +38,7 @@ batch_sizes = st.integers(min_value=1, max_value=64)
 
 
 def _chunk(records, batch_size):
-    batches = list(iter_record_batches(iter(records), batch_size=batch_size))
-    for batch in batches:
-        batch.drop_records()
-    return batches
+    return list(iter_record_batches(iter(records), batch_size=batch_size))
 
 
 def _study_outcome(dataset):

@@ -186,9 +186,7 @@ class TestUserSiteAccessor:
         records = self._records()
         if request.param == "record":
             return TraceDataset.from_records(records, engine="record")
-        batches = [
-            b.drop_records() for b in iter_record_batches(iter(records), batch_size=2)
-        ]
+        batches = list(iter_record_batches(iter(records), batch_size=2))
         return TraceDataset.from_batches(batches, keep_store=request.param == "batch")
 
     def test_user_site_of(self, spanning_dataset):

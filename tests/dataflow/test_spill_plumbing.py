@@ -28,8 +28,8 @@ def _batches(n: int = 2):
     records = varied_records(24)
     half = len(records) // 2
     return [
-        RecordBatch.from_records(records[:half]).drop_records(),
-        RecordBatch.from_records(records[half:]).drop_records(),
+        RecordBatch.from_records(records[:half]),
+        RecordBatch.from_records(records[half:]),
     ][:n]
 
 

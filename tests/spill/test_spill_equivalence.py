@@ -51,7 +51,7 @@ class TestIngestEquivalence:
         assert spilled == reference
 
     def test_one_byte_budget_forces_timeline_spill(self, pipeline_result):
-        batches = [batch.drop_records() for batch in pipeline_result.batches]
+        batches = list(pipeline_result.batches)
         baseline = TraceDataset.from_batches(batches, keep_store=False)
         spilled = TraceDataset.from_batches(batches, keep_store=False, memory_budget=1)
         stats = spilled.ingest_stats
@@ -68,7 +68,7 @@ class TestIngestEquivalence:
         assert _study_outcome(spilled) == _study_outcome(baseline)
 
     def test_generous_budget_never_spills(self, pipeline_result):
-        batches = [batch.drop_records() for batch in pipeline_result.batches]
+        batches = list(pipeline_result.batches)
         dataset = TraceDataset.from_batches(
             batches, keep_store=False, memory_budget=1 << 40
         )
@@ -80,7 +80,7 @@ class TestIngestEquivalence:
     def test_env_variable_fallback(self, pipeline_result, monkeypatch, tmp_path):
         # The ingest reads no environment: a budget in REPRO_MEMORY_BUDGET
         # is ignored, and only the explicit kwargs enable spilling.
-        batches = [batch.drop_records() for batch in pipeline_result.batches]
+        batches = list(pipeline_result.batches)
         baseline = _study_outcome(TraceDataset.from_batches(batches, keep_store=False))
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1")
         unbudgeted = TraceDataset.from_batches(batches, keep_store=False)

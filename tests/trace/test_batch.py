@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceFormatError, TraceTruncationError
+from repro.errors import TraceFormatError, TraceSchemaError, TraceTruncationError
 from repro.trace import schema
 from repro.trace.batch import (
     ALL_COLUMNS,
@@ -27,6 +27,7 @@ from repro.trace.batch import (
     BatchBuilder,
     RecordBatch,
     iter_record_batches,
+    record_from_row,
 )
 from repro.trace.reader import TraceReader
 from repro.trace.record import LogRecord
@@ -97,7 +98,7 @@ class TestRecordBatch:
 
     def test_reconstructed_records_after_drop(self):
         records = varied_records(8)
-        batch = RecordBatch.from_records(records).drop_records()
+        batch = RecordBatch.from_records(records)
         # Records rebuilt purely from the columns must match the originals.
         assert batch.to_records() == records
         assert batch.record_at(3) == records[3]
@@ -126,14 +127,6 @@ class TestRecordBatch:
         # The merged dictionaries must look exactly as if one sequential
         # scan had built the batch — the columnar engine depends on it.
         assert_dictionaries_canonical(merged, records)
-
-    def test_concat_carries_record_cache(self):
-        records = varied_records(10)
-        parts = [RecordBatch.from_records(records[:5]), RecordBatch.from_records(records[5:])]
-        merged = RecordBatch.concat(parts)
-        assert merged._records == records
-        dropped = [p.rows(0, len(p)).drop_records() for p in parts]
-        assert RecordBatch.concat(dropped)._records is None
 
     def test_concat_skips_empty_batches(self):
         records = varied_records(6)
@@ -166,7 +159,6 @@ class TestRecordBatch:
     def test_roundtrip_property(self, records):
         batch = RecordBatch.from_records(records)
         assert batch.to_records() == records
-        assert batch.drop_records().to_records() == records
         assert_dictionaries_canonical(batch, records)
 
     @settings(max_examples=25)
@@ -204,7 +196,7 @@ class TestBatchIO:
         record_path = tmp_path / f"records.{fmt}"
         batch_path = tmp_path / f"batch.{fmt}"
         write_trace(records, record_path)
-        batch = RecordBatch.from_records(records).drop_records()
+        batch = RecordBatch.from_records(records)
         with TraceWriter(batch_path) as writer:
             writer.write_batch(batch)
         assert batch_path.read_bytes() == record_path.read_bytes()
@@ -259,11 +251,11 @@ class TestBatchIO:
 
 
 class TestStreamingKillPoints:
-    """Mid-batch kill-point fuzz for the streaming (``keep_records=False``)
-    reader path: for *every* byte at which a binary trace can be cut, the
-    complete records parsed before the cut must be flushed (as record-free
-    column batches), and the :class:`TraceTruncationError` must name the
-    byte offset of the first incomplete record."""
+    """Mid-batch kill-point fuzz for the streaming batch reader: for
+    *every* byte at which a binary trace can be cut, the complete records
+    parsed before the cut must be flushed as column batches, and the
+    :class:`TraceTruncationError` must name the byte offset of the first
+    incomplete record."""
 
     @staticmethod
     def _binary_trace(records):
@@ -276,11 +268,10 @@ class TestStreamingKillPoints:
 
     @staticmethod
     def _stream(path):
-        """Consume the streaming reader, returning records decoded purely
-        from columns (every flushed batch must already be record-free)."""
+        """Consume the streaming reader, returning records decoded from
+        the batch columns."""
         seen: list[LogRecord] = []
-        for batch in TraceReader(path).iter_batches(batch_size=3, keep_records=False):
-            assert batch._records is None
+        for batch in TraceReader(path).iter_batches(batch_size=3):
             seen.extend(batch.to_records())
         return seen
 
@@ -299,7 +290,7 @@ class TestStreamingKillPoints:
                 continue
             seen: list[LogRecord] = []
             with pytest.raises(TraceTruncationError) as error:
-                for batch in TraceReader(path).iter_batches(batch_size=3, keep_records=False):
+                for batch in TraceReader(path).iter_batches(batch_size=3):
                     seen.extend(batch.to_records())
             # Every complete record before the cut was flushed first ...
             assert seen == records[:n_complete]
@@ -318,7 +309,7 @@ class TestStreamingKillPoints:
         path.write_bytes(bytes(mangled))
         seen: list[LogRecord] = []
         with pytest.raises(TraceFormatError) as error:
-            for batch in TraceReader(path).iter_batches(batch_size=4, keep_records=False):
+            for batch in TraceReader(path).iter_batches(batch_size=4):
                 seen.extend(batch.to_records())
         assert seen == records[:corrupt_index]
         assert f"corrupt record at byte {boundaries[corrupt_index]}" in str(error.value)
@@ -340,9 +331,46 @@ class TestBatchBuilder:
         builder = BatchBuilder()
         records = varied_records(10)
         for record in records:
-            builder.append(record)
+            builder.append_record(record)
         batch = builder.finish()
         assert_dictionaries_canonical(batch, records)
 
     def test_finish_empty(self):
         assert len(BatchBuilder().finish()) == 0
+
+    def test_row_append_matches_record_append(self):
+        records = varied_records(10)
+        builder = BatchBuilder()
+        for row in RecordBatch.from_records(records).iter_rows():
+            builder.append(*row)
+        batch = builder.finish()
+        assert batch.to_records() == records
+        assert_dictionaries_canonical(batch, records)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("timestamp", -0.5),
+            ("site", ""),
+            ("object_id", ""),
+            ("object_size", -1),
+            ("bytes_served", -7),
+            ("status_code", 99),
+            ("status_code", 600),
+        ],
+    )
+    def test_finish_rejects_what_log_record_rejects(self, field, value):
+        # Rows appended as field tuples never pass LogRecord's checks, so
+        # finish() must raise the same TraceSchemaError for the column.
+        records = varied_records(4)
+        row = list(next(RecordBatch.from_records(records[:1]).iter_rows()))
+        row[schema.FIELD_NAMES.index(field)] = value
+        with pytest.raises(TraceSchemaError) as expected:
+            record_from_row(tuple(row))
+        builder = BatchBuilder()
+        for record in records[1:]:
+            builder.append_record(record)
+        builder.append(*row)
+        with pytest.raises(TraceSchemaError) as error:
+            builder.finish()
+        assert str(error.value) == str(expected.value)

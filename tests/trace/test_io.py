@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -251,3 +255,128 @@ class TestReader:
         iterator = iter(TraceReader(path))
         first = next(iterator)
         assert first.timestamp == 0.0
+
+
+class TestDamagedBinary:
+    """A damaged binary header or gzip stream raises a typed error naming
+    the file, after every decodable row was flushed."""
+
+    def test_header_cut_inside_version_is_truncation(self, tmp_path):
+        header = schema.BINARY_MAGIC + struct.pack("<H", schema.BINARY_VERSION)
+        path = tmp_path / "t.bin"
+        for cut in range(len(schema.BINARY_MAGIC), len(header)):
+            path.write_bytes(header[:cut])
+            with pytest.raises(TraceTruncationError, match=r"^t\.bin: truncated header"):
+                list(TraceReader(path))
+
+    def test_truncated_gzip_flushes_every_decodable_row(self, tmp_path):
+        records = [
+            LogRecord(
+                timestamp=float(i), site="V-1", object_id=f"obj{i % 97}", extension="mp4",
+                object_size=1000 + i, user_id=f"user{i % 13}", user_agent="UA",
+                cache_status=CacheStatus.HIT if i % 3 else CacheStatus.MISS,
+                status_code=200, bytes_served=500 + i,
+            )
+            for i in range(5000)
+        ]
+        path = tmp_path / "t.bin.gz"
+        write_trace(records, path)
+        cut = path.read_bytes()[: path.stat().st_size * 2 // 3]
+        path.write_bytes(cut)
+        # The rows an incremental decompressor recovers from the cut bytes.
+        recovered = zlib.decompressobj(16 + zlib.MAX_WBITS).decompress(cut)
+        offset, decodable = len(schema.BINARY_MAGIC) + 2, 0
+        while True:
+            try:
+                _, offset = schema.unpack_record(recovered, offset)
+            except TraceTruncationError:
+                break
+            decodable += 1
+        seen: list[LogRecord] = []
+        with pytest.raises(TraceTruncationError, match=r"^t\.bin\.gz: truncated gzip stream"):
+            for batch in TraceReader(path).iter_batches(batch_size=1000):
+                seen.extend(batch.iter_records())
+        assert 0 < decodable < len(records)
+        assert seen == records[:decodable]
+
+    def test_not_gzip_is_format_error(self, tmp_path):
+        path = tmp_path / "t.bin.gz"
+        header, packed = TestReader._binary_parts(sample_records(3))
+        path.write_bytes(header + b"".join(packed))
+        with pytest.raises(TraceFormatError, match=r"^t\.bin\.gz: not a valid gzip stream") as error:
+            list(TraceReader(path))
+        assert not isinstance(error.value, TraceTruncationError)
+
+    def test_corrupt_gzip_payload_is_format_error(self, tmp_path):
+        path = tmp_path / "t.bin.gz"
+        write_trace(sample_records(200), path)
+        blob = bytearray(path.read_bytes())
+        blob[20:40] = bytes(20)  # zero a run of the deflate payload
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceFormatError, match=r"^t\.bin\.gz: "):
+            list(TraceReader(path))
+
+
+def _csv_line(fields: list[str]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(fields)
+    return out.getvalue()
+
+
+#: Malformed variants of one CSV row's fields.
+_CSV_VARIANTS = {
+    "too-few-fields": lambda fields: fields[:-1],
+    "too-many-fields": lambda fields: fields + ["extra"],
+    "empty-line": lambda fields: [],
+    "bad-timestamp": lambda fields: ["soon"] + fields[1:],
+    "bad-size": lambda fields: fields[:4] + ["1.5kb"] + fields[5:],
+    "unknown-cache-status": lambda fields: fields[:7] + ["STALE"] + fields[8:],
+}
+
+#: Malformed variants of one JSONL line's object.
+_JSONL_VARIANTS = {
+    "invalid-json": lambda obj: "{not json",
+    "array": lambda obj: json.dumps(list(obj.values())),
+    "number": lambda obj: "42",
+    "string": lambda obj: json.dumps("V-1"),
+    "missing-field": lambda obj: json.dumps({k: v for k, v in obj.items() if k != "object_size"}),
+    "bad-number": lambda obj: json.dumps({**obj, "bytes_served": "lots"}),
+    "unknown-cache-status": lambda obj: json.dumps({**obj, "cache_status": "STALE"}),
+}
+
+
+class TestTextCorruptionFuzz:
+    """At every line of a text trace, each malformed variant of that line
+    yields every earlier row, then a TraceFormatError naming file:line."""
+
+    @staticmethod
+    def _expect_failure_at(path, records, index, line_number):
+        seen: list[LogRecord] = []
+        with pytest.raises(TraceFormatError) as error:
+            for batch in TraceReader(path).iter_batches(batch_size=4):
+                seen.extend(batch.iter_records())
+        assert seen == records[:index]
+        assert str(error.value).startswith(f"{path.name}:{line_number}: ")
+
+    @pytest.mark.parametrize("variant", sorted(_CSV_VARIANTS))
+    def test_csv(self, tmp_path, variant):
+        records = sample_records(9)
+        path = tmp_path / "t.csv"
+        write_trace(records, path)
+        header, *lines = path.read_text().splitlines()
+        for index, line in enumerate(lines):
+            bad = _csv_line(_CSV_VARIANTS[variant](next(csv.reader([line]))))
+            path.write_text("\n".join([header, *lines[:index], bad, *lines[index + 1 :]]) + "\n")
+            # Line 1 is the header.
+            self._expect_failure_at(path, records, index, index + 2)
+
+    @pytest.mark.parametrize("variant", sorted(_JSONL_VARIANTS))
+    def test_jsonl(self, tmp_path, variant):
+        records = sample_records(9)
+        path = tmp_path / "t.jsonl"
+        write_trace(records, path)
+        lines = path.read_text().splitlines()
+        for index, line in enumerate(lines):
+            bad = _JSONL_VARIANTS[variant](json.loads(line))
+            path.write_text("\n".join([*lines[:index], bad, *lines[index + 1 :]]) + "\n")
+            self._expect_failure_at(path, records, index, index + 1)
