@@ -35,13 +35,14 @@ class TraceFormatError(TraceError):
 
 
 class TraceTruncationError(TraceFormatError):
-    """A binary record extends past the bytes available so far.
+    """A binary trace ends inside a record, its header or its gzip stream.
 
-    Raised by :func:`repro.trace.schema.unpack_record` when the buffer ends
-    mid-record.  Streaming readers treat it as "need more bytes" and retry
-    after the next read; only at end-of-file does it mean the trace was
-    actually truncated.  Genuine corruption (bytes present but invalid)
-    raises plain :class:`TraceFormatError` instead.
+    The binary decoder (:class:`repro.trace.schema.BinaryDecoder`) stops at
+    a row that extends past the bytes read so far, and the reader retries
+    after the next read; only at end-of-file does the reader raise this,
+    naming the byte offset of the cut-off record.  Genuine corruption
+    (bytes present but invalid) raises plain :class:`TraceFormatError`
+    instead.
     """
 
 

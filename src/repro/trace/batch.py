@@ -7,9 +7,12 @@ extension, user id, user agent, datacenter) dictionary-interned as int32
 codes over a per-batch value list.  Batches are what flows between the
 pipeline stages (generator → simulator → writer/reader → dataset →
 analysis passes): the simulator appends each row's field tuple straight
-into a :class:`BatchBuilder`, and a :class:`~repro.trace.record.LogRecord`
-is only ever a view built on demand (:func:`record_from_row`) for the
-record-at-a-time adapters and tests.
+into a :class:`BatchBuilder`, the binary reader decodes rows straight
+into columns (:class:`~repro.trace.schema.BinaryDecoder`), and both seal
+their batches with :func:`seal_batch`.  A
+:class:`~repro.trace.record.LogRecord` is built only by the text readers,
+which parse each row into one, and as a view on demand
+(:func:`record_from_row`) for the record-at-a-time adapters and tests.
 
 Interning codes are assigned in first-appearance order, and
 :meth:`RecordBatch.concat` preserves that order across batches.  Iterating
@@ -26,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import TraceSchemaError
-from repro.trace.record import LogRecord
+from repro.trace.record import LogRecord, check_fields
 from repro.types import CacheStatus, ContentCategory, category_for_extension
 
 #: Fixed category code order; ``CATEGORIES[code]`` decodes a category column.
@@ -114,8 +116,9 @@ class BatchBuilder:
 
     Rows arrive as field values in :meth:`RecordBatch.iter_rows` order
     (:meth:`append`) or as :class:`LogRecord` objects
-    (:meth:`append_record`); :meth:`finish` checks every column once
-    against the schema ``LogRecord`` enforces per record.
+    (:meth:`append_record`); :meth:`finish` checks them against the
+    schema ``LogRecord`` enforces per record
+    (:func:`~repro.trace.record.check_fields`).
     """
 
     def __init__(self) -> None:
@@ -192,49 +195,91 @@ class BatchBuilder:
         """Seal the rows into a batch, rejecting any value outside the schema.
 
         Raises :class:`~repro.errors.TraceSchemaError` with the message
-        ``LogRecord`` gives the first offending value of a column.
+        ``LogRecord`` gives the first offending row.
         """
-        timestamp = np.asarray(self._timestamp, dtype=np.float64)
-        object_size = np.asarray(self._object_size, dtype=np.int64)
-        bytes_served = np.asarray(self._bytes_served, dtype=np.int64)
-        status_code = np.asarray(self._status_code, dtype=np.int64)
-        if "" in self._dicts["site"]:
-            raise TraceSchemaError("site identifier must be non-empty")
-        if "" in self._dicts["object_id"]:
-            raise TraceSchemaError("object_id must be non-empty")
-        for column, bad, message in (
-            (timestamp, timestamp < 0, "timestamp must be non-negative"),
-            (object_size, object_size < 0, "object_size must be non-negative"),
-            (bytes_served, bytes_served < 0, "bytes_served must be non-negative"),
-            (status_code, (status_code < 100) | (status_code > 599), "status_code must be a valid HTTP code"),
+        try:
+            timestamp = np.asarray(self._timestamp, dtype=np.float64)
+            object_size = np.asarray(self._object_size, dtype=np.int64)
+            bytes_served = np.asarray(self._bytes_served, dtype=np.int64)
+            status_code = np.asarray(self._status_code, dtype=np.int64)
+            chunk_index = np.asarray(self._chunk_index, dtype=np.int64)
+        except OverflowError:
+            self._check_rows()
+            raise
+        bad = (
+            ~np.isfinite(timestamp)
+            | (timestamp < 0)
+            | (object_size < 0)
+            | (bytes_served < 0)
+            | (status_code < 100)
+            | (status_code > 599)
+        )
+        if bad.any() or "" in self._dicts["site"] or "" in self._dicts["object_id"]:
+            self._check_rows()
+        return seal_batch(
+            timestamp,
+            object_size,
+            bytes_served,
+            status_code,
+            chunk_index,
+            np.asarray(self._hit, dtype=np.bool_).astype(np.uint8),
+            self._codes,
+            self._values,
+        )
+
+    def _check_rows(self) -> None:
+        """Run the schema check row by row; raises at the first bad row."""
+        strings = [
+            [self._values[name][code] for code in self._codes[name]] for name in ("site", "object_id")
+        ]
+        for row in zip(
+            self._timestamp,
+            *strings,
+            self._object_size,
+            self._bytes_served,
+            self._status_code,
+            self._chunk_index,
         ):
-            rows = np.flatnonzero(bad)
-            if rows.size:
-                raise TraceSchemaError(f"{message}, got {column[rows[0]].item()}")
-        columns = {
-            name: StringColumn(np.asarray(self._codes[name], dtype=np.int32), self._values[name])
-            for name in STRING_FIELDS
-        }
-        # Category is a function of the extension: derive one code per
-        # interned extension value, then broadcast through the codes.
-        ext_categories = np.asarray(
-            [_CATEGORY_CODE[category_for_extension(value)] for value in self._values["extension"]],
-            dtype=np.uint8,
-        )
-        if len(self):
-            category = ext_categories[columns["extension"].codes]
-        else:
-            category = np.empty(0, dtype=np.uint8)
-        return RecordBatch(
-            timestamp=timestamp,
-            object_size=object_size,
-            bytes_served=bytes_served,
-            status_code=status_code,
-            chunk_index=np.asarray(self._chunk_index, dtype=np.int64),
-            cache_status=np.asarray(self._hit, dtype=np.bool_).astype(np.uint8),
-            category=category,
-            **columns,
-        )
+            check_fields(*row)
+
+
+def seal_batch(
+    timestamp: np.ndarray,
+    object_size: np.ndarray,
+    bytes_served: np.ndarray,
+    status_code: np.ndarray,
+    chunk_index: np.ndarray,
+    cache_status: np.ndarray,
+    codes: dict[str, list[int]],
+    values: dict[str, list[str]],
+) -> "RecordBatch":
+    """Assemble checked columns into a batch.
+
+    ``codes[name]`` and ``values[name]`` are a string field's
+    first-appearance codes and interned values; the category column is
+    derived from the extensions.  :class:`BatchBuilder` and the binary
+    decoder both seal their batches here.
+    """
+    columns = {
+        name: StringColumn(np.asarray(codes[name], dtype=np.int32), values[name])
+        for name in STRING_FIELDS
+    }
+    # Category is a function of the extension: derive one code per
+    # interned extension value, then broadcast through the codes.
+    ext_categories = np.asarray(
+        [_CATEGORY_CODE[category_for_extension(value)] for value in values["extension"]],
+        dtype=np.uint8,
+    )
+    return RecordBatch(
+        timestamp=timestamp,
+        object_size=object_size,
+        bytes_served=bytes_served,
+        status_code=status_code,
+        chunk_index=chunk_index,
+        cache_status=cache_status,
+        category=ext_categories[columns["extension"].codes],
+        **columns,
+    )
 
 
 class RecordBatch:

@@ -2,9 +2,12 @@
 
 Mirror image of :mod:`repro.trace.writer`: format is inferred from the
 suffix, rows stream out as columnar batches, and callers can restrict by
-site, category, or time window without loading the file.  Every parse
-failure is a :class:`~repro.errors.TraceError` naming the file and the
-line (text formats) or byte offset (binary format).
+site, category, or time window without loading the file.  The binary
+format decodes straight into batch columns
+(:class:`~repro.trace.schema.BinaryDecoder`); the text formats parse each
+row into a validated :class:`LogRecord` first.  Every parse failure is a
+:class:`~repro.errors.TraceError` naming the file and the line (text
+formats) or byte offset (binary format).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.errors import TraceError, TraceFormatError, TraceTruncationError
 from repro.trace import schema
 from repro.trace.batch import DEFAULT_BATCH_SIZE, BatchBuilder, RecordBatch
 from repro.trace.record import LogRecord
-from repro.types import ContentCategory
+from repro.types import ContentCategory, category_for_extension
 
 _FORMATS = ("csv", "jsonl", "bin")
 _BINARY_CHUNK = 1 << 20
@@ -94,18 +97,14 @@ class TraceReader:
         batch *before* the :class:`TraceError` propagates — callers see
         every good record, then the failure.
         """
-        raw: Iterator[LogRecord]
-        if self.fmt == "csv":
-            raw = self._iter_csv()
-        elif self.fmt == "jsonl":
-            raw = self._iter_jsonl()
-        else:
-            raw = self._iter_binary()
-
+        if self.fmt == "bin":
+            yield from self._iter_binary(batch_size)
+            return
+        raw = self._iter_csv() if self.fmt == "csv" else self._iter_jsonl()
         builder = BatchBuilder()
         try:
             for record in raw:
-                if self._matches(record):
+                if self._matches(record.timestamp, record.site, record.extension):
                     builder.append_record(record)
                     if len(builder) >= batch_size:
                         yield builder.finish()
@@ -117,14 +116,14 @@ class TraceReader:
         if len(builder):
             yield builder.finish()
 
-    def _matches(self, record: LogRecord) -> bool:
-        if self.sites is not None and record.site not in self.sites:
+    def _matches(self, timestamp: float, site: str, extension: str) -> bool:
+        if self.sites is not None and site not in self.sites:
             return False
-        if self.categories is not None and record.category not in self.categories:
+        if self.categories is not None and category_for_extension(extension) not in self.categories:
             return False
-        if self.start is not None and record.timestamp < self.start:
+        if self.start is not None and timestamp < self.start:
             return False
-        if self.end is not None and record.timestamp >= self.end:
+        if self.end is not None and timestamp >= self.end:
             return False
         return True
 
@@ -158,9 +157,50 @@ class TraceReader:
         except TraceError as exc:
             raise type(exc)(f"{self.path.name}:{line_number}: {exc}") from exc
 
-    def _iter_binary(self) -> Iterator[LogRecord]:
+    def _iter_binary(self, batch_size: int) -> Iterator[RecordBatch]:
+        filtered = any(f is not None for f in (self.sites, self.categories, self.start, self.end))
+        decoder = schema.BinaryDecoder(self._matches if filtered else None)
         try:
-            yield from self._iter_binary_stream()
+            yield from self._iter_binary_stream(decoder, max(batch_size, 1))
+        except TraceError:
+            if len(decoder):
+                yield decoder.finish()
+            raise
+        if len(decoder):
+            yield decoder.finish()
+
+    def _iter_binary_stream(self, decoder: schema.BinaryDecoder, batch_size: int) -> Iterator[RecordBatch]:
+        """Yield every full batch; the rows left in ``decoder`` (at the end,
+        or before an error) are the caller's to flush."""
+        try:
+            with _open_binary(self.path) as handle:
+                self._check_binary_header(handle)
+                # Absolute file offset of buffer[0]; keeps error messages
+                # pointing at the real byte position even across chunk reads.
+                consumed = len(schema.BINARY_MAGIC) + 2
+                buffer = b""
+                offset = 0
+                while True:
+                    try:
+                        offset = decoder.decode(buffer, offset, batch_size, consumed)
+                    except TraceError as exc:
+                        raise type(exc)(f"{self.path.name}: {exc}") from exc
+                    if len(decoder) >= batch_size:
+                        yield decoder.finish()
+                        continue
+                    # read1: a gzip stream that breaks off mid-read still hands
+                    # over every byte decompressed before the break.
+                    chunk = handle.read1(_BINARY_CHUNK)
+                    if not chunk:
+                        break
+                    consumed += offset
+                    buffer = buffer[offset:] + chunk
+                    offset = 0
+                if offset < len(buffer):
+                    raise TraceTruncationError(
+                        f"{self.path.name}: truncated record at byte {consumed + offset} "
+                        f"({len(buffer) - offset} trailing bytes)"
+                    )
         except EOFError as exc:
             raise TraceTruncationError(
                 f"{self.path.name}: truncated gzip stream (ends before its end-of-stream marker)"
@@ -168,49 +208,18 @@ class TraceReader:
         except (gzip.BadGzipFile, zlib.error) as exc:
             raise TraceFormatError(f"{self.path.name}: not a valid gzip stream: {exc}") from exc
 
-    def _iter_binary_stream(self) -> Iterator[LogRecord]:
-        with _open_binary(self.path) as handle:
-            magic = handle.read(len(schema.BINARY_MAGIC))
-            if magic != schema.BINARY_MAGIC:
-                raise TraceFormatError(f"{self.path.name}: not a repro binary trace (bad magic)")
-            raw_version = handle.read(2)
-            if len(raw_version) < 2:
-                raise TraceTruncationError(
-                    f"{self.path.name}: truncated header (file ends inside the format version)"
-                )
-            (version,) = struct.unpack("<H", raw_version)
-            if version != schema.BINARY_VERSION:
-                raise TraceFormatError(f"{self.path.name}: unsupported binary trace version {version}")
-            # Absolute file offset of buffer[0]; keeps error messages
-            # pointing at the real byte position even across chunk reads.
-            consumed = len(schema.BINARY_MAGIC) + 2
-            buffer = b""
-            while True:
-                # read1: a gzip stream that breaks off mid-read still hands
-                # over every byte decompressed before the break.
-                chunk = handle.read1(_BINARY_CHUNK)
-                if not chunk:
-                    break
-                buffer += chunk
-                offset = 0
-                while True:
-                    try:
-                        record, next_offset = schema.unpack_record(buffer, offset)
-                    except TraceTruncationError:
-                        break  # need more bytes; retry after the next read
-                    except TraceFormatError as exc:
-                        raise TraceFormatError(
-                            f"{self.path.name}: corrupt record at byte {consumed + offset}: {exc}"
-                        ) from exc
-                    yield record
-                    offset = next_offset
-                consumed += offset
-                buffer = buffer[offset:]
-            if buffer:
-                raise TraceTruncationError(
-                    f"{self.path.name}: truncated record at byte {consumed} "
-                    f"({len(buffer)} trailing bytes)"
-                )
+    def _check_binary_header(self, handle: IO[bytes]) -> None:
+        magic = handle.read(len(schema.BINARY_MAGIC))
+        if magic != schema.BINARY_MAGIC:
+            raise TraceFormatError(f"{self.path.name}: not a repro binary trace (bad magic)")
+        raw_version = handle.read(2)
+        if len(raw_version) < 2:
+            raise TraceTruncationError(
+                f"{self.path.name}: truncated header (file ends inside the format version)"
+            )
+        (version,) = struct.unpack("<H", raw_version)
+        if version != schema.BINARY_VERSION:
+            raise TraceFormatError(f"{self.path.name}: unsupported binary trace version {version}")
 
 
 class TraceSourceStage:

@@ -14,10 +14,48 @@ dataset (Section III):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import TraceSchemaError
 from repro.types import CacheStatus, ContentCategory, category_for_extension
+
+#: Largest value of the int64 columns a batch stores sizes and indices in.
+INT64_MAX = (1 << 63) - 1
+
+
+def check_fields(
+    timestamp: float,
+    site: str,
+    object_id: str,
+    object_size: int,
+    bytes_served: int,
+    status_code: int,
+    chunk_index: int,
+) -> None:
+    """Raise :class:`TraceSchemaError` for the first field outside the schema.
+
+    The one schema check: :class:`LogRecord`, :meth:`BatchBuilder.finish
+    <repro.trace.batch.BatchBuilder.finish>` and the binary decoder all
+    reject a bad value with this message.
+    """
+    if not math.isfinite(timestamp):
+        raise TraceSchemaError(f"timestamp must be finite, got {timestamp}")
+    if timestamp < 0:
+        raise TraceSchemaError(f"timestamp must be non-negative, got {timestamp}")
+    if not site:
+        raise TraceSchemaError("site identifier must be non-empty")
+    if not object_id:
+        raise TraceSchemaError("object_id must be non-empty")
+    for name, value in (("object_size", object_size), ("bytes_served", bytes_served)):
+        if value < 0:
+            raise TraceSchemaError(f"{name} must be non-negative, got {value}")
+        if value > INT64_MAX:
+            raise TraceSchemaError(f"{name} must fit in int64, got {value}")
+    if not 100 <= status_code <= 599:
+        raise TraceSchemaError(f"status_code must be a valid HTTP code, got {status_code}")
+    if not -INT64_MAX - 1 <= chunk_index <= INT64_MAX:
+        raise TraceSchemaError(f"chunk_index must fit in int64, got {chunk_index}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,18 +105,15 @@ class LogRecord:
     chunk_index: int = -1
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise TraceSchemaError(f"timestamp must be non-negative, got {self.timestamp}")
-        if not self.site:
-            raise TraceSchemaError("site identifier must be non-empty")
-        if not self.object_id:
-            raise TraceSchemaError("object_id must be non-empty")
-        if self.object_size < 0:
-            raise TraceSchemaError(f"object_size must be non-negative, got {self.object_size}")
-        if self.bytes_served < 0:
-            raise TraceSchemaError(f"bytes_served must be non-negative, got {self.bytes_served}")
-        if not 100 <= self.status_code <= 599:
-            raise TraceSchemaError(f"status_code must be a valid HTTP code, got {self.status_code}")
+        check_fields(
+            self.timestamp,
+            self.site,
+            self.object_id,
+            self.object_size,
+            self.bytes_served,
+            self.status_code,
+            self.chunk_index,
+        )
 
     @property
     def category(self) -> ContentCategory:

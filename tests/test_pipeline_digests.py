@@ -15,6 +15,10 @@ budget; corner ``B`` is two shard workers, ``keep_store`` off and a
 1-byte budget (everything spillable spills).  Both must equal the seed's
 one committed entry.
 
+The read path is pinned too: seed 2016's trace, read back as written and
+gzipped, then ingested and analysed, must give the summary digest of
+perfbench's ``reanalyze`` workload.
+
 To refresh the fixture after an *intended* output change::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_pipeline_digests.py
@@ -26,6 +30,7 @@ the diff).  Seed 2016's entry must also equal ``perfbench/reference.json``.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 from pathlib import Path
@@ -44,6 +49,11 @@ SEEDS = (2016, 7)
 CORNERS = {
     "A": {"sim_workers": 1, "keep_store": True, "memory_budget": None},
     "B": {"sim_workers": 2, "keep_store": False, "memory_budget": 1},
+}
+#: Re-analysis configs of the read-path pin.
+READ_CONFIGS = {
+    "store": {"keep_store": True},
+    "storeless": {"keep_store": False, "memory_budget": 1},
 }
 
 
@@ -74,14 +84,18 @@ def _metric_totals(metrics) -> dict:
     }
 
 
+def _summary_digest(report) -> str:
+    summary = json.dumps(report.to_summary_dict(), sort_keys=True)
+    return hashlib.sha256(summary.encode("utf-8")).hexdigest()
+
+
 def _pipeline_digests(seed: int, corner: dict, workdir: Path) -> dict:
     config = RunConfig.resolve(env={}, seed=seed, scale=SCALE, **corner)
     trace_path = workdir / "trace.bin"
     result = Plan(config).generate().simulate().write_trace(trace_path).ingest().analyze().run()
-    summary = json.dumps(result.report.to_summary_dict(), sort_keys=True)
     return {
         "trace": _sha256_file(trace_path),
-        "summary": hashlib.sha256(summary.encode("utf-8")).hexdigest(),
+        "summary": _summary_digest(result.report),
         "metrics": _metric_totals(result.simulator.metrics),
     }
 
@@ -125,3 +139,25 @@ def test_seed_2016_agrees_with_perfbench_reference(committed):
     for ours, theirs in (("trace", "trace"), ("summary", "study")):
         if reference[theirs] is not None:
             assert entry[ours] == reference[theirs], f"{ours} digest differs from perfbench's {theirs!r}"
+
+
+@pytest.fixture(scope="module")
+def seed_2016_trace(tmp_path_factory) -> Path:
+    """Seed 2016's corner-A ``trace.bin``, with a gzipped copy beside it."""
+    path = tmp_path_factory.mktemp("reread") / "trace.bin"
+    config = RunConfig.resolve(env={}, seed=2016, scale=SCALE, **CORNERS["A"])
+    Plan(config).generate().simulate().write_trace(path).run()
+    path.with_suffix(".bin.gz").write_bytes(gzip.compress(path.read_bytes()))
+    return path
+
+
+@pytest.mark.parametrize("config_name", sorted(READ_CONFIGS))
+@pytest.mark.parametrize("suffix", [".bin", ".bin.gz"])
+def test_read_trace_matches_perfbench_reanalyze(committed, seed_2016_trace, suffix, config_name):
+    assert _sha256_file(seed_2016_trace) == committed["2016"]["trace"]
+    reference = json.loads(PERFBENCH_REFERENCE.read_text())
+    if reference["reanalyze"] is None:
+        pytest.skip("perfbench's reanalyze digest awaits a new reference")
+    config = RunConfig.resolve(env={}, seed=2016, scale=SCALE, **READ_CONFIGS[config_name])
+    result = Plan(config).read_trace(seed_2016_trace.with_suffix(suffix)).ingest().analyze().run()
+    assert _summary_digest(result.report) == reference["reanalyze"]

@@ -351,9 +351,12 @@ class TestBatchBuilder:
         ("field", "value"),
         [
             ("timestamp", -0.5),
+            ("timestamp", float("nan")),
+            ("timestamp", float("inf")),
             ("site", ""),
             ("object_id", ""),
             ("object_size", -1),
+            ("object_size", 2**63),
             ("bytes_served", -7),
             ("status_code", 99),
             ("status_code", 600),

@@ -8,12 +8,15 @@ import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceFormatError, TraceTruncationError
+from repro.errors import TraceFormatError, TraceSchemaError, TraceTruncationError
+from repro.trace import reader as reader_module
 from repro.trace import schema
+from repro.trace.batch import NUMERIC_FIELDS, STRING_FIELDS, RecordBatch, iter_record_batches
 from repro.trace.reader import TraceReader, read_trace
 from repro.trace.record import LogRecord
 from repro.trace.writer import TraceWriter, write_trace
@@ -84,18 +87,20 @@ class TestRoundTrips:
     @given(record=record_strategy)
     def test_binary_roundtrip(self, record):
         packed = schema.pack_record(record)
-        unpacked, offset = schema.unpack_record(packed)
-        assert unpacked == record
-        assert offset == len(packed)
+        decoder = schema.BinaryDecoder()
+        assert decoder.decode(packed, 0, limit=2) == len(packed)
+        assert decoder.finish().to_records() == [record]
 
     def test_binary_multiple_records_sequential(self):
         records = sample_records(4)
         buffer = b"".join(schema.pack_record(r) for r in records)
+        decoder = schema.BinaryDecoder()
         offset = 0
         out = []
         for _ in records:
-            record, offset = schema.unpack_record(buffer, offset)
-            out.append(record)
+            offset = decoder.decode(buffer, offset, limit=1)
+            out.extend(decoder.finish().iter_records())
+        assert offset == len(buffer)
         assert out == records
 
 
@@ -221,14 +226,61 @@ class TestReader:
         assert not isinstance(excinfo.value, TraceTruncationError)
         assert "cache-status flag" in str(excinfo.value)
 
-    def test_unpack_record_short_buffer_raises_truncation(self):
-        packed = schema.pack_record(sample_records(1)[0])
+    def test_bad_flag_reported_before_a_cut(self, tmp_path):
+        # A bad cache-status flag is corruption even when the file ends
+        # later in the same row (here inside the site's length prefix).
+        header, packed = self._binary_parts(sample_records(2))
+        bad = bytearray(packed[1])
+        bad[schema._FIXED.size - 1] = 2
+        path = tmp_path / "t.bin"
+        for cut in (schema._FIXED.size, schema._FIXED.size + 1, len(bad) - 1):
+            path.write_bytes(header + packed[0] + bytes(bad[:cut]))
+            with pytest.raises(TraceFormatError, match="cache-status flag 2") as error:
+                list(TraceReader(path))
+            assert not isinstance(error.value, TraceTruncationError)
+
+    def test_unpack_record_short_buffer_raises_truncation(self, tmp_path):
+        # A row cut short means "need more bytes" to the decoder, and a
+        # TraceTruncationError once the file ends there.
+        header, (packed,) = self._binary_parts(sample_records(1))
+        path = tmp_path / "t.bin"
         for cut in (1, schema._FIXED.size - 1, schema._FIXED.size + 1, len(packed) - 1):
-            with pytest.raises(TraceTruncationError):
-                schema.unpack_record(packed[:cut])
+            decoder = schema.BinaryDecoder()
+            assert decoder.decode(packed[:cut], 0, limit=1) == 0
+            assert len(decoder) == 0
+            path.write_bytes(header + packed[:cut])
+            with pytest.raises(TraceTruncationError, match=f"truncated record at byte {len(header)} "):
+                list(TraceReader(path))
         # The full buffer parses cleanly.
-        record, end = schema.unpack_record(packed)
-        assert end == len(packed)
+        decoder = schema.BinaryDecoder()
+        assert decoder.decode(packed, 0, limit=1) == len(packed)
+        assert len(decoder) == 1
+
+    @pytest.mark.parametrize(
+        ("fmt", "line", "message"),
+        [
+            ("csv", 3, "object_size must fit in int64"),
+            ("jsonl", 2, "timestamp must be finite"),
+        ],
+    )
+    def test_text_schema_error_names_line_after_good_rows(self, tmp_path, fmt, line, message):
+        # An integer beyond int64 or a non-finite timestamp is a schema
+        # error at its file:line, not an OverflowError that loses the
+        # rows read before it.
+        records = sample_records(3)
+        path = tmp_path / f"t.{fmt}"
+        write_trace(records, path)
+        lines = path.read_text().splitlines()
+        if fmt == "csv":
+            lines[2] = lines[2].replace(",2000,", f",{2**70},")
+        else:
+            lines[1] = json.dumps({**json.loads(lines[1]), "timestamp": float("nan")})
+        path.write_text("\n".join(lines) + "\n")
+        seen: list[LogRecord] = []
+        with pytest.raises(TraceSchemaError, match=f"^t\\.{fmt}:{line}: {message}"):
+            for batch in TraceReader(path).iter_batches(batch_size=4):
+                seen.extend(batch.iter_records())
+        assert seen == records[:1]
 
     def test_bad_csv_header_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -285,13 +337,9 @@ class TestDamagedBinary:
         path.write_bytes(cut)
         # The rows an incremental decompressor recovers from the cut bytes.
         recovered = zlib.decompressobj(16 + zlib.MAX_WBITS).decompress(cut)
-        offset, decodable = len(schema.BINARY_MAGIC) + 2, 0
-        while True:
-            try:
-                _, offset = schema.unpack_record(recovered, offset)
-            except TraceTruncationError:
-                break
-            decodable += 1
+        decoder = schema.BinaryDecoder()
+        decoder.decode(recovered, len(schema.BINARY_MAGIC) + 2, limit=len(records))
+        decodable = len(decoder)
         seen: list[LogRecord] = []
         with pytest.raises(TraceTruncationError, match=r"^t\.bin\.gz: truncated gzip stream"):
             for batch in TraceReader(path).iter_batches(batch_size=1000):
@@ -380,3 +428,172 @@ class TestTextCorruptionFuzz:
             bad = _JSONL_VARIANTS[variant](json.loads(line))
             path.write_text("\n".join([*lines[:index], bad, *lines[index + 1 :]]) + "\n")
             self._expect_failure_at(path, records, index, index + 1)
+
+
+#: Field names of a :meth:`RecordBatch.iter_rows` tuple, which is also
+#: :func:`schema.pack_values`'s argument order.
+_ROW_FIELDS = (
+    "timestamp", "site", "object_id", "extension", "object_size", "user_id",
+    "user_agent", "hit", "status_code", "bytes_served", "datacenter", "chunk_index",
+)
+
+
+def _packed(row: tuple, **changes) -> bytes:
+    """One binary row: ``row``'s fields with ``changes`` applied."""
+    return schema.pack_values(**{**dict(zip(_ROW_FIELDS, row)), **changes})
+
+
+def _with_flag(row: tuple, flag: int) -> bytes:
+    blob = bytearray(_packed(row))
+    blob[schema._FIXED.size - 1] = flag
+    return bytes(blob)
+
+
+def _with_bad_utf8(row: tuple, field: str) -> bytes:
+    """``row`` packed with the first byte of string ``field`` set to 0xFF."""
+    blob = bytearray(_packed(row))
+    at = schema._FIXED.size
+    for name in STRING_FIELDS:
+        (length,) = struct.unpack_from("<H", blob, at)
+        if name == field:
+            blob[at + 2] = 0xFF
+            return bytes(blob)
+        at += 2 + length
+    raise AssertionError(field)
+
+
+#: Malformed variants of one binary row: (expected error, row bytes).
+_BINARY_VARIANTS = {
+    "cache-flag-2": (TraceFormatError, lambda row: _with_flag(row, 2)),
+    **{
+        f"utf8-{field}": (TraceFormatError, lambda row, field=field: _with_bad_utf8(row, field))
+        for field in STRING_FIELDS
+    },
+    "status-0": (TraceSchemaError, lambda row: _packed(row, status_code=0)),
+    "status-600": (TraceSchemaError, lambda row: _packed(row, status_code=600)),
+    "empty-site": (TraceSchemaError, lambda row: _packed(row, site="")),
+    "empty-object-id": (TraceSchemaError, lambda row: _packed(row, object_id="")),
+    "negative-timestamp": (TraceSchemaError, lambda row: _packed(row, timestamp=-1.0)),
+    "nan-timestamp": (TraceSchemaError, lambda row: _packed(row, timestamp=float("nan"))),
+    "inf-timestamp": (TraceSchemaError, lambda row: _packed(row, timestamp=float("inf"))),
+    "size-2**63": (TraceSchemaError, lambda row: _packed(row, object_size=2**63)),
+}
+
+
+class TestBinaryCorruptionFuzz:
+    """At every row of a binary trace, each malformed variant of that row
+    yields every earlier row, then a typed error naming the file and the
+    row's byte offset, also when rows straddle the reader's reads."""
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 20])
+    @pytest.mark.parametrize("variant", sorted(_BINARY_VARIANTS))
+    def test_bin(self, tmp_path, monkeypatch, variant, chunk):
+        monkeypatch.setattr(reader_module, "_BINARY_CHUNK", chunk)
+        error_type, mangle = _BINARY_VARIANTS[variant]
+        records = sample_records(9)
+        rows = list(RecordBatch.from_records(records).iter_rows())
+        header, packed = TestReader._binary_parts(records)
+        path = tmp_path / "t.bin"
+        for index in range(len(records)):
+            path.write_bytes(
+                header + b"".join(packed[:index]) + mangle(rows[index]) + b"".join(packed[index + 1 :])
+            )
+            seen: list[RecordBatch] = []
+            with pytest.raises(error_type) as error:
+                seen.extend(TraceReader(path).iter_batches(batch_size=4))
+            # The rows before the bad one, flushed as the batches a builder
+            # seals from them: no value of the bad row leaks into a dictionary.
+            _assert_same_batches(seen, list(iter_record_batches(records[:index], 4)))
+            assert not isinstance(error.value, TraceTruncationError)
+            offset = len(header) + sum(map(len, packed[:index]))
+            assert str(error.value).startswith("t.bin: ")
+            assert f"record at byte {offset}: " in str(error.value)
+            # Rows a filter drops are checked all the same.
+            filtered = TraceReader(path, sites={"no-such-site"})
+            with pytest.raises(error_type, match=f"record at byte {offset}: "):
+                assert list(filtered.iter_batches(batch_size=4)) == []
+
+
+@st.composite
+def _record_lists(draw):
+    """Record lists whose string fields repeat values, some non-ASCII."""
+    pools = {field: draw(st.lists(_text, min_size=1, max_size=3)) for field in ("object_id", "user_id", "user_agent")}
+    records = st.builds(
+        LogRecord,
+        timestamp=st.floats(min_value=0, max_value=604800, allow_nan=False),
+        site=st.sampled_from(["V-1", "V-2", "P-1", "P-2", "S-1"]),
+        object_id=st.sampled_from(pools["object_id"]),
+        extension=st.sampled_from(["mp4", "jpg", "gif", "html", "flv"]),
+        object_size=st.integers(min_value=0, max_value=2**63 - 1),
+        user_id=st.sampled_from(pools["user_id"]),
+        user_agent=st.sampled_from(pools["user_agent"]) | _text,
+        cache_status=st.sampled_from(list(CacheStatus)),
+        status_code=st.sampled_from([200, 206, 304, 404]),
+        bytes_served=st.integers(min_value=0, max_value=2**63 - 1),
+        datacenter=st.sampled_from(["dc-europe", "dc-asia", "dc-\u00e9t\u00e9"]),
+        chunk_index=st.integers(min_value=-1, max_value=2**15 - 1),
+    )
+    return draw(st.lists(records, max_size=25))
+
+
+def _assert_same_batches(got: list[RecordBatch], expected: list[RecordBatch]) -> None:
+    assert [len(batch) for batch in got] == [len(batch) for batch in expected]
+    for ours, theirs in zip(got, expected):
+        for name in NUMERIC_FIELDS:
+            column, reference = getattr(ours, name), getattr(theirs, name)
+            assert column.dtype == reference.dtype, name
+            assert np.array_equal(column, reference), name
+        for name in STRING_FIELDS:
+            column, reference = getattr(ours, name), getattr(theirs, name)
+            assert column.codes.dtype == reference.codes.dtype, name
+            assert np.array_equal(column.codes, reference.codes), name
+            assert column.values == reference.values, name
+
+
+#: Filters for the identity property: (reader keyword, record predicate).
+_FILTERS = {
+    "sites": ({"sites": {"V-1", "P-2"}}, lambda r: r.site in {"V-1", "P-2"}),
+    "categories": ({"categories": {ContentCategory.IMAGE}}, lambda r: r.category is ContentCategory.IMAGE),
+    "start": ({"start": 302400.0}, lambda r: r.timestamp >= 302400.0),
+    "end": ({"end": 302400.0}, lambda r: r.timestamp < 302400.0),
+}
+
+
+class TestBinaryDecoderIdentity:
+    """The binary reader's batches equal the batches a BatchBuilder seals
+    from the same records: boundaries, arrays, dtypes, codes and values,
+    however the file's bytes arrive."""
+
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(records=_record_lists())
+    def test_batches_equal_record_batches(self, tmp_path, monkeypatch, records):
+        for name in ("t.bin", "t.bin.gz"):
+            path = tmp_path / name
+            write_trace(records, path)
+            for chunk in (1, 7, 4096):
+                monkeypatch.setattr(reader_module, "_BINARY_CHUNK", chunk)
+                for batch_size in (1, 7, 65_536):
+                    _assert_same_batches(
+                        list(TraceReader(path).iter_batches(batch_size=batch_size)),
+                        list(iter_record_batches(records, batch_size)),
+                    )
+
+    @pytest.mark.parametrize("kind", sorted(_FILTERS))
+    @settings(
+        max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(records=_record_lists())
+    def test_filtered_batches_equal_filtered_record_batches(self, tmp_path, monkeypatch, kind, records):
+        keyword, keep = _FILTERS[kind]
+        path = tmp_path / "t.bin"
+        write_trace(records, path)
+        kept = [record for record in records if keep(record)]
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(reader_module, "_BINARY_CHUNK", chunk)
+            for batch_size in (1, 7, 65_536):
+                _assert_same_batches(
+                    list(TraceReader(path, **keyword).iter_batches(batch_size=batch_size)),
+                    list(iter_record_batches(kept, batch_size)),
+                )
