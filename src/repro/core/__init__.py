@@ -10,16 +10,12 @@ battery over one trace.
 """
 
 from repro.core.aggregate import (
-    ContentCompositionPass,
-    DeviceCompositionPass,
-    HourlyVolumePass,
-    TrafficCompositionPass,
     content_composition,
     device_composition,
     hourly_volume,
     traffic_composition,
 )
-from repro.core.caching import ResponseCodePass, hit_ratio_analysis, response_code_analysis
+from repro.core.caching import hit_ratio_analysis, response_code_analysis
 from repro.core.clustering import TrendClusteringResult, cluster_popularity_trends
 from repro.core.comparison import ComparisonResult, compare_to_baseline, render_comparison
 from repro.core.content import content_age_survival, popularity_distribution, size_cdf
@@ -32,7 +28,6 @@ from repro.core.dtw import (
     pairwise_dtw,
 )
 from repro.core.hierarchy import AgglomerativeClustering, Dendrogram
-from repro.core.passes import DEFAULT_CHUNK_ROWS, AnalysisPass, run_passes
 from repro.core.report import Study, StudyReport
 from repro.core.users import (
     addiction_cdf,
@@ -44,20 +39,13 @@ from repro.core.users import (
 
 __all__ = [
     "AgglomerativeClustering",
-    "AnalysisPass",
     "ComparisonResult",
-    "ContentCompositionPass",
-    "DEFAULT_CHUNK_ROWS",
     "Dendrogram",
-    "DeviceCompositionPass",
     "DtwStats",
-    "HourlyVolumePass",
     "ObjectStats",
-    "ResponseCodePass",
     "Study",
     "StudyReport",
     "TraceDataset",
-    "TrafficCompositionPass",
     "TrendClusteringResult",
     "addiction_cdf",
     "cluster_popularity_trends",
@@ -76,7 +64,6 @@ __all__ = [
     "render_comparison",
     "repeated_access_scatter",
     "response_code_analysis",
-    "run_passes",
     "session_lengths",
     "sessionize",
     "size_cdf",

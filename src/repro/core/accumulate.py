@@ -19,8 +19,8 @@ instead of O(trace):
   lexsorted into per-user sorted timelines at finalize.
 * :class:`SiteExtentAccumulator`  — per-site row extents.
 * :class:`HourlyAccumulator` / :class:`ResponseCodeAccumulator` — the
-  scan aggregates (hourly occupancy, response codes) that the fig. 3 and
-  fig. 16 passes consume when the row store is not kept.
+  Fig. 3 hourly table and the Fig. 16 response-code table, which every
+  dataset carries as :class:`ScanTables`.
 * :class:`StreamingAggregates`    — the bundle a dataset folds batches
   into; ``finalize_deferred`` emits exactly the lazy-view structure the
   dataset materialises :class:`~repro.core.dataset.ObjectStats` and the
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.trace.batch import RecordBatch, StringColumn
+from repro.trace.batch import CATEGORIES, RecordBatch, StringColumn
 from repro.types import Continent, HOUR_SECONDS
 
 #: Status codes that represent an actual content access (mirrors
@@ -55,9 +55,21 @@ HOURLY_OFFSET_BIAS = 32
 HOURLY_OFFSET_SLOTS = 64
 HOURLY_HOUR_BITS = 32
 
-#: Response-code key layout (shared with the fig. 16 pass):
-#: ``(site * n_categories + category) * STATUS_SPAN + status``.
+#: Response-code key layout:
+#: ``(site * len(CATEGORIES) + category) * STATUS_SPAN + status``.
 RESPONSE_STATUS_SPAN = 1000
+
+
+def hourly_key(site, offset, utc_hour):
+    """Hourly-table key of ``(site code, UTC offset hours, UTC hour)``;
+    takes python ints or int64 arrays."""
+    return ((site * HOURLY_OFFSET_SLOTS + offset + HOURLY_OFFSET_BIAS) << HOURLY_HOUR_BITS) | utc_hour
+
+
+def response_key(site, category, status):
+    """Response-code key of ``(site code, category code, status code)``;
+    takes python ints or int64 arrays."""
+    return (site * len(CATEGORIES) + category) * RESPONSE_STATUS_SPAN + status
 
 
 def segment_bounds(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -576,9 +588,9 @@ class HourlyAccumulator:
 
     Timestamps are binned to *UTC* hours at fold time (the trace duration
     — hence the local-time wheel size — is only known once the stream
-    ends); the fig. 3 pass applies the whole-hour offset and the modulo
-    at finish.  Counts and byte sums are integers, so the table is
-    independent of the batching.
+    ends); :func:`~repro.core.aggregate.hourly_volume` applies the
+    whole-hour offset and the modulo.  Counts and byte sums are integers,
+    so the table is independent of the batching.
     """
 
     def __init__(self) -> None:
@@ -591,8 +603,7 @@ class HourlyAccumulator:
             [DC_OFFSET_HOURS.get(value, 0) for value in batch.datacenter.values], dtype=np.int64
         )[batch.datacenter.codes]
         utc_hour = (batch.timestamp // HOUR_SECONDS).astype(np.int64)
-        key = ((site_rows * HOURLY_OFFSET_SLOTS + offsets + HOURLY_OFFSET_BIAS) << HOURLY_HOUR_BITS) | utc_hour
-        self._counts.add(key, weights=batch.bytes_served)
+        self._counts.add(hourly_key(site_rows, offsets, utc_hour), weights=batch.bytes_served)
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, counts, byte_sums)`` with keys ascending."""
@@ -613,15 +624,13 @@ def decode_hourly_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 class ResponseCodeAccumulator:
     """(site, category, status) request counts — the fig. 16 table."""
 
-    def __init__(self, n_categories: int) -> None:
-        self.n_categories = n_categories
+    def __init__(self) -> None:
         self._counts = KeyCounts()
 
     def update(self, batch: RecordBatch, site_rows: np.ndarray) -> None:
         if not len(batch):
             return
-        key = (site_rows * self.n_categories + batch.category) * RESPONSE_STATUS_SPAN + batch.status_code
-        self._counts.add(key)
+        self._counts.add(response_key(site_rows, batch.category, batch.status_code))
 
     def finalize(self) -> tuple[np.ndarray, np.ndarray]:
         return self._counts.finalize()
@@ -630,17 +639,33 @@ class ResponseCodeAccumulator:
         return self._counts.nbytes_estimate()
 
 
+def decode_response_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split response-code keys into ``(site, category, status)``."""
+    site_and_category, status = np.divmod(keys, RESPONSE_STATUS_SPAN)
+    site, category = np.divmod(site_and_category, len(CATEGORIES))
+    return site, category, status
+
+
+def _no_keys() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
 @dataclass
 class ScanTables:
-    """Finalised scan aggregates a storeless dataset carries for the
-    fig. 3 / fig. 16 passes (what a store sweep would have produced)."""
+    """The Fig. 3 hourly table and the Fig. 16 response-code table.
 
-    site_values: list[str]
-    hourly_keys: np.ndarray
-    hourly_counts: np.ndarray
-    hourly_bytes: np.ndarray
-    response_keys: np.ndarray
-    response_counts: np.ndarray
+    Built at ingest for every dataset, whatever its engine and whether or
+    not it keeps its rows; the defaults are the tables of an empty trace.
+    ``site_values`` lists the sites in first-appearance order, which is
+    the site-code axis of both key layouts.
+    """
+
+    site_values: list[str] = field(default_factory=list)
+    hourly_keys: np.ndarray = field(default_factory=_no_keys)
+    hourly_counts: np.ndarray = field(default_factory=_no_keys)
+    hourly_bytes: np.ndarray = field(default_factory=_no_keys)
+    response_keys: np.ndarray = field(default_factory=_no_keys)
+    response_counts: np.ndarray = field(default_factory=_no_keys)
 
 
 @dataclass
@@ -693,14 +718,11 @@ class IngestStats:
 
 
 class StreamingAggregates:
-    """Everything :meth:`TraceDataset.from_batches` folds batches into.
+    """Everything :meth:`TraceDataset.from_batches` folds batches into:
+    the object, user, site-extent and timeline partials, and the Fig. 3 /
+    Fig. 16 tables (:meth:`finalize_scan_tables`)."""
 
-    ``scan_aggregates=True`` (the ``keep_store=False`` mode) additionally
-    accumulates the hourly and response-code scan tables, since no store
-    will exist for the fig. 3 / fig. 16 passes to sweep.
-    """
-
-    def __init__(self, scan_aggregates: bool = False, n_categories: int = 0, spill_pool=None):
+    def __init__(self, spill_pool=None):
         self.sites = InternTable()
         self.objects = ObjectAccumulator()
         self.users = InternTable()
@@ -708,8 +730,8 @@ class StreamingAggregates:
         if spill_pool is not None:
             self.timelines.attach_spill(spill_pool)
         self.extents = SiteExtentAccumulator()
-        self.hourly = HourlyAccumulator() if scan_aggregates else None
-        self.response = ResponseCodeAccumulator(n_categories) if scan_aggregates else None
+        self.hourly = HourlyAccumulator()
+        self.response = ResponseCodeAccumulator()
         self.rows = 0
         self.batches = 0
         self.max_timestamp = float("-inf")
@@ -725,10 +747,8 @@ class StreamingAggregates:
         self.objects.update(batch, user_rows)
         self.timelines.update(batch, user_rows, user_fresh)
         self.extents.update(site_rows, row_offset=self.rows, n_sites=len(self.sites))
-        if self.hourly is not None:
-            self.hourly.update(batch, site_rows)
-        if self.response is not None:
-            self.response.update(batch, site_rows)
+        self.hourly.update(batch, site_rows)
+        self.response.update(batch, site_rows)
         self.rows += len(batch)
         self.batches += 1
 
@@ -749,7 +769,6 @@ class StreamingAggregates:
         return deferred
 
     def finalize_scan_tables(self) -> ScanTables:
-        assert self.hourly is not None and self.response is not None
         hourly_keys, hourly_counts, hourly_bytes = self.hourly.finalize()
         response_keys, response_counts = self.response.finalize()
         return ScanTables(
@@ -762,15 +781,12 @@ class StreamingAggregates:
         )
 
     def nbytes_estimate(self) -> int:
-        total = (
+        return (
             self.sites.nbytes_estimate()
             + self.users.nbytes_estimate()
             + self.objects.nbytes_estimate()
             + self.timelines.nbytes_estimate()
             + self.extents.nbytes_estimate()
+            + self.hourly.nbytes_estimate()
+            + self.response.nbytes_estimate()
         )
-        if self.hourly is not None:
-            total += self.hourly.nbytes_estimate()
-        if self.response is not None:
-            total += self.response.nbytes_estimate()
-        return total

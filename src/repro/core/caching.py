@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.accumulate import RESPONSE_STATUS_SPAN, ResponseCodeAccumulator
+from repro.core.accumulate import decode_response_keys
 from repro.core.dataset import TraceDataset
-from repro.core.passes import run_passes
 from repro.stats.correlation import pearson, spearman
 from repro.stats.ecdf import EmpiricalCDF
-from repro.trace.batch import CATEGORIES, RecordBatch
+from repro.trace.batch import CATEGORIES
 from repro.types import ContentCategory
 
 
@@ -119,61 +118,21 @@ class ResponseCodeResult:
         return sorted(codes)
 
 
-class ResponseCodePass:
-    """Fig. 16 as a columnar scan pass.
-
-    Each chunk is folded into the combined ``(site, category, status)``
-    key table of :class:`~repro.core.accumulate.ResponseCodeAccumulator`;
-    ``finish`` decodes the keys back into the nested per-site/per-category
-    counters.  Datasets built with ``keep_store=False`` carry the same
-    table from ingest; the pass adopts it and skips the scan entirely.
-    """
-
-    name = "response_codes"
-    supports_storeless = True
-
-    #: Combined-key stride for the status code; HTTP codes are < 1000.
-    _STATUS_SPAN = RESPONSE_STATUS_SPAN
-
-    def __init__(self) -> None:
-        self._accumulator: ResponseCodeAccumulator | None = None
-        self._table: tuple[np.ndarray, np.ndarray] | None = None
-        self._site_values: list[str] = []
-
-    def begin(self, dataset: TraceDataset) -> None:
-        self._site_values = dataset.site_values if len(dataset) else []
-        aggregates = dataset.scan_aggregates
-        if aggregates is not None:
-            self._table = (aggregates.response_keys, aggregates.response_counts)
-            self._accumulator = None
-        else:
-            self._table = None
-            self._accumulator = ResponseCodeAccumulator(len(CATEGORIES))
-
-    def process(self, chunk: RecordBatch) -> None:
-        if self._accumulator is not None:
-            self._accumulator.update(chunk, chunk.site.codes.astype(np.int64))
-
-    def finish(self) -> ResponseCodeResult:
-        if self._table is not None:
-            keys, key_counts = self._table
-        else:
-            assert self._accumulator is not None
-            keys, key_counts = self._accumulator.finalize()
-        counts: dict[str, dict[ContentCategory, Counter]] = {}
-        n_categories = len(CATEGORIES)
-        # Keys come out of the accumulator ascending, preserving the
-        # sorted-iteration order of the original per-chunk dict reduce.
-        for combined, count in zip(keys.tolist(), key_counts.tolist()):
-            site_and_category, status = divmod(combined, self._STATUS_SPAN)
-            site_code, category_code = divmod(site_and_category, n_categories)
-            per_site = counts.setdefault(self._site_values[site_code], {})
-            counter = per_site.setdefault(CATEGORIES[category_code], Counter())
-            counter[status] = count
-        return ResponseCodeResult(counts=counts)
-
-
 def response_code_analysis(dataset: TraceDataset) -> ResponseCodeResult:
-    """Fig. 16: tabulate HTTP response codes per site and category."""
-    analysis = ResponseCodePass()
-    return run_passes(dataset, [analysis])[analysis.name]
+    """Fig. 16: tabulate HTTP response codes per site and category.
+
+    Decodes the ingest-built ``(site, category, status)`` count table
+    (:attr:`TraceDataset.scan_aggregates`) into nested per-site,
+    per-category counters.  Keys are ascending, so sites, categories and
+    codes iterate in key order.
+    """
+    tables = dataset.scan_aggregates
+    counts: dict[str, dict[ContentCategory, Counter]] = {}
+    site_codes, category_codes, statuses = decode_response_keys(tables.response_keys)
+    for site_code, category_code, status, count in zip(
+        site_codes.tolist(), category_codes.tolist(), statuses.tolist(), tables.response_counts.tolist()
+    ):
+        per_site = counts.setdefault(tables.site_values[site_code], {})
+        counter = per_site.setdefault(CATEGORIES[category_code], Counter())
+        counter[status] = count
+    return ResponseCodeResult(counts=counts)

@@ -99,18 +99,6 @@ class AgeSurvivalResult:
     def fraction_at_age(self, site: str, age_days: int) -> float:
         return self.fractions[site][age_days - 1]
 
-    def silent_after(self, site: str, age_days: int) -> float:
-        """Fraction of objects with no request after day ``age_days``.
-
-        The paper reports about 20% of objects unrequested after 3 days.
-        """
-        series = self.fractions[site]
-        alive_after = max(series[age_days:], default=0.0)
-        # An object "silent after day d" contributes to none of the later
-        # day fractions; approximate by 1 - max over later days is wrong for
-        # non-monotone series, so compute from the stored survivor counts.
-        return 1.0 - alive_after if alive_after <= 1.0 else 0.0
-
 
 def content_age_survival(dataset: TraceDataset, max_age_days: int = 7) -> AgeSurvivalResult:
     """Fig. 7: content injection and aging.

@@ -1,11 +1,11 @@
 """Trace datasets: indexed views over a stream of log records.
 
-:class:`TraceDataset` ingests a trace once and builds the indices every
-analysis needs: per-object aggregates (:class:`ObjectStats` — request
+:class:`TraceDataset` ingests a trace once and builds everything the
+analyses read: per-object aggregates (:class:`ObjectStats` — request
 count, unique users, byte volume, hourly series, hit counts), per-user
-request timelines, per-site row extents, and (optionally) the columnar
-row store (:class:`~repro.trace.batch.RecordBatch`) plus a per-site row
-index.  Analyses then run off these indices without rescanning the trace.
+request timelines, per-site row extents, and the Fig. 3 hourly and
+Fig. 16 response-code tables (:attr:`TraceDataset.scan_aggregates`).
+Every analysis is a function of these; none rescans the rows.
 
 Ingest is **streaming**: :meth:`from_batches` folds each incoming batch
 into the mergeable partials of :mod:`repro.core.accumulate` and never
@@ -13,17 +13,18 @@ needs more than the current batch plus the aggregates resident —
 ``keep_store=False`` drops each batch after folding it, so a trace many
 times larger than memory ingests in O(batch + aggregates).  With
 ``keep_store=True`` (the default) the batches are additionally retained
-and concatenated into the row store that scan-style analyses and
-``site_records`` sweep.
+and concatenated into the row store behind ``records``, ``store()`` and
+``site_records``.
 
-Two engines build the same indices:
+Two engines build the same indices and tables:
 
 * ``engine="batch"`` (default) — the streaming accumulator fold above.
   This is the production path.
 * ``engine="record"`` — the original record-at-a-time loop, kept as the
-  reference implementation; the equivalence tests pin the batch engine to
-  it field-for-field, and the ingest benchmark measures the speedup
-  against it.
+  reference implementation; it counts with plain dicts, independently of
+  the accumulators.  The equivalence tests pin the batch engine to it
+  field-for-field, and the ingest benchmark measures the speedup against
+  it.
 """
 
 from __future__ import annotations
@@ -36,11 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.accumulate import (
+    DC_OFFSET_HOURS,
     IngestStats,
     ScanTables,
     SiteExtent,
     StreamingAggregates,
     UserTimelines,
+    hourly_key,
+    response_key,
 )
 from repro.errors import (
     AnalysisError,
@@ -140,10 +144,9 @@ class TraceDataset:
     production path), :meth:`from_records` (any iterable of records), or
     :meth:`from_file` (a trace written by
     :class:`~repro.trace.writer.TraceWriter`).  Pass ``keep_store=False``
-    to drop the rows after folding each batch: every index and
-    figure analysis still works off the aggregates, only the row-level
-    accessors (``records``, ``store``, ``site_records``) become
-    unavailable.
+    to drop the rows after folding each batch: every index, table and
+    figure analysis is the same, only the row-level accessors
+    (``records``, ``store``, ``site_records``) become unavailable.
     """
 
     def __init__(self) -> None:
@@ -163,10 +166,9 @@ class TraceDataset:
         self._site_rows_map: dict[str, list[int] | np.ndarray] | None = {}
         self._site_extents: dict[str, SiteExtent] | None = None
         self._timelines: UserTimelines | None = None
-        #: Finalised hourly / response-code scan tables; only present when
-        #: the dataset was built with ``keep_store=False`` (no store for
-        #: the scan passes to sweep).
-        self.scan_aggregates: ScanTables | None = None
+        #: The Fig. 3 hourly and Fig. 16 response-code tables, built at
+        #: ingest by every engine (empty for a hand-built dataset).
+        self.scan_aggregates = ScanTables()
         #: What the last streaming ingest cost; ``None`` for the scalar
         #: engine and hand-built datasets.
         self.ingest_stats: IngestStats | None = None
@@ -233,9 +235,11 @@ class TraceDataset:
         dataset = cls()
         dataset._records = records
         dataset._length = len(records)
+        hourly: dict[tuple[str, int, int], list[int]] = {}
+        responses: dict[tuple[str, int, int], int] = {}
         for row, record in enumerate(records):
-            dataset._ingest(row, record)
-        dataset._finalize()
+            dataset._ingest(row, record, hourly, responses)
+        dataset._finalize(hourly, responses)
         return dataset
 
     @classmethod
@@ -298,10 +302,25 @@ class TraceDataset:
 
     # -- scalar reference engine ----------------------------------------------
 
-    def _ingest(self, row: int, record: LogRecord) -> None:
+    def _ingest(
+        self,
+        row: int,
+        record: LogRecord,
+        hourly: dict[tuple[str, int, int], list[int]],
+        responses: dict[tuple[str, int, int], int],
+    ) -> None:
         self._sites.add(record.site)
         self._site_rows.setdefault(record.site, []).append(row)  # type: ignore[union-attr]
         self.duration_seconds = max(self.duration_seconds, record.timestamp)
+        hour = int(record.timestamp // HOUR_SECONDS)
+
+        # Fig. 3: (site, serving data center's UTC offset, UTC hour) cells.
+        cell = hourly.setdefault((record.site, DC_OFFSET_HOURS.get(record.datacenter, 0), hour), [0, 0])
+        cell[0] += 1
+        cell[1] += record.bytes_served
+        # Fig. 16: (site, category, status) counts.
+        code_key = (record.site, CATEGORIES.index(record.category), record.status_code)
+        responses[code_key] = responses.get(code_key, 0) + 1
 
         stats = self.object_stats.get(record.object_id)
         if stats is None:
@@ -319,7 +338,6 @@ class TraceDataset:
             stats.user_counts[record.user_id] = stats.user_counts.get(record.user_id, 0) + 1
             stats.first_seen = min(stats.first_seen, record.timestamp)
             stats.last_seen = max(stats.last_seen, record.timestamp)
-            hour = int(record.timestamp // HOUR_SECONDS)
             stats.hourly[hour] = stats.hourly.get(hour, 0) + 1
             if record.status_code in (200, 206):
                 if record.cache_status is CacheStatus.HIT:
@@ -333,9 +351,35 @@ class TraceDataset:
         self._user_site.setdefault(key, record.site)
         self._user_agent.setdefault(key, record.user_agent)
 
-    def _finalize(self) -> None:
+    def _finalize(
+        self,
+        hourly: dict[tuple[str, int, int], list[int]],
+        responses: dict[tuple[str, int, int], int],
+    ) -> None:
         for times in self._user_times.values():
             times.sort()
+        # Encode both tables in the accumulators' key layout, sites coded
+        # in first-appearance order, keys ascending.
+        site_values = list(self._site_rows)
+        site_code = {site: code for code, site in enumerate(site_values)}
+        hourly_rows = sorted(
+            (hourly_key(site_code[site], offset, hour), count, nbytes)
+            for (site, offset, hour), (count, nbytes) in hourly.items()
+        )
+        response_rows = sorted(
+            (response_key(site_code[site], category, status), count)
+            for (site, category, status), count in responses.items()
+        )
+        hourly_keys, hourly_counts, hourly_bytes = np.array(hourly_rows, dtype=np.int64).reshape(-1, 3).T
+        response_keys, response_counts = np.array(response_rows, dtype=np.int64).reshape(-1, 2).T
+        self.scan_aggregates = ScanTables(
+            site_values=site_values,
+            hourly_keys=hourly_keys,
+            hourly_counts=hourly_counts,
+            hourly_bytes=hourly_bytes,
+            response_keys=response_keys,
+            response_counts=response_counts,
+        )
 
     # -- lazy materialisation of the python-object views -----------------------
 
@@ -448,8 +492,7 @@ class TraceDataset:
     def store(self) -> RecordBatch:
         """The trace as one columnar :class:`RecordBatch`.
 
-        Built lazily (and cached) for record-built datasets, so analysis
-        passes can always scan columns.  Raises
+        Built lazily (and cached) for record-built datasets.  Raises
         :class:`~repro.errors.AnalysisError` for ``keep_store=False``
         datasets — the rows were dropped at ingest.
         """
@@ -471,16 +514,10 @@ class TraceDataset:
         return sorted(self._sites)
 
     @property
-    def site_values(self) -> list[str]:
-        """Site dictionary values in first-appearance order (the code axis
-        of the store and of the streaming scan tables)."""
-        if self.scan_aggregates is not None:
-            return self.scan_aggregates.site_values
-        return self.store().site.values
-
-    @property
     def duration_hours(self) -> int:
-        return max(1, int(np.ceil((self.duration_seconds + 1) / HOUR_SECONDS)))
+        """Trace hours up to and including the last record's hour (1 when
+        the trace is empty)."""
+        return int(self.duration_seconds // HOUR_SECONDS) + 1
 
     def require_nonempty(self) -> None:
         if self._length == 0:
@@ -512,7 +549,7 @@ class TraceDataset:
     def user_timelines(self) -> UserTimelines:
         """Columnar per-user timelines (sorted timestamps + segment bounds
         + per-user site/agent shells), in first-appearance order.  The
-        session/IAT/device passes run off this instead of the
+        session, IAT and device analyses run off this instead of the
         python-object user dicts."""
         if self._timelines is None:
             d = self._deferred
@@ -651,9 +688,7 @@ class DatasetBuilder:
     ):
         self.keep_store = keep_store
         self._dataset_cls = dataset_cls or TraceDataset
-        self._aggregates = StreamingAggregates(
-            scan_aggregates=not keep_store, n_categories=len(CATEGORIES), spill_pool=spill_pool
-        )
+        self._aggregates = StreamingAggregates(spill_pool=spill_pool)
         self._stats = IngestStats(keep_store=keep_store)
         self._kept: list[RecordBatch] = []
         self._store_bytes = 0
@@ -725,8 +760,7 @@ class DatasetBuilder:
         dataset._site_rows_map = None
         if self.keep_store:
             dataset._store = RecordBatch.concat(self._kept)
-        else:
-            dataset.scan_aggregates = aggregates.finalize_scan_tables()
+        dataset.scan_aggregates = aggregates.finalize_scan_tables()
         if aggregates.rows:
             dataset.duration_seconds = aggregates.max_timestamp
             dataset._sites = set(aggregates.sites.values)

@@ -15,18 +15,18 @@ import numpy as np
 
 from repro.core.aggregate import (
     CompositionResult,
-    ContentCompositionPass,
-    DeviceCompositionPass,
     DeviceCompositionResult,
-    HourlyVolumePass,
     HourlyVolumeResult,
-    TrafficCompositionPass,
+    content_composition,
+    device_composition,
+    hourly_volume,
+    traffic_composition,
 )
 from repro.core.caching import (
     HitRatioResult,
-    ResponseCodePass,
     ResponseCodeResult,
     hit_ratio_analysis,
+    response_code_analysis,
 )
 from repro.core.clustering import TrendClusteringResult, cluster_popularity_trends
 from repro.core.content import (
@@ -38,16 +38,15 @@ from repro.core.content import (
     size_cdf,
 )
 from repro.core.dataset import TraceDataset
-from repro.core.passes import run_passes
 from repro.core.users import (
-    AddictionPass,
     AddictionResult,
     IatResult,
-    InterarrivalPass,
-    RepeatedAccessPass,
     RepeatedAccessResult,
-    SessionLengthPass,
     SessionResult,
+    addiction_cdf,
+    interarrival_times,
+    repeated_access_scatter,
+    session_lengths,
 )
 from repro.errors import EmptyDatasetError, PlanError
 from repro.stats.ecdf import EmpiricalCDF
@@ -304,6 +303,34 @@ class StudyReport:
         return out
 
 
+def run_passes(
+    dataset: TraceDataset,
+    catalogs: dict[str, ContentCatalog] | None = None,
+) -> dict[str, Any]:
+    """Figs. 1-4, 11-14 and 16 over the dataset's ingest-built indices.
+
+    Returns the results keyed by their :class:`StudyReport` field; the
+    Fig. 13 scatters of the paper's two showcased sites (V-1 video, P-1
+    image, when present) land under ``extras`` as ``scatter:<site>``.
+    """
+    return {
+        "content_composition": content_composition(dataset, catalogs),
+        "traffic_composition": traffic_composition(dataset),
+        "hourly_volume": hourly_volume(dataset),
+        "device_composition": device_composition(dataset),
+        "response_codes": response_code_analysis(dataset),
+        "iat": interarrival_times(dataset),
+        "sessions": session_lengths(dataset),
+        "video_addiction": addiction_cdf(dataset, ContentCategory.VIDEO),
+        "image_addiction": addiction_cdf(dataset, ContentCategory.IMAGE),
+        "extras": {
+            f"scatter:{site}": repeated_access_scatter(dataset, site, category)
+            for site, category in (("V-1", ContentCategory.VIDEO), ("P-1", ContentCategory.IMAGE))
+            if site in dataset.sites
+        },
+    }
+
+
 class Study:
     """Configure and run the full analysis battery.
 
@@ -342,50 +369,23 @@ class Study:
     ) -> StudyReport:
         """Execute every analysis and return the bundled report.
 
-        The scan-based analyses (Figs. 1-4 and 16) run as
-        :class:`~repro.core.passes.AnalysisPass` instances through one
-        shared sweep of the columnar store; the remaining figures read the
-        dataset's prebuilt indices.
+        Every figure is a plain function of the dataset's ingest-built
+        indices and tables; none reads the rows, so ``keep_store`` does
+        not change the report.  Figs. 1-4, 11-14 and 16 come from one
+        :func:`run_passes` call, Figs. 5-7 and 15 from their own
+        functions, then the DTW trend clustering (Figs. 8-10).
         """
         dataset.require_nonempty()
-        # Fig. 13 scatters for the paper's two showcased sites.
-        scatter_targets = [
-            (site, category)
-            for site, category in (("V-1", ContentCategory.VIDEO), ("P-1", ContentCategory.IMAGE))
-            if site in dataset.sites
-        ]
-        swept = run_passes(
-            dataset,
-            [
-                ContentCompositionPass(catalogs),
-                TrafficCompositionPass(),
-                HourlyVolumePass(),
-                DeviceCompositionPass(),
-                ResponseCodePass(),
-                InterarrivalPass(),
-                SessionLengthPass(),
-                AddictionPass(ContentCategory.VIDEO, name="video_addiction"),
-                AddictionPass(ContentCategory.IMAGE, name="image_addiction"),
-                *(RepeatedAccessPass(site, category) for site, category in scatter_targets),
-            ],
-        )
+        indexed = run_passes(dataset, catalogs)
         report = StudyReport(
-            content_composition=swept["content_composition"],
-            traffic_composition=swept["traffic_composition"],
-            hourly_volume=swept["hourly_volume"],
-            device_composition=swept["device_composition"],
+            **indexed,
             video_sizes=size_cdf(dataset, ContentCategory.VIDEO),
             image_sizes=size_cdf(dataset, ContentCategory.IMAGE),
             video_popularity=popularity_distribution(dataset, ContentCategory.VIDEO),
             image_popularity=popularity_distribution(dataset, ContentCategory.IMAGE),
             age_survival=content_age_survival(dataset),
-            iat=swept["iat"],
-            sessions=swept["sessions"],
-            video_addiction=swept["video_addiction"],
-            image_addiction=swept["image_addiction"],
             video_hit_ratio=hit_ratio_analysis(dataset, ContentCategory.VIDEO),
             image_hit_ratio=hit_ratio_analysis(dataset, ContentCategory.IMAGE),
-            response_codes=swept["response_codes"],
         )
         if self.run_clustering:
             targets = self.cluster_sites
@@ -407,8 +407,6 @@ class Study:
                 except EmptyDatasetError:
                     continue
                 report.clustering[(site, category.value)] = result
-        for site, _category in scatter_targets:
-            report.extras[f"scatter:{site}"] = swept[f"scatter:{site}"]
         return report
 
 

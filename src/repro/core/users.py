@@ -8,12 +8,10 @@
 * :func:`addiction_cdf`           — Fig. 14: CDF of requests-per-unique-user
   per object; video content shows far heavier repetition than image.
 
-Each analysis is an :class:`~repro.core.passes.AnalysisPass`
-(:class:`InterarrivalPass` and :class:`SessionLengthPass` run vectorised
-over the dataset's columnar :class:`~repro.core.accumulate.UserTimelines`;
-the Fig. 13/14 passes consume the object index), so ``Study.run`` drives
-them through the shared sweep without ever materialising python-object
-user timelines.  The module functions stay as single-call wrappers.
+Figs. 11 and 12 run vectorised over the dataset's columnar
+:class:`~repro.core.accumulate.UserTimelines`, so ``Study.run`` never
+materialises python-object user timelines; Figs. 13 and 14 read the
+object index.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.core.accumulate import UserTimelines
 from repro.core.dataset import TraceDataset
 from repro.errors import EmptyDatasetError
 from repro.stats.ecdf import EmpiricalCDF
-from repro.trace.batch import RecordBatch
 from repro.types import ContentCategory
 from repro.workload.sessions import SESSION_TIMEOUT_SECONDS
 
@@ -60,74 +57,48 @@ class IatResult:
         return self.cdfs[site].median
 
 
-class InterarrivalPass:
-    """Fig. 11 as an index-level pass over the columnar user timelines.
-
-    All per-user gaps fall *within* a user's segment of the concatenated
-    sorted timestamps, so one ``np.diff`` plus a segment-boundary mask
-    yields every IAT at once; per-site grouping keys each site in the
-    order its first two-request user appears — the scalar engine's
-    insertion order.
-    """
-
-    name = "iat"
-    supports_storeless = True
-
-    def __init__(self, max_samples_per_site: int | None = None):
-        self.max_samples_per_site = max_samples_per_site
-        self._dataset: TraceDataset | None = None
-
-    def begin(self, dataset: TraceDataset) -> None:
-        self._dataset = dataset
-
-    def process(self, chunk: RecordBatch) -> None:
-        pass
-
-    def finish(self) -> IatResult:
-        assert self._dataset is not None
-        timelines = self._dataset.user_timelines()
-        ts = timelines.sorted_ts
-        n = ts.size
-        # Site key order: first user (in first-appearance order) with two
-        # or more requests, even if all their gaps are zero.
-        gaps_by_site: dict[str, list[float]] = {}
-        for index in np.flatnonzero(timelines.stops - timelines.starts >= 2).tolist():
-            gaps_by_site.setdefault(timelines.sites[index], [])
-        if n > 1:
-            gaps = np.diff(ts)
-            within = np.ones(n - 1, dtype=bool)
-            if len(timelines) > 1:
-                within[timelines.stops[:-1] - 1] = False  # user-boundary gaps
-            valid = np.flatnonzero(within & (gaps > 0))
-            if valid.size:
-                site_index = {site: code for code, site in enumerate(gaps_by_site)}
-                user_site_codes = np.array(
-                    [site_index.get(site, -1) for site in timelines.sites], dtype=np.int64
-                )
-                gap_sites = user_site_codes[np.searchsorted(timelines.stops, valid, side="right")]
-                gap_values = gaps[valid]
-                for site, code in site_index.items():
-                    gaps_by_site[site] = gap_values[gap_sites == code].tolist()
-        cdfs = {}
-        for site, site_gaps in gaps_by_site.items():
-            if self.max_samples_per_site is not None and len(site_gaps) > self.max_samples_per_site:
-                site_gaps = site_gaps[: self.max_samples_per_site]
-            if site_gaps:
-                cdfs[site] = EmpiricalCDF(site_gaps)
-        if not cdfs:
-            raise EmptyDatasetError("interarrival_times: no user has two or more requests")
-        return IatResult(cdfs=cdfs)
-
-
 def interarrival_times(dataset: TraceDataset, max_samples_per_site: int | None = None) -> IatResult:
     """Fig. 11: gaps between consecutive requests of the same user.
 
     All of a user's requests count (across sessions), exactly as a
-    network-side log sees them.
+    network-side log sees them.  Every per-user gap falls *within* the
+    user's segment of the concatenated sorted timestamps, so one
+    ``np.diff`` plus a segment-boundary mask yields every IAT at once;
+    sites are keyed in the order their first two-request user appears —
+    the scalar engine's insertion order.
     """
-    analysis = InterarrivalPass(max_samples_per_site=max_samples_per_site)
-    analysis.begin(dataset)
-    return analysis.finish()
+    timelines = dataset.user_timelines()
+    ts = timelines.sorted_ts
+    n = ts.size
+    # Site key order: first user (in first-appearance order) with two
+    # or more requests, even if all their gaps are zero.
+    gaps_by_site: dict[str, list[float]] = {}
+    for index in np.flatnonzero(timelines.stops - timelines.starts >= 2).tolist():
+        gaps_by_site.setdefault(timelines.sites[index], [])
+    if n > 1:
+        gaps = np.diff(ts)
+        within = np.ones(n - 1, dtype=bool)
+        if len(timelines) > 1:
+            within[timelines.stops[:-1] - 1] = False  # user-boundary gaps
+        valid = np.flatnonzero(within & (gaps > 0))
+        if valid.size:
+            site_index = {site: code for code, site in enumerate(gaps_by_site)}
+            user_site_codes = np.array(
+                [site_index.get(site, -1) for site in timelines.sites], dtype=np.int64
+            )
+            gap_sites = user_site_codes[np.searchsorted(timelines.stops, valid, side="right")]
+            gap_values = gaps[valid]
+            for site, code in site_index.items():
+                gaps_by_site[site] = gap_values[gap_sites == code].tolist()
+    cdfs = {}
+    for site, site_gaps in gaps_by_site.items():
+        if max_samples_per_site is not None and len(site_gaps) > max_samples_per_site:
+            site_gaps = site_gaps[:max_samples_per_site]
+        if site_gaps:
+            cdfs[site] = EmpiricalCDF(site_gaps)
+    if not cdfs:
+        raise EmptyDatasetError("interarrival_times: no user has two or more requests")
+    return IatResult(cdfs=cdfs)
 
 
 def sessionize(timestamps: list[float], timeout: float = SESSION_TIMEOUT_SECONDS) -> list[list[float]]:
@@ -162,59 +133,6 @@ class SessionResult:
         return self.cdfs[site].mean
 
 
-class SessionLengthPass:
-    """Fig. 12 as an index-level pass over the columnar user timelines.
-
-    Session boundaries are found in one vectorised sweep
-    (:func:`_session_boundaries`); each session's length is the
-    first-to-last timestamp difference floored at ``min_length_s``, and
-    per-site grouping preserves user first-appearance order — identical to
-    per-user :func:`sessionize` calls.
-    """
-
-    name = "sessions"
-    supports_storeless = True
-
-    def __init__(self, timeout: float = SESSION_TIMEOUT_SECONDS, min_length_s: float = 1.0):
-        self.timeout = timeout
-        self.min_length_s = min_length_s
-        self._dataset: TraceDataset | None = None
-
-    def begin(self, dataset: TraceDataset) -> None:
-        self._dataset = dataset
-
-    def process(self, chunk: RecordBatch) -> None:
-        pass
-
-    def finish(self) -> SessionResult:
-        assert self._dataset is not None
-        timelines = self._dataset.user_timelines()
-        ts = timelines.sorted_ts
-        if ts.size == 0:
-            raise EmptyDatasetError("session_lengths: trace has no user requests")
-        session_starts, session_stops = _session_boundaries(timelines, self.timeout)
-        lengths = np.maximum(ts[session_stops - 1] - ts[session_starts], self.min_length_s)
-        session_user = np.searchsorted(timelines.stops, session_starts, side="right")
-        # Every user emits at least one session and sessions come out in
-        # user order, so first-session site order equals the scalar
-        # engine's user first-appearance insertion order.
-        site_index: dict[str, int] = {}
-        for site in timelines.sites:
-            if site not in site_index:
-                site_index[site] = len(site_index)
-        user_site_codes = np.array([site_index[site] for site in timelines.sites], dtype=np.int64)
-        session_sites = user_site_codes[session_user]
-        cdfs: dict[str, EmpiricalCDF] = {}
-        counts: dict[str, int] = {}
-        for site, code in site_index.items():
-            mask = session_sites == code
-            site_lengths = lengths[mask].tolist()
-            if site_lengths:
-                cdfs[site] = EmpiricalCDF(site_lengths)
-                counts[site] = len(site_lengths)
-        return SessionResult(cdfs=cdfs, counts=counts)
-
-
 def session_lengths(
     dataset: TraceDataset,
     timeout: float = SESSION_TIMEOUT_SECONDS,
@@ -224,11 +142,36 @@ def session_lengths(
 
     The floor matches the paper's plot, whose axis starts at one second —
     single-request sessions have no measurable duration from network logs
-    but still count as (minimal) engagement.
+    but still count as (minimal) engagement.  Session boundaries are
+    found in one vectorised sweep (:func:`_session_boundaries`), and
+    per-site grouping preserves user first-appearance order — identical
+    to per-user :func:`sessionize` calls.
     """
-    analysis = SessionLengthPass(timeout=timeout, min_length_s=min_length_s)
-    analysis.begin(dataset)
-    return analysis.finish()
+    timelines = dataset.user_timelines()
+    ts = timelines.sorted_ts
+    if ts.size == 0:
+        raise EmptyDatasetError("session_lengths: trace has no user requests")
+    session_starts, session_stops = _session_boundaries(timelines, timeout)
+    lengths = np.maximum(ts[session_stops - 1] - ts[session_starts], min_length_s)
+    session_user = np.searchsorted(timelines.stops, session_starts, side="right")
+    # Every user emits at least one session and sessions come out in
+    # user order, so first-session site order equals the scalar
+    # engine's user first-appearance insertion order.
+    site_index: dict[str, int] = {}
+    for site in timelines.sites:
+        if site not in site_index:
+            site_index[site] = len(site_index)
+    user_site_codes = np.array([site_index[site] for site in timelines.sites], dtype=np.int64)
+    session_sites = user_site_codes[session_user]
+    cdfs: dict[str, EmpiricalCDF] = {}
+    counts: dict[str, int] = {}
+    for site, code in site_index.items():
+        mask = session_sites == code
+        site_lengths = lengths[mask].tolist()
+        if site_lengths:
+            cdfs[site] = EmpiricalCDF(site_lengths)
+            counts[site] = len(site_lengths)
+    return SessionResult(cdfs=cdfs, counts=counts)
 
 
 @dataclass
@@ -293,46 +236,3 @@ def addiction_cdf(dataset: TraceDataset, category: ContentCategory) -> Addiction
         if ratios:
             cdfs[site] = EmpiricalCDF(ratios)
     return AddictionResult(category=category, cdfs=cdfs)
-
-
-class RepeatedAccessPass:
-    """Fig. 13 as an index-level pass (one ``(site, category)`` scatter)."""
-
-    supports_storeless = True
-
-    def __init__(self, site: str, category: ContentCategory, name: str | None = None):
-        self.site = site
-        self.category = category
-        self.name = name or f"scatter:{site}"
-        self._dataset: TraceDataset | None = None
-
-    def begin(self, dataset: TraceDataset) -> None:
-        self._dataset = dataset
-
-    def process(self, chunk: RecordBatch) -> None:
-        pass
-
-    def finish(self) -> RepeatedAccessResult:
-        assert self._dataset is not None
-        return repeated_access_scatter(self._dataset, self.site, self.category)
-
-
-class AddictionPass:
-    """Fig. 14 as an index-level pass (one category's per-site CDFs)."""
-
-    supports_storeless = True
-
-    def __init__(self, category: ContentCategory, name: str | None = None):
-        self.category = category
-        self.name = name or f"{category.value}_addiction"
-        self._dataset: TraceDataset | None = None
-
-    def begin(self, dataset: TraceDataset) -> None:
-        self._dataset = dataset
-
-    def process(self, chunk: RecordBatch) -> None:
-        pass
-
-    def finish(self) -> AddictionResult:
-        assert self._dataset is not None
-        return addiction_cdf(self._dataset, self.category)

@@ -42,7 +42,6 @@ from repro.errors import PlanError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cdn.simulator import CdnSimulator, SimStats, SimulationConfig
     from repro.core.dataset import TraceDataset
-    from repro.core.passes import AnalysisPass
     from repro.core.report import Study, StudyReport
     from repro.trace.batch import RecordBatch
     from repro.workload.generator import SiteWorkload
@@ -64,7 +63,6 @@ class PlanResult:
     dataset: "TraceDataset | None" = None
     batches: "list[RecordBatch] | None" = None
     report: "StudyReport | None" = None
-    pass_results: dict[str, Any] | None = None
     rows_written: int | None = None
     trace_path: Path | None = None
 
@@ -219,13 +217,6 @@ class Plan:
         self.add(IngestStage(), requires=_BATCHES, produces=_BATCHES)
         self._has_ingest = True
         return self
-
-    def passes(self, passes: "list[AnalysisPass]", chunk_rows: int | None = None) -> "Plan":
-        """Derive: sweep analysis passes over the ingested dataset."""
-        from repro.core.passes import PassSweepStage
-
-        self._require_ingest("passes")
-        return self.add_derive(PassSweepStage(passes, chunk_rows=chunk_rows))
 
     def analyze(self, study: "Study | None" = None) -> "Plan":
         """Derive: run the figure battery (:class:`Study`) over the dataset."""

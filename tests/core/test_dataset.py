@@ -65,6 +65,9 @@ class TestIngestion:
     def test_duration(self):
         ds = TraceDataset.from_records([record(0.0), record(7200.0)])
         assert ds.duration_hours == 3
+        # Hours 0 and 1 only: no phantom third hour past the last record.
+        assert TraceDataset.from_records([record(0.0), record(7199.0)]).duration_hours == 2
+        assert TraceDataset.from_records([record(0.0), record(7199.5)]).duration_hours == 2
 
     def test_from_file(self, tmp_path):
         records = [record(float(i)) for i in range(5)]

@@ -60,7 +60,7 @@ class TestBuilderEstimate:
 
     def test_aggregate_estimate_includes_timestamp_packs(self):
         batch = self._batch()
-        aggregates = StreamingAggregates(scan_aggregates=True, n_categories=8)
+        aggregates = StreamingAggregates()
         before = aggregates.nbytes_estimate()
         aggregates.update(batch)
         after = aggregates.nbytes_estimate()

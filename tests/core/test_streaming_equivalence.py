@@ -16,20 +16,27 @@ and sizes larger than the trace), must yield an identical
 
 When an engine legitimately refuses (e.g. ``EmptyDatasetError`` on a
 trace with no content responses), all three must refuse identically.
-On failure, hypothesis shrinks to and prints the minimal failing trace
-via ``note``.
+The Fig. 3 / Fig. 16 tables each engine builds at ingest must be equal
+array for array too: the record engine counts them with plain dicts,
+the other two with the accumulators.  On failure, hypothesis shrinks to
+and prints the minimal failing trace via ``note``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from repro.core.aggregate import hourly_volume
+from repro.core.caching import response_code_analysis
 from repro.core.dataset import TraceDataset
 from repro.core.report import Study
 from repro.errors import AnalysisError, EmptyDatasetError
-from repro.trace.batch import iter_record_batches
+from repro.trace.batch import RecordBatch, iter_record_batches
 
 from tests.trace.test_io import record_strategy, sample_records
 
@@ -56,19 +63,29 @@ def _study_outcome(dataset):
     return ("report", report.render_text(), report.to_summary_dict())
 
 
+def _assert_same_scan_tables(left, right):
+    assert left.site_values == right.site_values
+    for table in dataclasses.fields(left):
+        if table.name != "site_values":
+            assert np.array_equal(getattr(left, table.name), getattr(right, table.name)), table.name
+
+
 class TestThreeEngineEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(records=record_lists, batch_size=batch_sizes)
     def test_reports_identical_across_engines(self, records, batch_size):
         note(f"batch_size={batch_size}")
         note(f"records={records!r}")
-        reference = _study_outcome(TraceDataset.from_records(records, engine="record"))
-        eager = _study_outcome(TraceDataset.from_batches(_chunk(records, batch_size)))
-        streaming = _study_outcome(
-            TraceDataset.from_batches(_chunk(records, batch_size), keep_store=False)
-        )
+        datasets = [
+            TraceDataset.from_records(records, engine="record"),
+            TraceDataset.from_batches(_chunk(records, batch_size)),
+            TraceDataset.from_batches(_chunk(records, batch_size), keep_store=False),
+        ]
+        reference, eager, streaming = map(_study_outcome, datasets)
         assert eager == reference
         assert streaming == reference
+        for dataset in datasets[1:]:
+            _assert_same_scan_tables(dataset.scan_aggregates, datasets[0].scan_aggregates)
 
     def test_batch_size_one(self):
         records = sample_records(7)
@@ -117,20 +134,39 @@ class TestStorelessDataset:
         assert len(stats.resident_series) == 3
         assert stats.peak_resident_bytes == max(stats.resident_series)
 
-    def test_pass_without_storeless_support_rejected(self, streaming):
-        from repro.core.passes import run_passes
 
-        class RowScanPass:
-            name = "row_scan"
+class TestFiguresReadNoRows:
+    def test_study_never_touches_the_row_store(self, monkeypatch):
+        """Every figure reads the ingest-built indices and tables, so a
+        dataset that keeps its rows gives the same report with all row
+        access disabled."""
 
-            def begin(self, dataset):
-                pass
+        def build():
+            return TraceDataset.from_batches(_chunk(sample_records(40), 7), keep_store=True)
 
-            def process(self, chunk):
-                pass
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a figure read the row store")
 
-            def finish(self):
-                return None
+        expected = Study(run_clustering=False).run(build()).to_summary_dict()
+        dataset = build()
+        monkeypatch.setattr(TraceDataset, "store", no_rows)
+        monkeypatch.setattr(TraceDataset, "records", property(no_rows))
+        monkeypatch.setattr(RecordBatch, "rows", no_rows)
+        assert Study(run_clustering=False).run(dataset).to_summary_dict() == expected
 
-        with pytest.raises(AnalysisError, match="row_scan"):
-            run_passes(streaming, [RowScanPass()])
+
+class TestEmptyDatasets:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            TraceDataset,
+            lambda: TraceDataset.from_records([], engine="record"),
+            lambda: TraceDataset.from_records([], engine="batch"),
+            lambda: TraceDataset.from_batches([], keep_store=False),
+        ],
+        ids=["hand-built", "record", "batch", "storeless"],
+    )
+    def test_table_figures_are_empty(self, build):
+        dataset = build()
+        assert hourly_volume(dataset).series == {}
+        assert response_code_analysis(dataset).counts == {}

@@ -72,10 +72,6 @@ class TestComposition:
         with pytest.raises(PlanError, match="ingest"):
             Plan(tiny_config()).generate().simulate().analyze()
 
-    def test_passes_without_ingest_rejected(self):
-        with pytest.raises(PlanError, match="ingest"):
-            Plan(tiny_config()).generate().simulate().passes([])
-
     def test_empty_plan_rejected(self):
         with pytest.raises(PlanError, match="empty plan"):
             Plan(tiny_config()).run()
