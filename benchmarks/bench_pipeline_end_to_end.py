@@ -15,17 +15,16 @@ import time
 from conftest import BENCH_SEED, print_header, record_extra
 
 from repro.dataflow import Plan, RunConfig
-from repro.workload.scale import ScaleConfig
 
 
 def test_pipeline_end_to_end(benchmark):
-    scale = ScaleConfig.from_env(default="small")
-    # A sub-trace batch size so the streaming window is visible even at
+    # Only the scale comes from the environment (REPRO_SCALE).  A
+    # sub-trace batch size makes the streaming window visible even at
     # tiny scale (batch boundaries provably do not change the output).
     config = RunConfig.resolve(
         env={},
         seed=BENCH_SEED,
-        scale=scale,
+        scale=RunConfig.resolve().scale,
         keep_store=False,
         run_clustering=False,
         batch_size=8192,

@@ -27,10 +27,10 @@ import time
 from conftest import BENCH_SEED, print_header, record_extra
 
 from repro.cdn.simulator import CdnSimulator, SimulationConfig
+from repro.dataflow import RunConfig
 from repro.spill import MemoryBudget, SpillPool
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import ALL_PROFILES
-from repro.workload.scale import ScaleConfig
 
 PARALLEL_WORKERS = 4
 SPILL_BUDGET = 1  # pathological: every buffered merge block hits disk
@@ -60,7 +60,7 @@ def _usable_cpus() -> int:
 
 def test_simulate_throughput(benchmark):
     profiles = ALL_PROFILES()
-    scale = ScaleConfig.from_env(default="small")
+    scale = RunConfig.resolve().scale_config()
     generator = WorkloadGenerator(profiles=profiles, scale=scale, seed=BENCH_SEED)
     workloads = generator.generate_all()
     catalogs = [w.catalog for w in workloads.values()]
@@ -198,7 +198,7 @@ def test_simulate_overlap(benchmark):
     runs concurrently with simulation.
     """
     profiles = ALL_PROFILES()
-    scale = ScaleConfig.from_env(default="small")
+    scale = RunConfig.resolve().scale_config()
     generator = WorkloadGenerator(profiles=profiles, scale=scale, seed=BENCH_SEED)
     workloads = generator.generate_all()
     catalogs = [w.catalog for w in workloads.values()]

@@ -1,15 +1,17 @@
 """Shared fixtures for the figure-reproduction benchmarks.
 
-One pipeline run (generate + simulate) is shared by every benchmark; each
-``bench_figNN`` file then times its *analysis* step and prints the
-rows/series the corresponding paper figure reports.  Scale is selected via
-the ``REPRO_SCALE`` environment variable (tiny | small | medium; default
-small — big enough for stable distribution shapes, small enough to run on
-a laptop in well under a minute).
+One plan run (generate → simulate → ingest) is shared by every benchmark;
+each ``bench_figNN`` file then times its *analysis* step and prints the
+rows/series the corresponding paper figure reports.  The run's
+:class:`~repro.dataflow.config.RunConfig` fixes the seed and reads every
+other knob from its ``REPRO_*`` environment variable; the scale comes
+from ``REPRO_SCALE`` (tiny | small | medium; default small — big enough
+for stable distribution shapes, small enough to run on a laptop in well
+under a minute).
 
 Every benchmark run additionally appends one machine-readable record per
 executed ``bench_*`` test to ``BENCH_results.json`` at the repo root
-(figure id, outcome, wall time, ``REPRO_SCALE``, plus whatever extra
+(figure id, outcome, wall time, scale, plus whatever extra
 payload the benchmark registered via :func:`record_extra` — e.g. the
 ``DtwStats`` of the clustering figures), seeding the performance
 trajectory across PRs.
@@ -18,14 +20,12 @@ trajectory across PRs.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.pipeline import PipelineResult, run_pipeline
-from repro.workload.scale import ScaleConfig
+from repro.dataflow import Plan, PlanResult, RunConfig
 
 BENCH_SEED = 2016  # the paper's year
 
@@ -63,7 +63,7 @@ def pytest_runtest_makereport(item: pytest.Item, call: pytest.CallInfo):
         "test": item.name,
         "outcome": report.outcome,
         "wall_seconds": round(call.duration, 6),
-        "scale": os.environ.get("REPRO_SCALE", "small"),
+        "scale": RunConfig.resolve().scale,
         "seed": BENCH_SEED,
         "timestamp": round(time.time(), 3),
     }
@@ -93,17 +93,17 @@ def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
 
 
 @pytest.fixture(scope="session")
-def pipeline_result() -> PipelineResult:
-    return run_pipeline(seed=BENCH_SEED, scale=ScaleConfig.from_env(default="small"))
+def pipeline_result() -> PlanResult:
+    return Plan(RunConfig.resolve(seed=BENCH_SEED)).generate().simulate().ingest().run()
 
 
 @pytest.fixture(scope="session")
-def dataset(pipeline_result: PipelineResult):
+def dataset(pipeline_result: PlanResult):
     return pipeline_result.dataset
 
 
 @pytest.fixture(scope="session")
-def catalogs(pipeline_result: PipelineResult):
+def catalogs(pipeline_result: PlanResult):
     return pipeline_result.catalogs
 
 

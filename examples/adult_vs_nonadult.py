@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 
 from repro.core.comparison import compare_to_baseline, render_comparison
-from repro.pipeline import run_pipeline
+from repro.dataflow import Plan, RunConfig
 from repro.workload.profiles import profile_nonadult
-from repro.workload.scale import ScaleConfig
 
 
 def main() -> None:
@@ -27,11 +26,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=5)
     args = parser.parse_args()
 
-    scale = ScaleConfig.tiny()
+    config = RunConfig.resolve(seed=args.seed, scale="tiny")
     print("Generating the adult five-site trace ...")
-    adult = run_pipeline(seed=args.seed, scale=scale)
+    adult = Plan(config).generate().simulate().ingest().run()
     print("Generating the non-adult control trace ...")
-    baseline = run_pipeline(seed=args.seed + 1, scale=scale, profiles=(profile_nonadult(),))
+    control = Plan(config.replacing(seed=args.seed + 1)).generate((profile_nonadult(),))
+    baseline = control.simulate().ingest().run()
 
     comparison = compare_to_baseline(adult.dataset, baseline.dataset)
     print()

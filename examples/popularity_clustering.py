@@ -19,9 +19,8 @@ import argparse
 import numpy as np
 
 from repro.core.clustering import cluster_popularity_trends
-from repro.pipeline import run_pipeline
+from repro.dataflow import Plan, RunConfig
 from repro.types import ContentCategory
-from repro.workload.scale import ScaleConfig
 
 _SPARK_LEVELS = " .:-=+*#%@"
 
@@ -45,7 +44,8 @@ def main() -> None:
     args = parser.parse_args()
 
     print("Generating workload and trace ...")
-    result = run_pipeline(seed=args.seed, scale=ScaleConfig.tiny())
+    config = RunConfig.resolve(seed=args.seed, scale="tiny")
+    result = Plan(config).generate().simulate().ingest().run()
 
     for site, category in (("V-2", ContentCategory.VIDEO), ("P-2", ContentCategory.IMAGE)):
         print(f"\n=== {site} {category.value} objects (cf. paper Fig. 8-10) ===")

@@ -15,30 +15,33 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro import ScaleConfig, Study, run_study
+from repro import Plan, RunConfig, Study
+from repro.workload.scale import SCALE_NAMES
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("tiny", "small", "medium"), default="tiny")
+    parser.add_argument("--scale", choices=SCALE_NAMES, default="tiny")
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    scale = {"tiny": ScaleConfig.tiny, "small": ScaleConfig.small, "medium": ScaleConfig.medium}[args.scale]()
+    config = RunConfig.resolve(seed=args.seed, scale=args.scale)
 
     print(f"Generating one synthetic week at scale={args.scale!r}, seed={args.seed} ...")
     started = time.perf_counter()
-    result, report = run_study(seed=args.seed, scale=scale, study=Study(max_cluster_objects=50))
+    plan = Plan(config).generate().simulate().ingest().analyze(Study(max_cluster_objects=50))
+    result = plan.run()
     elapsed = time.perf_counter() - started
 
-    total_requests = len(result.records)
-    total_bytes = sum(r.bytes_served for r in result.records)
+    records = result.dataset.records
+    total_requests = len(records)
+    total_bytes = sum(r.bytes_served for r in records)
     total_users = len(result.dataset.users_of())
     print(
         f"Simulated {total_requests:,} logged requests from {total_users:,} users "
         f"({total_bytes / 1e9:.1f} GB served) in {elapsed:.1f}s\n"
     )
-    print(report.render_text())
+    print(result.report.render_text())
 
     print("\n-- per-site cache performance (simulator-side) --")
     for site, metrics in sorted(result.simulator.metrics.sites.items()):

@@ -32,8 +32,7 @@ from repro.core.forecasting import (
     evaluate_forecaster,
     provisioning_level,
 )
-from repro.pipeline import run_pipeline
-from repro.workload.scale import ScaleConfig
+from repro.dataflow import Plan, RunConfig
 
 
 def main() -> None:
@@ -42,7 +41,8 @@ def main() -> None:
     args = parser.parse_args()
 
     print("Generating workload and trace ...")
-    result = run_pipeline(seed=args.seed, scale=ScaleConfig.tiny())
+    config = RunConfig.resolve(seed=args.seed, scale="tiny")
+    result = Plan(config).generate().simulate().ingest().run()
     volumes = hourly_volume(result.dataset, local_time=True)
     train_hours = 5 * 24
 

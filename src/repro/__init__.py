@@ -15,20 +15,23 @@ rebuilds the entire stack from scratch:
   binary I/O and anonymisation;
 * :mod:`repro.core` — the paper's analysis pipeline, figure by figure,
   including from-scratch DTW and agglomerative hierarchical clustering;
-* :mod:`repro.stats` — the supporting statistics toolkit.
+* :mod:`repro.stats` — the supporting statistics toolkit;
+* :mod:`repro.dataflow` — one :class:`Plan` that composes the stages above
+  and runs them as a single streaming pass under one :class:`RunConfig`.
 
 Quickstart::
 
-    from repro import run_study, ScaleConfig
+    from repro import Plan, RunConfig
 
-    result, report = run_study(seed=42, scale=ScaleConfig.tiny())
-    print(report.render_text())
+    config = RunConfig.resolve(seed=42, scale="tiny")
+    result = Plan(config).generate().simulate().ingest().analyze().run()
+    print(result.report.render_text())
 """
 
 from repro.cdn import CdnSimulator, SimulationConfig
 from repro.core import Study, StudyReport, TraceDataset
+from repro.dataflow import Plan, PlanResult, RunConfig
 from repro.errors import ReproError
-from repro.pipeline import PipelineResult, generate_trace_file, run_pipeline, run_study
 from repro.trace import LogRecord, TraceReader, TraceWriter
 from repro.types import CacheStatus, ContentCategory, DeviceType, TrendClass
 from repro.workload import ALL_PROFILES, PROFILES_BY_NAME, ScaleConfig, SiteProfile, WorkloadGenerator
@@ -43,8 +46,10 @@ __all__ = [
     "DeviceType",
     "LogRecord",
     "PROFILES_BY_NAME",
-    "PipelineResult",
+    "Plan",
+    "PlanResult",
     "ReproError",
+    "RunConfig",
     "ScaleConfig",
     "SimulationConfig",
     "SiteProfile",
@@ -56,7 +61,4 @@ __all__ = [
     "TrendClass",
     "WorkloadGenerator",
     "__version__",
-    "generate_trace_file",
-    "run_pipeline",
-    "run_study",
 ]

@@ -25,10 +25,7 @@ from repro.cdn.simulator import SimulationConfig
 from repro.cdn.policies import policy_names
 from repro.core.dataset import TraceDataset
 from repro.dataflow import Plan, RunConfig
-from repro.pipeline import generate_trace_plan, run_pipeline
-from repro.workload.scale import ScaleConfig
-
-_SCALES = {"tiny": ScaleConfig.tiny, "small": ScaleConfig.small, "medium": ScaleConfig.medium}
+from repro.workload.scale import SCALE_NAMES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -37,7 +34,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
+        choices=SCALE_NAMES,
         default=None,
         help=(
             "workload scale relative to the paper's 323 TB week "
@@ -374,15 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "generate":
         config = _config_from_args(args)
-        result = generate_trace_plan(
-            args.out,
-            seed=config.seed,
-            scale=config.scale,
-            sim_workers=config.sim_workers,
-            sim_queue_depth=config.sim_queue_depth,
-            memory_budget=config.memory_budget,
-            spill_dir=config.spill_dir,
-        )
+        result = Plan(config).generate().simulate().write_trace(args.out).run()
         print(f"wrote {result.rows_written} records to {args.out}")
         print(result.render_stats())
         return 0
@@ -426,9 +415,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.workload.profiles import profile_nonadult
 
         config = _config_from_args(args)
-        adult = run_pipeline(seed=config.seed, scale=config.scale)
-        baseline = run_pipeline(
-            seed=config.seed + 1, scale=config.scale, profiles=(profile_nonadult(),)
+        adult = Plan(config).generate().simulate().ingest().run()
+        baseline = (
+            Plan(config.replacing(seed=config.seed + 1))
+            .generate((profile_nonadult(),))
+            .simulate()
+            .ingest()
+            .run()
         )
         comparison = compare_to_baseline(adult.dataset, baseline.dataset)
         print(render_comparison(comparison))

@@ -310,12 +310,10 @@ class ObjectAccumulator:
             pair_keys, pair_counts = self._pairs.finalize()
             pair_objs = pair_keys >> 32
             seg_starts, seg_stops = segment_bounds(pair_objs)
-            user_values = None  # filled by StreamingAggregates (needs the user table)
             deferred["pair_user_codes"] = (pair_keys & 0xFFFFFFFF).tolist()
             deferred["pair_counts"] = pair_counts.tolist()
             deferred["pair_seg_codes"] = pair_objs[seg_starts].tolist()
             deferred["pair_seg_lengths"] = (seg_stops - seg_starts).tolist()
-            del user_values
             hour_keys, hour_counts = self._hours.finalize()
             hour_objs = hour_keys >> 32
             seg_starts, seg_stops = segment_bounds(hour_objs)

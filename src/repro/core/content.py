@@ -16,7 +16,7 @@ from repro.core.dataset import TraceDataset
 from repro.errors import EmptyDatasetError
 from repro.stats.ecdf import EmpiricalCDF
 from repro.stats.zipf import fit_zipf_mle
-from repro.types import ContentCategory, DAY_SECONDS
+from repro.types import ContentCategory
 
 
 @dataclass

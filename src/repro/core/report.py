@@ -435,10 +435,7 @@ class StudyStage:
                 run_clustering=config.run_clustering,
                 dtw_kernel=config.dtw_kernel,
             )
-        catalogs = None
-        if result.workloads:
-            catalogs = {name: w.catalog for name, w in result.workloads.items()}
-        result.report = study.run(result.dataset, catalogs=catalogs)
+        result.report = study.run(result.dataset, catalogs=result.catalogs)
 
     def finish(self, stats, result) -> None:
         if result.dataset is not None:

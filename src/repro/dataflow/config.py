@@ -10,8 +10,8 @@ specified" at every layer, so callers can thread optional arguments
 straight through.  The executor hands the resolved config to every stage,
 and it is the only parser of the knobs it owns: the simulator and dataset
 entry points read no environment of their own (``None`` there means the
-built-in default).  Only the DTW kernel selection (``REPRO_DTW_KERNEL``)
-and ``ScaleConfig.from_env`` (``REPRO_SCALE``) still keep env fallbacks
+built-in default).  Only the DTW kernel selection (``REPRO_DTW_KERNEL``,
+read by :mod:`repro.core.dtw_backends`) still keeps an env fallback
 outside the plan path.
 
 The knob table (:data:`KNOBS`) is the single source of truth: the
@@ -27,14 +27,13 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigError
 from repro.trace.batch import DEFAULT_BATCH_SIZE
-from repro.workload.scale import ScaleConfig
+from repro.workload.scale import SCALE_NAMES, ScaleConfig
 
 #: Default per-shard dispatch window; mirrored from
 #: :data:`repro.cdn.simulator.DEFAULT_QUEUE_DEPTH` without importing the
 #: simulator (keeping this module import-light for the config tests).
 _DEFAULT_QUEUE_DEPTH = 8192
 
-_SCALE_NAMES = ("tiny", "small", "medium")
 _DTW_KERNELS = ("auto", "c", "numpy")
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
@@ -68,8 +67,16 @@ class Knob:
     help: str
 
 
-def _str_parse(raw: str, env: str) -> str:
-    return raw.strip().lower()
+def _choice(choices: tuple[str, ...]) -> Callable[[str, str], str]:
+    """A parser accepting one of ``choices`` (case-insensitive)."""
+
+    def parse(raw: str, env: str) -> str:
+        value = raw.strip().lower()
+        if value not in choices:
+            raise ConfigError(f"{env} must be one of {choices}, got {raw!r}")
+        return value
+
+    return parse
 
 
 def _path_parse(raw: str, env: str) -> str:
@@ -82,7 +89,13 @@ def _path_parse(raw: str, env: str) -> str:
 #: tests (one case per row) and the README configuration table.
 KNOBS: tuple[Knob, ...] = (
     Knob("seed", "REPRO_SEED", 0, _parse_int, "master seed; every draw in the run derives from it"),
-    Knob("scale", "REPRO_SCALE", "small", _str_parse, "workload scale preset (tiny | small | medium)"),
+    Knob(
+        "scale",
+        "REPRO_SCALE",
+        "small",
+        _choice(SCALE_NAMES),
+        "workload scale preset (tiny | small | medium)",
+    ),
     Knob(
         "batch_size",
         "REPRO_BATCH_SIZE",
@@ -115,7 +128,7 @@ KNOBS: tuple[Knob, ...] = (
         "dtw_kernel",
         "REPRO_DTW_KERNEL",
         "auto",
-        _str_parse,
+        _choice(_DTW_KERNELS),
         "DTW kernel tier for trend clustering (auto | c | numpy; auto = c when it builds)",
     ),
     Knob(
@@ -170,9 +183,9 @@ class RunConfig:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.scale, ScaleConfig):
-            if self.scale not in _SCALE_NAMES:
+            if self.scale not in SCALE_NAMES:
                 raise ConfigError(
-                    f"scale must be one of {_SCALE_NAMES} or a ScaleConfig, got {self.scale!r}"
+                    f"scale must be one of {SCALE_NAMES} or a ScaleConfig, got {self.scale!r}"
                 )
         if self.dtw_kernel not in _DTW_KERNELS:
             raise ConfigError(f"dtw_kernel must be one of {_DTW_KERNELS}, got {self.dtw_kernel!r}")
@@ -247,8 +260,7 @@ class RunConfig:
         """The resolved :class:`~repro.workload.scale.ScaleConfig`."""
         if isinstance(self.scale, ScaleConfig):
             return self.scale
-        factories = {"tiny": ScaleConfig.tiny, "small": ScaleConfig.small, "medium": ScaleConfig.medium}
-        return factories[self.scale]()
+        return getattr(ScaleConfig, self.scale)()
 
     def describe(self) -> list[tuple[str, str, str, str]]:
         """Doc rows ``(knob, env var, current value, help)`` in table order."""

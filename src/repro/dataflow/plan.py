@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dataset import TraceDataset
     from repro.core.report import Study, StudyReport
     from repro.trace.batch import RecordBatch
+    from repro.workload.catalog import ContentCatalog
     from repro.workload.generator import SiteWorkload
 
 
@@ -52,7 +53,8 @@ class PlanResult:
     """Everything a plan run produced, stage telemetry included.
 
     Streaming stages contribute their artefacts through their ``finish``
-    hooks; fields a plan did not include stay ``None``.
+    hooks; fields a plan did not include stay ``None``.  ``batches`` is
+    set only when the ingest kept its row store (``keep_store=True``).
     """
 
     config: RunConfig
@@ -69,6 +71,13 @@ class PlanResult:
     def render_stats(self) -> str:
         """The per-stage telemetry table as printable text."""
         return render_stage_stats(self.stage_stats)
+
+    @property
+    def catalogs(self) -> "dict[str, ContentCatalog] | None":
+        """Each generated site's catalog; ``None`` without a generate stage."""
+        if not self.workloads:
+            return None
+        return {name: workload.catalog for name, workload in self.workloads.items()}
 
     @property
     def total_rows(self) -> int:
@@ -181,9 +190,11 @@ class Plan:
     def simulate(self, sim_config: "SimulationConfig | None" = None) -> "Plan":
         """Transform requests into simulated trace batches (sharded CDN).
 
-        Without an explicit ``sim_config``, the caches are sized from the
-        catalogs of the upstream generate stage, matching the legacy
-        pipeline defaults.
+        Without an explicit ``sim_config``, each data center's edge cache
+        is sized from the upstream generate stage's catalogs
+        (:func:`~repro.cdn.simulator.sized_simulation_config`) and
+        pre-warmed with popular pre-existing objects: a real CDN is never
+        cold when a measurement week starts.
         """
         from repro.cdn.simulator import SimulateStage
 

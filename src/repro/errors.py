@@ -107,8 +107,7 @@ class StorelessDatasetError(AnalysisError):
     """Row-level access was requested from a ``keep_store=False`` build.
 
     Raised by :class:`~repro.core.dataset.TraceDataset` (``records``,
-    ``store()``, ``site_records``) and :class:`repro.pipeline.PipelineResult`
-    (``records``, ``batches``) when the rows were deliberately dropped at
-    ingest.  Rebuild with ``keep_store=True`` for row-level access; every
-    aggregate-backed analysis works either way.
+    ``store()``, ``site_records``) when the rows were deliberately dropped
+    at ingest.  Rebuild with ``keep_store=True`` for row-level access;
+    every aggregate-backed analysis works either way.
     """

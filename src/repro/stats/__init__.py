@@ -2,26 +2,19 @@
 
 This subpackage contains the generic statistical machinery the measurement
 pipeline is built on: empirical CDFs (every "CDF of ..." figure in the
-paper), log-spaced histograms, Zipf popularity sampling and fitting, hourly
-time series, streaming moments, top-k tracking, and rank correlation.
+paper), seeded and counter-keyed random streams, Zipf popularity sampling
+and fitting, hourly time series, and rank correlation.
 """
 
 from repro.stats.correlation import pearson, spearman
 from repro.stats.ecdf import EmpiricalCDF
-from repro.stats.histogram import LinearHistogram, LogHistogram
-from repro.stats.sampling import ReservoirSampler, make_rng
-from repro.stats.streaming import SpaceSavingTopK, StreamingMoments
+from repro.stats.sampling import make_rng
 from repro.stats.timeseries import HourlyTimeSeries
 from repro.stats.zipf import ZipfDistribution, fit_zipf_mle
 
 __all__ = [
     "EmpiricalCDF",
     "HourlyTimeSeries",
-    "LinearHistogram",
-    "LogHistogram",
-    "ReservoirSampler",
-    "SpaceSavingTopK",
-    "StreamingMoments",
     "ZipfDistribution",
     "fit_zipf_mle",
     "make_rng",

@@ -7,12 +7,8 @@ single integer seed makes a whole synthetic-trace run reproducible.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterable, Sequence
-from typing import Generic, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 def make_rng(seed: int | np.random.Generator | None = None) -> np.random.Generator:
@@ -111,62 +107,3 @@ def spawn_rng(rng: np.random.Generator, label: str) -> np.random.Generator:
     seed_material = rng.integers(0, 2**63 - 1, dtype=np.int64)
     label_hash = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([int(seed_material), label_hash]))
-
-
-def weighted_choice(rng: np.random.Generator, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item with probability proportional to its weight."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    probabilities = np.asarray(weights, dtype=float)
-    total = probabilities.sum()
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    index = rng.choice(len(items), p=probabilities / total)
-    return items[int(index)]
-
-
-class ReservoirSampler(Generic[T]):
-    """Uniform reservoir sampling (Algorithm R) over a stream.
-
-    Keeps a uniformly random subset of up to ``capacity`` items from an
-    arbitrarily long stream using O(capacity) memory.  The analysis pipeline
-    uses it to bound the memory of per-request samples (e.g. inter-arrival
-    times) on large traces.
-    """
-
-    def __init__(self, capacity: int, rng: np.random.Generator | int | None = None):
-        if capacity <= 0:
-            raise ValueError(f"reservoir capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._rng = make_rng(rng)
-        self._items: list[T] = []
-        self._seen = 0
-
-    def add(self, item: T) -> None:
-        """Offer one stream element to the reservoir."""
-        self._seen += 1
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            return
-        j = int(self._rng.integers(0, self._seen))
-        if j < self.capacity:
-            self._items[j] = item
-
-    def extend(self, items: Iterable[T]) -> None:
-        for item in items:
-            self.add(item)
-
-    @property
-    def seen(self) -> int:
-        """Total number of elements offered so far."""
-        return self._seen
-
-    @property
-    def items(self) -> list[T]:
-        """The current sample (a copy; order is not meaningful)."""
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)

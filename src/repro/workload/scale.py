@@ -9,11 +9,14 @@ ratios, and the week-long duration.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.types import WEEK_SECONDS
+
+#: The preset names, smallest first; each is a :class:`ScaleConfig`
+#: classmethod of the same name (``getattr(ScaleConfig, name)()``).
+SCALE_NAMES = ("tiny", "small", "medium")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,15 +84,3 @@ class ScaleConfig:
     def medium(cls) -> "ScaleConfig":
         """Benchmark scale — big enough for stable distribution shapes."""
         return cls(object_scale=0.1, request_scale=0.06, user_scale=0.06)
-
-    @classmethod
-    def from_env(cls, default: str = "small") -> "ScaleConfig":
-        """Pick a scale by the ``REPRO_SCALE`` environment variable.
-
-        Recognised values: ``tiny``, ``small``, ``medium``.
-        """
-        name = os.environ.get("REPRO_SCALE", default).strip().lower()
-        factories = {"tiny": cls.tiny, "small": cls.small, "medium": cls.medium}
-        if name not in factories:
-            raise ConfigError(f"REPRO_SCALE must be one of {sorted(factories)}, got {name!r}")
-        return factories[name]()

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pipeline import PipelineResult, run_pipeline
-from repro.workload.scale import ScaleConfig
+from repro.dataflow import Plan, PlanResult, RunConfig
 
 #: Seed used by the shared fixtures; individual tests that need their own
 #: randomness should derive from it rather than hard-coding new seeds.
@@ -17,21 +16,26 @@ PIPELINE_SEED = 7
 
 
 @pytest.fixture(scope="session")
-def pipeline_result() -> PipelineResult:
-    """A complete generate→simulate run at tiny scale."""
-    return run_pipeline(seed=PIPELINE_SEED, scale=ScaleConfig.tiny())
+def pipeline_result() -> PlanResult:
+    """A complete generate→simulate→ingest run at tiny scale.
+
+    Knobs other than the seed and the scale come from the ``REPRO_*``
+    environment, as :meth:`RunConfig.resolve` reads it.
+    """
+    config = RunConfig.resolve(seed=PIPELINE_SEED, scale="tiny")
+    return Plan(config).generate().simulate().ingest().run()
 
 
 @pytest.fixture(scope="session")
-def dataset(pipeline_result: PipelineResult):
+def dataset(pipeline_result: PlanResult):
     return pipeline_result.dataset
 
 
 @pytest.fixture(scope="session")
-def catalogs(pipeline_result: PipelineResult):
+def catalogs(pipeline_result: PlanResult):
     return pipeline_result.catalogs
 
 
 @pytest.fixture(scope="session")
-def records(pipeline_result: PipelineResult):
-    return pipeline_result.records
+def records(pipeline_result: PlanResult):
+    return pipeline_result.dataset.records

@@ -85,7 +85,7 @@ class TestEngineEquivalence:
 class TestPipelineEquivalence:
     @pytest.fixture(scope="class")
     def record_built(self, pipeline_result):
-        return TraceDataset.from_records(pipeline_result.records, engine="record")
+        return TraceDataset.from_records(pipeline_result.dataset.records, engine="record")
 
     @pytest.fixture(scope="class")
     def batch_built(self, pipeline_result):

@@ -7,15 +7,14 @@ import pytest
 from repro.core.comparison import compare_to_baseline, render_comparison
 from repro.errors import EmptyDatasetError
 from repro.core.dataset import TraceDataset
-from repro.pipeline import run_pipeline
+from repro.dataflow import Plan, RunConfig
 from repro.workload.profiles import profile_nonadult
-from repro.workload.scale import ScaleConfig
 
 
 @pytest.fixture(scope="module")
 def baseline_dataset():
-    result = run_pipeline(seed=31, scale=ScaleConfig.tiny(), profiles=(profile_nonadult(),))
-    return result.dataset
+    plan = Plan(RunConfig.resolve(seed=31, scale="tiny")).generate((profile_nonadult(),))
+    return plan.simulate().ingest().run().dataset
 
 
 @pytest.fixture(scope="module")

@@ -27,8 +27,7 @@ import pytest
 
 from repro.core.dataset import TraceDataset
 from repro.core.report import Study
-from repro.pipeline import run_pipeline
-from repro.workload.scale import ScaleConfig
+from repro.dataflow import Plan, RunConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRACE_PATH = FIXTURES / "golden_trace.csv"
@@ -82,8 +81,9 @@ def _delta(golden: dict, regenerated: dict, limit: int = 25) -> list[str]:
 def _regenerate_fixtures() -> None:
     from repro.trace.writer import write_trace
 
-    result = run_pipeline(seed=GOLDEN_SEED, scale=ScaleConfig.tiny())
-    write_trace(result.records[:GOLDEN_RECORDS], TRACE_PATH)
+    config = RunConfig.resolve(seed=GOLDEN_SEED, scale="tiny")
+    result = Plan(config).generate().simulate().ingest().run()
+    write_trace(result.dataset.records[:GOLDEN_RECORDS], TRACE_PATH)
     REPORT_PATH.write_text(json.dumps(_build_summary(), indent=2, sort_keys=True) + "\n")
 
 

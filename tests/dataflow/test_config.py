@@ -119,7 +119,13 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         ("env", "raw"),
-        [("REPRO_SEED", "three"), ("REPRO_KEEP_STORE", "maybe"), ("REPRO_SIM_WORKERS", "2.5")],
+        [
+            ("REPRO_SEED", "three"),
+            ("REPRO_KEEP_STORE", "maybe"),
+            ("REPRO_SIM_WORKERS", "2.5"),
+            ("REPRO_SCALE", "galactic"),
+            ("REPRO_DTW_KERNEL", "fortran"),
+        ],
     )
     def test_unparseable_env_value_rejected(self, env, raw):
         with pytest.raises(ConfigError, match=env):

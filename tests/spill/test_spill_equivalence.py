@@ -15,8 +15,7 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from repro.core.dataset import TraceDataset
-from repro.pipeline import generate_trace_plan, run_study
-from repro.workload.scale import ScaleConfig
+from repro.dataflow import Plan, RunConfig
 
 from tests.core.test_streaming_equivalence import _chunk, _study_outcome
 from tests.trace.test_io import record_strategy
@@ -98,14 +97,13 @@ class TestIngestEquivalence:
 @pytest.fixture(scope="module")
 def baseline_study():
     """The unlimited-budget study every budgeted run must reproduce."""
-    result, report = run_study(
-        seed=29, scale=ScaleConfig.tiny(), keep_store=False, sim_workers=2
-    )
+    config = RunConfig.resolve(seed=29, scale="tiny", keep_store=False, sim_workers=2)
+    report = Plan(config).generate().simulate().ingest().analyze().run().report
     return report.render_text(), report.to_summary_dict()
 
 
 class TestFullStudyEquivalence:
-    """End-to-end run_study: budgeted runs reproduce the unlimited report."""
+    """The whole study: budgeted runs reproduce the unlimited report."""
 
     @pytest.mark.parametrize(
         ("budget", "keep_store", "workers", "queue_depth"),
@@ -119,15 +117,17 @@ class TestFullStudyEquivalence:
     def test_budget_grid_reproduces_report(
         self, baseline_study, budget, keep_store, workers, queue_depth, tmp_path
     ):
-        result, report = run_study(
+        config = RunConfig.resolve(
             seed=29,
-            scale=ScaleConfig.tiny(),
+            scale="tiny",
             keep_store=keep_store,
             sim_workers=workers,
             sim_queue_depth=queue_depth,
             memory_budget=budget,
             spill_dir=str(tmp_path / "spill"),
         )
+        result = Plan(config).generate().simulate().ingest().analyze().run()
+        report = result.report
         assert (report.render_text(), report.to_summary_dict()) == baseline_study
         by_name = {stats.name: stats for stats in result.stage_stats}
         if budget == 1:
@@ -148,17 +148,10 @@ class TestTraceByteIdentity:
     def test_spilled_trace_file_is_byte_identical(self, tmp_path):
         base_path = tmp_path / "base.bin"
         spill_path = tmp_path / "spilled.bin"
-        base = generate_trace_plan(
-            base_path, seed=31, scale=ScaleConfig.tiny(), sim_workers=2
-        )
-        spilled = generate_trace_plan(
-            spill_path,
-            seed=31,
-            scale=ScaleConfig.tiny(),
-            sim_workers=2,
-            memory_budget=1,
-            spill_dir=str(tmp_path / "spill"),
-        )
+        config = RunConfig.resolve(seed=31, scale="tiny", sim_workers=2)
+        base = Plan(config).generate().simulate().write_trace(base_path).run()
+        budgeted = config.replacing(memory_budget=1, spill_dir=str(tmp_path / "spill"))
+        spilled = Plan(budgeted).generate().simulate().write_trace(spill_path).run()
         assert base.rows_written == spilled.rows_written
         assert base_path.read_bytes() == spill_path.read_bytes()
         assert sum(stats.bytes_spilled for stats in spilled.stage_stats) > 0

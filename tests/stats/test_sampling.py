@@ -1,22 +1,14 @@
-"""Tests for RNG helpers, weighted choice and reservoir sampling."""
+"""Tests for the RNG helpers: seeded, spawned and counter-keyed streams."""
 
 from __future__ import annotations
 
 import pickle
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.sampling import (
-    CounterStreams,
-    ReservoirSampler,
-    counter_rng,
-    make_rng,
-    spawn_rng,
-    weighted_choice,
-)
+from repro.stats.sampling import CounterStreams, counter_rng, make_rng, spawn_rng
 
 
 class TestMakeRng:
@@ -117,63 +109,3 @@ class TestSpawnRng:
         parent2 = make_rng(1)
         child_b = spawn_rng(parent2, "b")
         assert child_a.random() != child_b.random()
-
-
-class TestWeightedChoice:
-    def test_degenerate_weight_always_picked(self):
-        rng = make_rng(0)
-        for _ in range(20):
-            assert weighted_choice(rng, ["a", "b"], [1.0, 0.0]) == "a"
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), ["a"], [1.0, 2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), [], [])
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), ["a"], [0.0])
-
-    def test_roughly_proportional(self):
-        rng = make_rng(3)
-        picks = [weighted_choice(rng, ["x", "y"], [3.0, 1.0]) for _ in range(4000)]
-        share = picks.count("x") / len(picks)
-        assert 0.70 < share < 0.80
-
-
-class TestReservoirSampler:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ReservoirSampler(0)
-
-    def test_keeps_everything_under_capacity(self):
-        sampler = ReservoirSampler(10, rng=0)
-        sampler.extend(range(5))
-        assert sorted(sampler.items) == [0, 1, 2, 3, 4]
-        assert sampler.seen == 5
-
-    def test_never_exceeds_capacity(self):
-        sampler = ReservoirSampler(8, rng=0)
-        sampler.extend(range(1000))
-        assert len(sampler) == 8
-        assert sampler.seen == 1000
-
-    def test_sample_is_subset_of_stream(self):
-        sampler = ReservoirSampler(16, rng=1)
-        sampler.extend(range(500))
-        assert all(0 <= item < 500 for item in sampler.items)
-
-    def test_uniformity(self):
-        # Each of 100 stream elements should appear with probability k/n.
-        hits = np.zeros(100)
-        for seed in range(300):
-            sampler = ReservoirSampler(10, rng=seed)
-            sampler.extend(range(100))
-            for item in sampler.items:
-                hits[item] += 1
-        expected = 300 * 10 / 100
-        # Allow generous tolerance: binomial std is ~5.2.
-        assert np.all(np.abs(hits - expected) < 6 * np.sqrt(expected))

@@ -59,6 +59,27 @@ class TestCommands:
         assert "N-1" in out
         assert "V-1" in out
 
+    def test_compare_honours_memory_flags(self, tmp_path, monkeypatch, capsys):
+        from repro.dataflow import Plan
+
+        configs = []
+        run = Plan.run
+
+        def recording_run(plan):
+            configs.append(plan.config)
+            return run(plan)
+
+        monkeypatch.setattr(Plan, "run", recording_run)
+        spill_dir = str(tmp_path / "spill")
+        assert main([
+            "compare", "--seed", "1", "--scale", "tiny",
+            "--memory-budget", "4096", "--spill-dir", spill_dir,
+        ]) == 0
+        assert "N-1" in capsys.readouterr().out
+        # The adult plan, then the control one seed later; both budgeted.
+        assert [config.seed for config in configs] == [1, 2]
+        assert [(c.memory_budget, c.spill_dir) for c in configs] == [(4096, spill_dir)] * 2
+
     def test_trace_tooling_commands(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         assert main(["generate", "--out", str(trace), "--seed", "1", "--scale", "tiny"]) == 0

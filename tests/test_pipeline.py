@@ -1,4 +1,4 @@
-"""Tests for the end-to-end pipeline glue."""
+"""End-to-end plans: generate → simulate → [write trace] → ingest → analyze."""
 
 from __future__ import annotations
 
@@ -6,18 +6,24 @@ import pytest
 
 from repro.cdn.simulator import SimulationConfig
 from repro.core.report import Study
+from repro.dataflow import Plan, RunConfig
 from repro.errors import StorelessDatasetError
-from repro.pipeline import generate_trace_file, generate_trace_plan, run_pipeline, run_study
 from repro.trace.reader import TraceReader
 from repro.workload.profiles import profile_v1
-from repro.workload.scale import ScaleConfig
+
+
+def _v1_plan(seed: int = 1, **knobs) -> Plan:
+    """A tiny single-site plan with its generate stage added."""
+    config = RunConfig.resolve(seed=seed, scale="tiny", **knobs)
+    return Plan(config).generate((profile_v1(),))
 
 
 class TestRunPipeline:
     def test_produces_all_components(self, pipeline_result):
-        assert len(pipeline_result.records) > 1000
+        records = pipeline_result.dataset.records
+        assert len(records) > 1000
         assert set(pipeline_result.workloads) == {"V-1", "V-2", "P-1", "P-2", "S-1"}
-        assert len(pipeline_result.dataset) == len(pipeline_result.records)
+        assert len(pipeline_result.dataset) == len(records)
         assert set(pipeline_result.catalogs) == set(pipeline_result.workloads)
 
     def test_capacity_derived_from_catalogs(self, pipeline_result):
@@ -27,39 +33,33 @@ class TestRunPipeline:
         assert 0.1 * catalog_bytes < total_capacity < catalog_bytes
 
     def test_single_site_pipeline(self):
-        result = run_pipeline(seed=1, scale=ScaleConfig.tiny(), profiles=(profile_v1(),))
+        result = _v1_plan().simulate().ingest().run()
         assert set(result.workloads) == {"V-1"}
         assert result.dataset.sites == ["V-1"]
 
     def test_deterministic(self):
-        scale = ScaleConfig.tiny()
-        a = run_pipeline(seed=3, scale=scale, profiles=(profile_v1(),))
-        b = run_pipeline(seed=3, scale=scale, profiles=(profile_v1(),))
-        assert a.records == b.records
+        a = _v1_plan(seed=3).simulate().ingest().run()
+        b = _v1_plan(seed=3).simulate().ingest().run()
+        assert a.dataset.records == b.dataset.records
 
     def test_explicit_sim_config_respected(self):
         config = SimulationConfig(seed=9, cache_policy="fifo", cache_capacity_bytes=10**9, warm_caches=False)
-        result = run_pipeline(seed=1, scale=ScaleConfig.tiny(), profiles=(profile_v1(),), sim_config=config)
+        result = _v1_plan().simulate(config).ingest().run()
         edge = next(iter(result.simulator.edges.values()))
         assert edge.large_cache.policy.name == "fifo"
 
 
 class TestRunStudy:
     def test_returns_report(self):
-        _, report = run_study(
-            seed=1,
-            scale=ScaleConfig.tiny(),
-            profiles=(profile_v1(),),
-            study=Study(run_clustering=False),
-        )
-        text = report.render_text()
+        result = _v1_plan().simulate().ingest().analyze(Study(run_clustering=False)).run()
+        text = result.report.render_text()
         assert "V-1" in text
 
 
 class TestGenerateTraceFile:
     def test_writes_readable_trace(self, tmp_path):
         path = tmp_path / "trace.csv"
-        written = generate_trace_file(path, seed=1, scale=ScaleConfig.tiny(), profiles=(profile_v1(),))
+        written = _v1_plan().simulate().write_trace(path).run().rows_written
         assert written > 0
         count = sum(1 for _ in TraceReader(path))
         assert count == written
@@ -67,55 +67,47 @@ class TestGenerateTraceFile:
 
 class TestStorelessPipeline:
     def test_storeless_study_matches_eager_report(self):
-        kwargs = dict(
-            seed=1, scale=ScaleConfig.tiny(), profiles=(profile_v1(),),
-            study=Study(run_clustering=False),
-        )
-        _, eager = run_study(**kwargs)
-        result, storeless = run_study(keep_store=False, sim_workers=2, **kwargs)
-        assert storeless.to_summary_dict() == eager.to_summary_dict()
-        assert not result.dataset.has_store
+        study = Study(run_clustering=False)
+        eager = _v1_plan().simulate().ingest().analyze(study).run()
+        storeless_plan = _v1_plan(keep_store=False, sim_workers=2).simulate()
+        storeless = storeless_plan.ingest().analyze(study).run()
+        assert storeless.report.to_summary_dict() == eager.report.to_summary_dict()
+        assert not storeless.dataset.has_store
 
     def test_row_level_access_raises_storeless_error(self):
-        result = run_pipeline(
-            seed=1, scale=ScaleConfig.tiny(), profiles=(profile_v1(),), keep_store=False
-        )
+        result = _v1_plan(keep_store=False).simulate().ingest().run()
+        assert result.batches is None
         with pytest.raises(StorelessDatasetError):
-            result.batches
-        with pytest.raises(StorelessDatasetError):
-            result.records
+            result.dataset.records
 
     def test_row_level_access_works_when_store_kept(self, pipeline_result):
         assert pipeline_result.batches
-        assert len(pipeline_result.records) == len(pipeline_result.dataset)
+        assert len(pipeline_result.dataset.records) == len(pipeline_result.dataset)
 
     def test_sim_worker_knobs_threaded_through(self):
-        result = run_pipeline(
-            seed=1, scale=ScaleConfig.tiny(), profiles=(profile_v1(),),
-            sim_workers=2, sim_queue_depth=256,
-        )
+        result = _v1_plan(sim_workers=2, sim_queue_depth=256).simulate().ingest().run()
         stats = result.simulator.sim_stats
         assert stats is not None and stats.workers == 2
 
     def test_result_carries_stage_telemetry(self, pipeline_result):
         names = [s.name for s in pipeline_result.stage_stats]
         assert names == ["generate", "simulate", "ingest"]
-        assert pipeline_result.render_stage_stats().startswith("dataflow plan:")
+        assert pipeline_result.render_stats().startswith("dataflow plan:")
 
     def test_env_knobs_apply_when_kwargs_omitted(self, monkeypatch):
-        explicit = run_pipeline(seed=4, scale=ScaleConfig.tiny(), profiles=(profile_v1(),))
+        explicit = _v1_plan(seed=4).simulate().ingest().run()
         monkeypatch.setenv("REPRO_SEED", "4")
         monkeypatch.setenv("REPRO_SCALE", "tiny")
-        from_env = run_pipeline(profiles=(profile_v1(),))
-        assert from_env.records == explicit.records
+        # Plan() resolves its config from the environment alone.
+        env_only = Plan().generate((profile_v1(),)).simulate().ingest().run()
+        assert env_only.dataset.records == explicit.dataset.records
 
 
 class TestGenerateTracePlan:
     def test_streams_to_disk_with_bounded_resident_rows(self, tmp_path):
         path = tmp_path / "trace.bin"
-        result = generate_trace_plan(
-            path, seed=1, scale=ScaleConfig.tiny(), batch_size=512
-        )
+        config = RunConfig.resolve(seed=1, scale="tiny", batch_size=512)
+        result = Plan(config).generate().simulate().write_trace(path).run()
         assert result.rows_written == sum(1 for _ in TraceReader(path))
         assert result.rows_written > 2048
         by_name = {s.name: s for s in result.stage_stats}

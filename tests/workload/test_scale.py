@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.workload.scale import ScaleConfig
+from repro.workload.scale import SCALE_NAMES, ScaleConfig
 
 
 class TestValidation:
@@ -44,23 +44,11 @@ class TestScaling:
 
 class TestPresets:
     def test_presets_ordered_by_size(self):
-        tiny, small, medium = ScaleConfig.tiny(), ScaleConfig.small(), ScaleConfig.medium()
+        # SCALE_NAMES names every preset, smallest first.
+        tiny, small, medium = (getattr(ScaleConfig, name)() for name in SCALE_NAMES)
         assert tiny.request_scale < small.request_scale < medium.request_scale
 
     def test_presets_preserve_requests_per_user_ratio(self):
         # user_scale == request_scale keeps per-user behaviour at paper scale.
         for preset in (ScaleConfig.tiny(), ScaleConfig.small(), ScaleConfig.medium()):
             assert preset.user_scale == preset.request_scale
-
-    def test_from_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert ScaleConfig.from_env() == ScaleConfig.small()
-
-    def test_from_env_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "medium")
-        assert ScaleConfig.from_env() == ScaleConfig.medium()
-
-    def test_from_env_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "galactic")
-        with pytest.raises(ConfigError):
-            ScaleConfig.from_env()
