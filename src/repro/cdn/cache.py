@@ -37,9 +37,6 @@ class CacheEntry:
     #: the original insert time.
     revalidated_at: float | None = None
 
-    def is_fresh(self, now: float) -> bool:
-        return self.expires_at is None or now < self.expires_at
-
     def validated_age(self, now: float) -> float:
         """Seconds since the content was last confirmed current at the origin.
 
@@ -179,24 +176,27 @@ class Cache:
         whose content changed (or with no revalidation info) is dropped and
         counts as a miss.
         """
-        self.stats.lookups += 1
+        stats = self.stats
+        stats.lookups += 1
         entry = self._entries.get(key)
-        if entry is not None and not entry.is_fresh(now):
+        if entry is None:
+            stats.misses += 1
+            return None
+        expires_at = entry.expires_at
+        if expires_at is not None and now >= expires_at:  # stale: its TTL has run out
             if revalidate_version is not None and entry.version == revalidate_version:
                 entry.expires_at = now + entry.ttl if entry.ttl is not None else None
                 entry.revalidated_at = now
-                self.stats.revalidations += 1
+                stats.revalidations += 1
             else:
                 self._remove(key)
-                self.stats.expirations += 1
-                entry = None
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
+                stats.expirations += 1
+                stats.misses += 1
+                return None
+        stats.hits += 1
         entry.hits += 1
         self.policy.on_hit(key, now)
-        self.stats.bytes_served_from_cache += entry.size
+        stats.bytes_served_from_cache += entry.size
         return entry
 
     def insert(self, key: str, size: int, now: float, ttl: float | None = None, version: int = 0) -> bool:

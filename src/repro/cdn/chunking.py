@@ -29,12 +29,19 @@ class ChunkRef:
 
 
 class Chunker:
-    """Maps (object, byte range) to the cache keys covering it."""
+    """Maps (object, byte range) to the cache keys covering it.
+
+    Each object's chunks — its *plan* — are built once per chunker, on
+    first use, and cached by ``object_id``: the plan is a pure function of
+    the object and ``chunk_bytes``.  A byte range is served as a slice of
+    the plan.  This module is the only place that formats chunk keys.
+    """
 
     def __init__(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES):
         if chunk_bytes <= 0:
             raise CdnError(f"chunk size must be positive, got {chunk_bytes}")
         self.chunk_bytes = chunk_bytes
+        self._plans: dict[str, tuple[ChunkRef, ...]] = {}
 
     def is_chunked(self, obj: ContentObject) -> bool:
         """Only videos larger than one chunk are split."""
@@ -55,32 +62,46 @@ class Chunker:
             return self.chunk_bytes
         return obj.size_bytes - self.chunk_bytes * (count - 1)
 
-    def chunks_for_range(self, obj: ContentObject, start: int, length: int) -> list[ChunkRef]:
+    def chunks_for_range(self, obj: ContentObject, start: int, length: int) -> tuple[ChunkRef, ...]:
         """Cache keys covering bytes ``[start, start+length)`` of ``obj``.
 
+        Chunks ``first..last`` of the object's plan (:meth:`all_chunks`).
         For unchunked objects this is always the single whole-object key.
         """
         if length <= 0:
             raise CdnError(f"range length must be positive, got {length}")
-        if start < 0 or start >= obj.size_bytes:
-            raise CdnError(f"range start {start} outside object of {obj.size_bytes} bytes")
         size = obj.size_bytes
+        if start < 0 or start >= size:
+            raise CdnError(f"range start {start} outside object of {size} bytes")
+        plan = self.all_chunks(obj)
+        if len(plan) == 1:
+            return plan
         chunk_bytes = self.chunk_bytes
-        if not self.is_chunked(obj):
-            return [ChunkRef(key=obj.object_id, index=0, size=size)]
-        length = min(length, size - start)
-        first = start // chunk_bytes
-        last = (start + length - 1) // chunk_bytes
-        # Every chunk is full except the object's final one, which holds
-        # the remainder (``chunk_size``'s definition, computed once here).
-        final = (size - 1) // chunk_bytes
-        final_size = size - chunk_bytes * final
-        prefix = f"{obj.object_id}#c"
-        return [
-            ChunkRef(key=f"{prefix}{index}", index=index, size=chunk_bytes if index < final else final_size)
-            for index in range(first, last + 1)
-        ]
+        last = (start + min(length, size - start) - 1) // chunk_bytes
+        return plan[start // chunk_bytes : last + 1]
 
-    def all_chunks(self, obj: ContentObject) -> list[ChunkRef]:
-        """Every chunk of ``obj`` (the whole-object request path)."""
-        return self.chunks_for_range(obj, 0, obj.size_bytes)
+    def all_chunks(self, obj: ContentObject) -> tuple[ChunkRef, ...]:
+        """Every chunk of ``obj`` in index order: the object's plan.
+
+        Built on first use and cached by ``object_id``.  An unchunked
+        object is one chunk keyed by its ``object_id``; a chunked video's
+        chunk ``i`` is keyed ``"<object_id>#c<i>"``.  Every chunk is full
+        except the object's final one, which holds the remainder
+        (``chunk_size``'s definition, computed arithmetically).
+        """
+        plan = self._plans.get(obj.object_id)
+        if plan is None:
+            size = obj.size_bytes
+            if not self.is_chunked(obj):
+                plan = (ChunkRef(key=obj.object_id, index=0, size=size),)
+            else:
+                chunk_bytes = self.chunk_bytes
+                final = (size - 1) // chunk_bytes
+                final_size = size - chunk_bytes * final
+                prefix = f"{obj.object_id}#c"
+                plan = tuple(
+                    ChunkRef(key=f"{prefix}{index}", index=index, size=chunk_bytes if index < final else final_size)
+                    for index in range(final + 1)
+                )
+            self._plans[obj.object_id] = plan
+        return plan

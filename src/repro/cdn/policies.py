@@ -203,8 +203,9 @@ class GdsfPolicy(EvictionPolicy):
         heapq.heappush(self._heap, (priority, key))
 
     def on_hit(self, key: str, now: float) -> None:
-        self._frequency[key] += 1
-        self._priority[key] = self._score(key)
+        # ``_score`` inline: hits are the hot path.
+        frequency = self._frequency[key] = self._frequency[key] + 1
+        self._priority[key] = self._floor + frequency / max(1, self._size[key])
 
     def on_evict(self, key: str) -> None:
         priority = self._priority.pop(key, None)

@@ -109,26 +109,27 @@ class EdgeServer:
         else:
             start, length = 0, obj.size_bytes
         length = max(1, min(length, obj.size_bytes - start))
-        chunks = self.chunker.chunks_for_range(obj, start, length)
+        chunker = self.chunker
+        chunks = chunker.chunks_for_range(obj, start, length)
 
         hits = 0
         bytes_from_cache = 0
         bytes_from_origin = 0
         ttl = self._ttl_for(obj)
         version = self.origin.current_version(obj, now)
-        small_limit = self.chunker.chunk_bytes // 2  # cache_for's tier split
+        small_limit = chunker.chunk_bytes // 2  # cache_for's tier split
+        small_cache, large_cache = self.small_cache, self.large_cache
         for chunk in chunks:
             size = chunk.size
-            cache = self.small_cache if size <= small_limit else self.large_cache
-            entry = cache.lookup(chunk.key, now, revalidate_version=version)
-            if entry is not None:
+            cache = small_cache if size <= small_limit else large_cache
+            if cache.lookup(chunk.key, now, version) is not None:
                 hits += 1
                 bytes_from_cache += size
                 continue
             cache.stats.bytes_fetched_from_origin += size
             bytes_from_origin += size
             if cacheable:
-                cache.insert(chunk.key, size, now, ttl=ttl, version=version)
+                cache.insert(chunk.key, size, now, ttl, version)
         if hits < len(chunks):
             # One origin fetch per missed chunk; the version is the one
             # already looked up above.

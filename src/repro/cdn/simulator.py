@@ -434,14 +434,9 @@ class SimulatorShard:
         elif decision.status_code == 304:
             # Revalidation is answered from edge metadata; treat as a HIT
             # when the edge still holds the (first chunk of the) object.
-            if edge.chunker.is_chunked(obj):
-                first_key = f"{obj.object_id}#c0"
-                first_size = edge.chunker.chunk_bytes
-            else:
-                first_key = obj.object_id
-                first_size = obj.size_bytes
-            holder = edge.cache_for(first_size)
-            cache_status = CacheStatus.HIT if holder.peek(first_key) is not None else CacheStatus.MISS
+            first = edge.chunker.all_chunks(obj)[0]
+            holder = edge.cache_for(first.size)
+            cache_status = CacheStatus.HIT if holder.peek(first.key) is not None else CacheStatus.MISS
 
         if decision.status_code == 200 and cached is not None and cached.version != current_version:
             # Conditional request that missed: browser updates its copy.

@@ -24,6 +24,8 @@ from repro.workload.temporal import site_hourly_rate
 
 #: Session timeout used throughout (paper: 10 minutes, from the IAT knee).
 SESSION_TIMEOUT_SECONDS = 600.0
+#: In-session think times are capped here, below the timeout.
+_THINK_CAP_SECONDS = SESSION_TIMEOUT_SECONDS * 0.95
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,7 +34,7 @@ class SessionPlan:
 
     user_index: int
     start_time: float
-    request_times: np.ndarray  # absolute trace seconds, ascending
+    request_times: tuple[float, ...]  # absolute trace seconds, ascending
 
 
 def hourly_start_distribution(
@@ -59,63 +61,33 @@ def hourly_start_distribution(
     return utc_rate / utc_rate.sum()
 
 
+def start_hour_cdf(hour_distribution: np.ndarray) -> np.ndarray:
+    """The normalised cumulative sum ``Generator.choice(p=...)`` searches."""
+    cdf = hour_distribution.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_session_starts(
     count: int,
-    hour_distribution: np.ndarray,
+    hour_cdf: np.ndarray,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Draw ``count`` session start times (trace seconds)."""
+    """Draw ``count`` session start times (trace seconds), unsorted.
+
+    ``hour_cdf`` is a start distribution's normalised cumulative sum
+    (:func:`start_hour_cdf`), built once per site and continent.  Hours
+    are drawn as ``choice(size=count, p=dist)`` draws them — one
+    ``random(count)`` searched in that CDF with ``side="right"`` — without
+    re-validating ``p`` on every call; one uniform offset per start
+    follows.
+    """
     generator = make_rng(rng)
     if count == 0:
         return np.empty(0)
-    hours = generator.choice(hour_distribution.size, size=count, p=hour_distribution)
+    hours = hour_cdf.searchsorted(generator.random(count), side="right")
     offsets = generator.uniform(0.0, HOUR_SECONDS, size=count)
     return hours * HOUR_SECONDS + offsets
-
-
-def sample_request_counts(
-    sessions: int,
-    single_fraction: float,
-    multi_mean_requests: float,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Requests per session: a bimodal single/browse mixture.
-
-    With probability ``single_fraction`` a session is a single-request
-    check-in (common on image-heavy sites, whose IATs are therefore
-    dominated by cross-session gaps); otherwise the session browses
-    ``2 + Geometric`` requests with mean ``multi_mean_requests``.  This
-    reproduces both the short sessions of Fig. 12 and the site-dependent
-    IAT split of Fig. 11.
-    """
-    generator = make_rng(rng)
-    if sessions == 0:
-        return np.empty(0, dtype=int)
-    counts = np.ones(sessions, dtype=int)
-    browsing = generator.random(sessions) >= single_fraction
-    n_browsing = int(browsing.sum())
-    if n_browsing:
-        extra_mean = max(multi_mean_requests - 2.0, 1e-9)
-        p = min(1.0, 1.0 / (1.0 + extra_mean))
-        counts[browsing] = 1 + generator.geometric(p=p, size=n_browsing)
-    return counts
-
-
-def sample_think_times(
-    gaps: int,
-    mean_think_s: float,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Exponential in-session think times, capped below the session timeout.
-
-    The cap keeps generated sessions consistent with the analysis-side
-    definition: a planned session should not silently split in two.
-    """
-    generator = make_rng(rng)
-    if gaps == 0:
-        return np.empty(0)
-    times = generator.exponential(scale=mean_think_s, size=gaps)
-    return np.minimum(times, SESSION_TIMEOUT_SECONDS * 0.95)
 
 
 def plan_session(
@@ -129,14 +101,35 @@ def plan_session(
 ) -> SessionPlan:
     """Plan one session's request timestamps for a user.
 
+    Requests per session follow a bimodal single/browse mixture: with
+    probability ``single_fraction`` the session is a single-request
+    check-in (common on image-heavy sites, whose IATs are therefore
+    dominated by cross-session gaps); otherwise it browses
+    ``2 + Geometric`` requests with mean ``multi_mean_requests``.  This
+    reproduces both the short sessions of Fig. 12 and the site-dependent
+    IAT split of Fig. 11.  Requests are separated by exponential think
+    times of mean ``mean_think_s``, capped below the session timeout so a
+    planned session never splits in two under the analysis-side
+    definition.
+
+    Draws, in order: one ``random()`` (single or browse); when the
+    session browses, one ``geometric`` gap count and one ``exponential``
+    array of the gaps.  The gaps are summed left to right, exactly as a
+    1-D ``np.cumsum`` sums them.
+
     Requests at/after ``duration_seconds`` fall outside the trace window
     and are dropped; a session whose *start* already falls outside the
     window therefore plans zero requests (``request_times`` empty) rather
     than fabricating a request at an arbitrary — possibly negative —
     in-window time.
     """
-    n_requests = int(sample_request_counts(1, single_fraction, multi_mean_requests, rng)[0])
-    gaps = sample_think_times(n_requests - 1, mean_think_s, rng)
-    times = start_time + np.concatenate(([0.0], np.cumsum(gaps)))
-    times = times[times < duration_seconds]
-    return SessionPlan(user_index=user_index, start_time=start_time, request_times=times)
+    times = [start_time]
+    if rng.random() >= single_fraction:
+        extra_mean = max(multi_mean_requests - 2.0, 1e-9)
+        n_gaps = int(rng.geometric(min(1.0, 1.0 / (1.0 + extra_mean))))
+        elapsed = 0.0
+        for gap in rng.exponential(scale=mean_think_s, size=n_gaps).tolist():
+            elapsed += min(gap, _THINK_CAP_SECONDS)
+            times.append(start_time + elapsed)
+    request_times = tuple([t for t in times if t < duration_seconds])
+    return SessionPlan(user_index=user_index, start_time=start_time, request_times=request_times)

@@ -86,10 +86,16 @@ def trend_envelope(
     * ``FLASH_CROWD`` — quiet baseline with one sudden spike at a random
       later hour (Fig. 8b cluster).
     * ``OUTLIER``     — irregular bursty pattern that fits none of the above.
+
+    An object alive at no grid hour — born after the last whole hour of a
+    trace that does not end on one — gets the all-zero envelope without
+    drawing from ``rng``.
     """
     generator = make_rng(rng)
     hours = np.arange(duration_hours, dtype=float)
     alive = hours >= birth_hour
+    if not alive.any():
+        return np.zeros(duration_hours)
     age = np.where(alive, hours - birth_hour, 0.0)
     if trend is TrendClass.DIURNAL:
         if peak_hour is None:

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cdn.simulator import CdnSimulator, SimulationConfig
-from repro.types import CacheStatus, ContentCategory, OBSERVED_STATUS_CODES
-from repro.workload.generator import WorkloadGenerator
+from repro.cdn.geo import DataCenter
+from repro.cdn.http import ClientIntent
+from repro.cdn.simulator import CdnSimulator, SimulationConfig, SimulatorShard
+from repro.types import CacheStatus, Continent, ContentCategory, DeviceType, OBSERVED_STATUS_CODES, TrendClass
+from repro.workload.catalog import ContentObject
+from repro.workload.generator import Request, WorkloadGenerator
+from repro.workload.population import User
 from repro.workload.profiles import ALL_PROFILES, profile_v2
 from repro.workload.scale import ScaleConfig
 
@@ -141,6 +145,53 @@ class TestWarm:
             assert {f"vid1#c{i}" for i in range(5)} <= keys
             # Not one chunk of the straddling object was admitted.
             assert not any(key.startswith("vid2") for key in keys)
+
+
+class TestRevalidationCacheStatus:
+    """A conditional request answered 304 logs HIT while the edge holds the
+    object's first chunk, and MISS once that chunk is gone."""
+
+    @pytest.mark.parametrize(
+        "category, extension, size, first_key",
+        [
+            (ContentCategory.IMAGE, "jpg", 40_000, "img"),
+            (ContentCategory.VIDEO, "mp4", 9_000_000, "vid#c0"),  # 5 chunks of 2 MB
+        ],
+        ids=["image", "video"],
+    )
+    def test_304_logs_hit_until_first_chunk_evicted(self, category, extension, size, first_key):
+        obj = ContentObject(
+            object_id=first_key.split("#")[0], site="V-2", category=category, extension=extension,
+            size_bytes=size, birth_time=0.0, trend=TrendClass.DIURNAL, popularity_weight=1.0,
+        )
+        user = User(
+            user_id="u1", site="V-2", device=DeviceType.DESKTOP, continent=Continent.EUROPE,
+            user_agent="UA", incognito=False, activity_weight=1.0, addiction_propensity=0.0,
+        )
+        config = SimulationConfig(
+            seed=6, cache_capacity_bytes=100_000_000, browser_local_serve_prob=0.0,
+            browser_caches_video=True, background_churn_per_day=0.0,
+        )
+        shard = SimulatorShard(DataCenter("dc", Continent.EUROPE, config.cache_capacity_bytes), 0, config, {})
+        # Every request passes access control and the content never
+        # changes, so a browser-cached copy is always answered 304.
+        shard.origin.forbidden_rate = 0.0
+        shard.origin.mutation_rate_per_day = 0.0
+        shard.edge.serve(obj, ClientIntent(kind="full"), now=0.0)
+        first = shard.serve(Request(10.0, user, obj, request_id=0))  # fills the browser cache
+        assert first[8] in (200, 206)
+
+        held = shard.serve(Request(20.0, user, obj, request_id=1))
+        assert held[8] == 304
+        assert held[7] is True  # logged HIT
+
+        holder = shard.edge.small_cache if category is ContentCategory.IMAGE else shard.edge.large_cache
+        assert holder.invalidate(first_key)
+        if category is ContentCategory.VIDEO:
+            assert "vid#c1" in holder  # later chunks stay; only the first decides
+        evicted = shard.serve(Request(30.0, user, obj, request_id=2))
+        assert evicted[8] == 304
+        assert evicted[7] is False  # logged MISS
 
 
 class TestConfigVariants:

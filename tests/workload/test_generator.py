@@ -68,6 +68,21 @@ class TestGenerateSite:
             (r.timestamp, r.obj.object_id, r.user.user_id) for r in b.requests[:200]
         ]
 
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_trace_ending_inside_an_hour(self, seed):
+        # Regression: with a trace that is not a whole number of hours, an
+        # OUTLIER object born in the final partial hour is alive at no hour
+        # of the 36-hour grid, and its envelope used to raise
+        # ``ValueError: high - low < 0``.
+        duration = 36 * 3600 + 1234
+        scale = ScaleConfig(object_scale=0.01, request_scale=0.004, user_scale=0.004, duration_seconds=duration)
+        workload = WorkloadGenerator(profiles=(profile_v2(),), scale=scale, seed=seed).generate_site(profile_v2())
+        late = {obj.object_id for obj in workload.catalog if obj.birth_time >= 36 * 3600}
+        assert late
+        assert workload.request_count > 0
+        assert all(r.timestamp < duration for r in workload.requests)
+        assert not any(r.obj.object_id in late for r in workload.requests if not r.is_repeat)
+
     def test_different_seeds_differ(self):
         a = WorkloadGenerator(profiles=(profile_v2(),), scale=ScaleConfig.tiny(), seed=3).generate_site(profile_v2())
         b = WorkloadGenerator(profiles=(profile_v2(),), scale=ScaleConfig.tiny(), seed=4).generate_site(profile_v2())

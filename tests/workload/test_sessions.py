@@ -14,9 +14,8 @@ from repro.workload.sessions import (
     SESSION_TIMEOUT_SECONDS,
     hourly_start_distribution,
     plan_session,
-    sample_request_counts,
     sample_session_starts,
-    sample_think_times,
+    start_hour_cdf,
 )
 
 
@@ -57,87 +56,127 @@ class TestStartDistribution:
 
 class TestSessionStarts:
     def test_count_and_range(self):
-        dist = hourly_start_distribution(profile_v1(), 168, 0)
-        starts = sample_session_starts(500, dist, make_rng(0))
+        cdf = start_hour_cdf(hourly_start_distribution(profile_v1(), 168, 0))
+        starts = sample_session_starts(500, cdf, make_rng(0))
         assert starts.size == 500
         assert np.all(starts >= 0)
         assert np.all(starts < 168 * 3600)
 
     def test_zero_sessions(self):
-        dist = hourly_start_distribution(profile_v1(), 168, 0)
-        assert sample_session_starts(0, dist, make_rng(0)).size == 0
+        cdf = start_hour_cdf(hourly_start_distribution(profile_v1(), 168, 0))
+        assert sample_session_starts(0, cdf, make_rng(0)).size == 0
 
     def test_starts_follow_distribution(self):
         profile = profile_v1()
         dist = hourly_start_distribution(profile, 168, 0)
-        starts = sample_session_starts(20_000, dist, make_rng(1))
+        starts = sample_session_starts(20_000, start_hour_cdf(dist), make_rng(1))
         hours = (starts // 3600).astype(int)
         observed = np.bincount(hours % 24, minlength=24) / starts.size
         expected = dist.reshape(7, 24).sum(axis=0)
         assert np.corrcoef(observed, expected)[0, 1] > 0.8
 
+    def test_hours_are_choice_draws(self):
+        # The CDF search makes ``choice(p=dist)``'s draw: one ``random(k)``
+        # searched with side="right", then the within-hour offsets.
+        dist = hourly_start_distribution(profile_p1(), 36, -5)
+        starts = sample_session_starts(300, start_hour_cdf(dist), make_rng(4))
+        reference = make_rng(4)
+        hours = reference.choice(dist.size, size=300, p=dist)
+        offsets = reference.uniform(0.0, 3600, size=300)
+        assert np.array_equal(starts, hours * 3600 + offsets)
+
+
+def _request_counts(single: float, mean: float, sessions: int, seed: int) -> np.ndarray:
+    rng = make_rng(seed)
+    return np.array(
+        [len(plan_session(0, 0.0, single, mean, 60.0, 604800.0, rng).request_times) for _ in range(sessions)]
+    )
+
+
+def _think_times(mean_think_s: float, sessions: int, seed: int) -> np.ndarray:
+    rng = make_rng(seed)
+    gaps = [np.diff(plan_session(0, 0.0, 0.0, 4.0, mean_think_s, 604800.0, rng).request_times) for _ in range(sessions)]
+    return np.concatenate(gaps)
+
 
 class TestRequestCounts:
+    """Requests per planned session: the single/browse mixture."""
+
     def test_support_at_least_one(self):
-        counts = sample_request_counts(1000, 0.4, 3.0, make_rng(0))
+        counts = _request_counts(0.4, 3.0, 1000, seed=0)
         assert counts.min() >= 1
 
     def test_single_fraction_respected(self):
-        counts = sample_request_counts(20_000, 0.5, 4.0, make_rng(1))
+        counts = _request_counts(0.5, 4.0, 20_000, seed=1)
         # Singles come from the 0.5 mixture plus none from the browse branch
         # (browse sessions have >= 2 requests).
         assert np.mean(counts == 1) == pytest.approx(0.5, abs=0.02)
 
     def test_browse_mean_respected(self):
-        counts = sample_request_counts(50_000, 0.0, 4.0, make_rng(2))
+        counts = _request_counts(0.0, 4.0, 20_000, seed=2)
+        assert counts.min() >= 2
         assert counts.mean() == pytest.approx(4.0, rel=0.05)
 
     def test_empty(self):
-        assert sample_request_counts(0, 0.5, 3.0, make_rng(0)).size == 0
+        # A session starting at the trace end plans no requests, but makes
+        # the same draws as one inside the window, so the stream after it
+        # does not move.
+        inside, outside = make_rng(5), make_rng(5)
+        assert len(plan_session(0, 1000.0, 0.0, 5.0, 60.0, 604800.0, inside).request_times) >= 2
+        assert plan_session(0, 604800.0, 0.0, 5.0, 60.0, 604800.0, outside).request_times == ()
+        assert inside.random() == outside.random()
 
 
 class TestThinkTimes:
+    """Gaps between a planned session's requests."""
+
     def test_capped_below_timeout(self):
-        times = sample_think_times(5000, 300.0, make_rng(0))
-        assert times.max() < SESSION_TIMEOUT_SECONDS
+        gaps = _think_times(300.0, 2000, seed=0)
+        assert gaps.size > 2000
+        assert gaps.max() < SESSION_TIMEOUT_SECONDS
 
     def test_mean_roughly_exponential(self):
-        times = sample_think_times(50_000, 60.0, make_rng(1))
-        assert times.mean() == pytest.approx(60.0, rel=0.1)
+        gaps = _think_times(60.0, 20_000, seed=1)
+        assert gaps.mean() == pytest.approx(60.0, rel=0.1)
 
     def test_empty(self):
-        assert sample_think_times(0, 60.0, make_rng(0)).size == 0
+        # A single-request session draws its mixture uniform and nothing else.
+        rng, reference = make_rng(6), make_rng(6)
+        plan = plan_session(0, 1000.0, 1.0, 5.0, 60.0, 604800.0, rng)
+        assert plan.request_times == (1000.0,)
+        reference.random()
+        assert rng.random() == reference.random()
 
 
 class TestPlanSession:
     def test_times_ascending_and_within_trace(self):
         plan = plan_session(0, 1000.0, 0.3, 4.0, 60.0, 604800.0, make_rng(0))
         assert np.all(np.diff(plan.request_times) >= 0)
-        assert np.all(plan.request_times < 604800.0)
+        assert all(t < 604800.0 for t in plan.request_times)
         assert plan.request_times[0] == 1000.0
 
     def test_never_empty_even_at_trace_end(self):
         plan = plan_session(0, 604799.5, 0.0, 5.0, 60.0, 604800.0, make_rng(1))
-        assert plan.request_times.size >= 1
+        assert len(plan.request_times) >= 1
 
     def test_out_of_window_session_plans_no_requests(self):
         # Regression: a session starting at/after the trace end used to
         # fabricate a phantom request at ``duration_seconds - 1.0``.
         for start in (604800.0, 604800.1, 1e9):
             plan = plan_session(0, start, 0.0, 5.0, 60.0, 604800.0, make_rng(2))
-            assert plan.request_times.size == 0
+            assert plan.request_times == ()
             assert plan.start_time == start
 
     def test_subsecond_trace_never_yields_negative_times(self):
         # Regression: with a trace shorter than 1 s, the phantom request
         # landed at the *negative* time ``duration_seconds - 1.0``.
         plan = plan_session(0, 0.5, 0.0, 5.0, 60.0, 0.25, make_rng(3))
-        assert plan.request_times.size == 0
+        assert plan.request_times == ()
 
     def test_planned_gaps_stay_within_session_timeout(self):
         for seed in range(30):
             plan = plan_session(0, 0.0, 0.0, 8.0, 200.0, 604800.0, make_rng(seed))
-            if plan.request_times.size > 1:
+            if len(plan.request_times) > 1:
                 assert np.diff(plan.request_times).max() < SESSION_TIMEOUT_SECONDS
 
     @settings(max_examples=30)
@@ -148,6 +187,5 @@ class TestPlanSession:
     )
     def test_plan_always_valid(self, start, single, mean):
         plan = plan_session(0, start, single, mean, 60.0, 604800.0, make_rng(0))
-        assert plan.request_times.size >= 1
-        assert np.all(plan.request_times < 604800.0)
-        assert np.all(plan.request_times >= start)
+        assert len(plan.request_times) >= 1
+        assert all(start <= t < 604800.0 for t in plan.request_times)

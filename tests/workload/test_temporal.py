@@ -106,6 +106,17 @@ class TestTrendEnvelope:
         b = trend_envelope(TrendClass.OUTLIER, 10, 168, make_rng(7))
         np.testing.assert_array_equal(a, b)
 
+    def test_born_after_the_last_grid_hour_is_all_zero(self):
+        # Regression: a 36 h + 1234 s trace has a 36-hour grid, so an object
+        # born at hour 36.3 is alive at no grid hour; the OUTLIER branch
+        # used to draw its burst centres from uniform(36.3, 36) and raise.
+        for trend in TrendClass:
+            rng = make_rng(8)
+            envelope = trend_envelope(trend, birth_hour=36.3, duration_hours=36, rng=rng)
+            assert envelope.shape == (36,), trend
+            assert np.all(envelope == 0.0), trend
+            assert rng.random() == make_rng(8).random(), trend  # nothing drawn
+
 
 class TestSampleRequestTimes:
     def test_times_within_hour(self):
