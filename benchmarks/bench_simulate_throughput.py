@@ -43,9 +43,9 @@ def _fresh_simulator(profiles, catalogs, capacity: int) -> CdnSimulator:
     return simulator
 
 
-def _timed_run(simulator: CdnSimulator, requests, workers: int):
+def _timed_run(simulator: CdnSimulator, blocks, workers: int):
     start = time.perf_counter()
-    batches = list(simulator.run_batches(iter(requests), workers=workers))
+    batches = list(simulator.run_batches(iter(blocks), workers=workers))
     seconds = time.perf_counter() - start
     records = [record for batch in batches for record in batch.iter_records()]
     return seconds, records
@@ -65,15 +65,16 @@ def test_simulate_throughput(benchmark):
     workloads = generator.generate_all()
     catalogs = [w.catalog for w in workloads.values()]
     capacity = max(200_000_000, int(0.5 * sum(c.total_bytes() for c in catalogs)))
-    requests = list(generator.merged_requests(workloads))
+    blocks = list(generator.merged_request_batches(workloads))
+    n_requests = sum(len(block) for block in blocks)
 
     runs: dict[str, tuple] = {}
 
     def sweep():
         seq_sim = _fresh_simulator(profiles, catalogs, capacity)
-        runs["sequential"] = _timed_run(seq_sim, requests, workers=1), seq_sim
+        runs["sequential"] = _timed_run(seq_sim, blocks, workers=1), seq_sim
         par_sim = _fresh_simulator(profiles, catalogs, capacity)
-        runs["parallel"] = _timed_run(par_sim, requests, workers=PARALLEL_WORKERS), par_sim
+        runs["parallel"] = _timed_run(par_sim, blocks, workers=PARALLEL_WORKERS), par_sim
         # Spilled leg: same parallel run under a 1-byte memory budget, so
         # every buffered frontier block round-trips through disk.
         spill_sim = _fresh_simulator(profiles, catalogs, capacity)
@@ -81,7 +82,7 @@ def test_simulate_throughput(benchmark):
             start = time.perf_counter()
             batches = list(
                 spill_sim.run_batches(
-                    iter(requests), workers=PARALLEL_WORKERS, spill_pool=pool
+                    iter(blocks), workers=PARALLEL_WORKERS, spill_pool=pool
                 )
             )
             seconds = time.perf_counter() - start
@@ -120,7 +121,7 @@ def test_simulate_throughput(benchmark):
         "Simulate throughput — sharded parallel vs sequential serve loop",
         "shard-parallel simulation is bit-identical and scales with cores",
     )
-    print(f"  workload: {len(requests)} requests -> {total} records")
+    print(f"  workload: {n_requests} requests -> {total} records")
     print(f"  sequential:        {seq_seconds:8.2f}s  {total / seq_seconds:10,.0f} records/s")
     print(
         f"  workers={PARALLEL_WORKERS}:         {par_seconds:8.2f}s  "
@@ -146,7 +147,7 @@ def test_simulate_throughput(benchmark):
     record_extra(
         "simulate_throughput",
         simulate={
-            "requests": len(requests),
+            "requests": n_requests,
             "records": total,
             "workers": PARALLEL_WORKERS,
             "usable_cpus": usable_cpus,
@@ -190,9 +191,9 @@ def test_simulate_throughput(benchmark):
 def test_simulate_overlap(benchmark):
     """Streaming dispatch vs buffer-everything: same records, bounded memory.
 
-    The buffered leg materialises the whole merged request stream before a
-    single worker starts (the pre-streaming behaviour: peak resident
-    requests = the entire stream); the overlapped leg feeds the generator
+    The buffered leg materialises the whole merged request stream as one
+    block before a single worker starts (the pre-streaming behaviour: peak
+    resident requests = the entire stream); the overlapped leg feeds the generator
     straight into the dispatcher, whose bounded per-shard windows cap
     peak resident requests at O(queue_depth × shards) while generation
     runs concurrently with simulation.
@@ -207,19 +208,21 @@ def test_simulate_overlap(benchmark):
     runs: dict[str, tuple] = {}
 
     def sweep():
-        # Buffered: generation fully precedes simulation.
+        # Buffered: generation fully precedes simulation, and the whole
+        # stream is one block.
         start = time.perf_counter()
-        requests = list(generator.merged_requests(workloads))
+        total_requests = sum(w.request_count for w in workloads.values())
+        [stream] = generator.merged_request_batches(workloads, batch_size=total_requests)
         buffered_generate = time.perf_counter() - start
-        queue_depth = max(64, len(requests) // 32)
+        queue_depth = max(64, len(stream) // 32)
         buf_sim = _fresh_simulator(profiles, catalogs, capacity)
         start = time.perf_counter()
         batches = list(
-            buf_sim.run_batches(iter(requests), workers=PARALLEL_WORKERS, queue_depth=queue_depth)
+            buf_sim.run_batches(iter([stream]), workers=PARALLEL_WORKERS, queue_depth=queue_depth)
         )
         buffered_simulate = time.perf_counter() - start
         buf_records = [record for batch in batches for record in batch.iter_records()]
-        runs["buffered"] = (buffered_generate, buffered_simulate, buf_records, len(requests))
+        runs["buffered"] = (buffered_generate, buffered_simulate, buf_records, len(stream))
 
         # Overlapped: the generator streams straight into the dispatcher.
         ovl_sim = _fresh_simulator(profiles, catalogs, capacity)

@@ -11,8 +11,9 @@ This subpackage implements that machinery: data-center geography and
 routing, pluggable cache-replacement policies with TTL revalidation, video
 chunking, an origin server with validators and access control, a per-user
 browser cache with incognito disposal, and the simulator that turns
-workload :class:`~repro.workload.generator.Request` events into
-:class:`~repro.trace.record.LogRecord` log lines.
+workload request blocks (:class:`~repro.workload.generator.RequestBlock`)
+into columnar log batches, or :class:`~repro.workload.generator.Request`
+events into :class:`~repro.trace.record.LogRecord` log lines.
 """
 
 from repro.cdn.cache import CacheEntry, CacheStats, EvictionPolicy

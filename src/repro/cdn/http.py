@@ -34,6 +34,11 @@ class ClientIntent:
     conditional_version: int = 0
 
 
+#: The plain whole-object request.  Intents are immutable, so the client
+#: model hands out this one instance instead of building one per request.
+FULL_INTENT = ClientIntent(kind="full")
+
+
 @dataclass(frozen=True, slots=True)
 class HttpDecision:
     """Final response description."""
@@ -96,7 +101,7 @@ class ClientModel:
             remaining = obj.size_bytes - start
             length = max(1, int(remaining * rng.uniform(0.05, 0.6)))
             return ClientIntent(kind="range", range_start=start, range_length=length)
-        return ClientIntent(kind="full")
+        return FULL_INTENT
 
 
 def decide_response(

@@ -1,4 +1,4 @@
-"""Per-site / per-category accounting collected during simulation.
+"""Per-site accounting collected during simulation.
 
 The simulator can answer Fig. 15/16-style questions directly (without
 re-reading the emitted trace); the analysis pipeline computes the same
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.types import CacheStatus, ContentCategory
+from repro.types import CacheStatus
 
 
 @dataclass
@@ -23,7 +23,6 @@ class SiteMetrics:
     bytes_from_origin: int = 0
     latency_ms_total: float = 0.0
     status_codes: Counter = field(default_factory=Counter)
-    category_requests: Counter = field(default_factory=Counter)
 
     @property
     def hit_ratio(self) -> float:
@@ -46,7 +45,6 @@ class SiteMetrics:
         self.bytes_from_origin += other.bytes_from_origin
         self.latency_ms_total += other.latency_ms_total
         self.status_codes.update(other.status_codes)
-        self.category_requests.update(other.category_requests)
         return self
 
 
@@ -61,7 +59,6 @@ class SimulationMetrics:
     def record(
         self,
         site: str,
-        category: ContentCategory,
         cache_status: CacheStatus,
         status_code: int,
         bytes_served: int,
@@ -78,7 +75,6 @@ class SimulationMetrics:
         metrics.bytes_from_origin += bytes_from_origin
         metrics.latency_ms_total += latency_ms
         metrics.status_codes[status_code] += 1
-        metrics.category_requests[category] += 1
 
     @property
     def total_requests(self) -> int:

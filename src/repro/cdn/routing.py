@@ -43,21 +43,27 @@ class Router:
             raise RoutingError("router needs a non-empty topology")
         self.topology = topology
         self._down: set[str] = set()
-        self._by_continent: dict[Continent, DataCenter] = {}
+        #: The serving data center per continent, indexed by
+        #: :attr:`~repro.types.Continent.code`.
+        self._routes: list[DataCenter] = []
+        #: Topology position of each continent's serving data center,
+        #: indexed by :attr:`~repro.types.Continent.code`.  :meth:`_rebuild`
+        #: refills it in place, so a reference held across requests sees
+        #: every :meth:`mark_down` and :meth:`mark_up` at the next lookup.
+        self.route_positions: list[int] = []
         self._rebuild()
 
     def _rebuild(self) -> None:
         healthy = [dc for dc in self.topology if dc.dc_id not in self._down]
         if not healthy:
             raise RoutingError("no healthy data center remains")
-        for continent in Continent:
-            self._by_continent[continent] = min(
-                healthy,
-                key=lambda dc: (latency_ms(continent, dc.continent), dc.dc_id),
-            )
-
-    def _nearest(self, continent: Continent) -> DataCenter:
-        return self._by_continent[continent]
+        routes = [
+            min(healthy, key=lambda dc: (latency_ms(continent, dc.continent), dc.dc_id))
+            for continent in Continent
+        ]
+        positions = {dc.dc_id: index for index, dc in enumerate(self.topology)}
+        self._routes[:] = routes
+        self.route_positions[:] = [positions[dc.dc_id] for dc in routes]
 
     def mark_down(self, dc_id: str) -> None:
         """Take a data center out of rotation (failure injection)."""
@@ -78,7 +84,7 @@ class Router:
 
     def route(self, user: User) -> DataCenter:
         """The data center serving ``user``."""
-        return self._by_continent[user.continent]
+        return self._routes[user.continent.code]
 
     def shard_for(self, user: User, shards_per_dc: int = 1) -> tuple[str, int]:
         """The simulation shard serving ``user``: (dc_id, partition).
@@ -91,7 +97,7 @@ class Router:
 
     def route_continent(self, continent: Continent) -> DataCenter:
         """The data center serving users on ``continent``."""
-        return self._by_continent[continent]
+        return self._routes[continent.code]
 
     def latency_to_user(self, user: User) -> float:
         """One-way latency (ms) between the user and their data center."""

@@ -69,6 +69,9 @@ class EdgeServer:
         self.origin = origin
         self.chunker = chunker or Chunker()
         self.trend_aware_ttl = trend_aware_ttl
+        #: Each object's trend TTL, looked up once per object (beside the
+        #: chunker's per-object plan) instead of on every request.
+        self._ttls: dict[str, float] = {}
 
     @property
     def is_split(self) -> bool:
@@ -89,7 +92,10 @@ class EdgeServer:
     def _ttl_for(self, obj: ContentObject) -> float | None:
         if not self.trend_aware_ttl:
             return None
-        return TREND_TTL_SECONDS[obj.trend]
+        ttl = self._ttls.get(obj.object_id)
+        if ttl is None:
+            ttl = self._ttls[obj.object_id] = TREND_TTL_SECONDS[obj.trend]
+        return ttl
 
     def serve(
         self,
@@ -97,12 +103,16 @@ class EdgeServer:
         intent: ClientIntent,
         now: float,
         cacheable: bool = True,
+        version: int | None = None,
     ) -> EdgeResult:
         """Serve the byte span ``intent`` addresses, updating the cache.
 
         ``cacheable=False`` (per-publisher configuration; the paper notes
         CDNs customise cache configuration per publisher, and S-1 has the
         smallest cached share) serves through the edge without storing.
+        ``version`` is the object's origin version at ``now`` when the
+        caller has already looked it up (the simulator's serve loop has);
+        None looks it up here.
         """
         if intent.kind == "range" and intent.range_valid:
             start, length = intent.range_start, intent.range_length
@@ -116,7 +126,8 @@ class EdgeServer:
         bytes_from_cache = 0
         bytes_from_origin = 0
         ttl = self._ttl_for(obj)
-        version = self.origin.current_version(obj, now)
+        if version is None:
+            version = self.origin.current_version(obj, now)
         small_limit = chunker.chunk_bytes // 2  # cache_for's tier split
         small_cache, large_cache = self.small_cache, self.large_cache
         for chunk in chunks:

@@ -1,6 +1,9 @@
 """The CDN simulator: workload requests in, HTTP log records out.
 
-For each workload :class:`~repro.workload.generator.Request` the simulator
+For each workload request — a row of a
+:class:`~repro.workload.generator.RequestBlock`, or a
+:class:`~repro.workload.generator.Request` view on the record-at-a-time
+adapters — the simulator
 
 1. routes the user to their data center (:mod:`repro.cdn.routing`);
 2. consults the user's browser cache — a fresh private copy turns the
@@ -28,9 +31,10 @@ from one sequential generator, so a request's outcome is independent of
 execution order.  :meth:`CdnSimulator.run_batches` exploits both
 properties: with ``workers > 1`` the
 request stream is *streamed* through persistent shard workers: the parent
-drains the workload generator incrementally, stamps ids, and feeds
-per-shard bounded dispatch windows (``queue_depth`` requests in flight
-per shard, backpressure otherwise), while an incremental frontier merge
+drains the workload generator block by block, splits each block's
+columns by shard, and feeds per-shard bounded dispatch windows
+(``queue_depth`` requests in flight per shard, backpressure otherwise),
+while an incremental frontier merge
 emits :class:`~repro.trace.batch.RecordBatch` blocks as soon as every
 shard's ``request_id`` frontier has passed the merge head.  Generation
 overlaps simulation, peak resident requests are O(queue_depth × shards)
@@ -58,14 +62,14 @@ from repro.cdn.browser import BrowserCache
 from repro.cdn.cache import Cache, CacheStats
 from repro.cdn.chunking import Chunker
 from repro.cdn.geo import DataCenter, Topology, default_datacenters, latency_ms
-from repro.cdn.http import ClientIntent, ClientModel, decide_response
+from repro.cdn.http import FULL_INTENT, ClientModel, decide_response
 from repro.cdn.metrics import SimulationMetrics
 from repro.cdn.origin import OriginServer
 from repro.cdn.playback import PlaybackModel
 from repro.cdn.policies import make_policy
 from repro.cdn.proxy import IspProxyLayer, ProxyConfig
 from repro.cdn.replication import PushReplicator, PushStats
-from repro.cdn.routing import Router
+from repro.cdn.routing import Router, user_partition
 from repro.cdn.server import EdgeServer
 from repro.stats.sampling import CounterStreams, counter_rng
 from repro.trace.anonymize import Anonymizer
@@ -78,18 +82,15 @@ from repro.trace.batch import (
 )
 from repro.trace.record import LogRecord
 from repro.types import CacheStatus, Continent, ContentCategory
-from repro.workload.generator import Request
+from repro.workload.catalog import ContentObject
+from repro.workload.generator import Request, RequestBlock, RequestTables
+from repro.workload.population import User
 from repro.workload.profiles import SiteProfile
 
 #: Default per-shard dispatch window: enough to keep a worker busy while
 #: the parent generates the next block, small enough that peak resident
 #: requests stay O(queue_depth × shards) rather than the whole stream.
 DEFAULT_QUEUE_DEPTH = 8192
-
-#: Requests coalesced into one dispatch block when the input stream is
-#: flat; pre-batched input (``merged_request_batches``) keeps its own
-#: block boundaries.
-DISPATCH_BLOCK = 2048
 
 #: Fault-injection hooks for the failure-path tests: a worker raises (or
 #: SIGKILLs itself) when it is about to serve the named request id.
@@ -326,21 +327,26 @@ class SimulatorShard:
         self.playback: PlaybackModel | None = None
         if config.playback_mode:
             self.playback = PlaybackModel(segment_bytes=config.chunk_bytes)
+        # First-byte latency terms, added per request in a fixed order:
+        # the user <-> edge round trip per user continent (indexed by
+        # ``Continent.code``), and the edge <-> origin round trip.
+        self._user_rtt = [2 * latency_ms(continent, dc.continent) for continent in Continent]
+        self._origin_rtt = 2 * latency_ms(dc.continent, config.origin_continent)
 
     # -- serving -------------------------------------------------------------
 
-    def process(self, request: Request) -> list[tuple]:
-        """Serve one request, returning the rows it logged (0..n)."""
-        if self.playback is not None and self.playback.is_streamable(request.obj):
-            return self.serve_viewing(request)
-        row = self.serve(request)
+    def process(self, user: User, obj: ContentObject, now: float, request_id: int) -> list[tuple]:
+        """Serve ``user``'s request ``request_id`` for ``obj`` at ``now``,
+        returning the rows it logged (0..n)."""
+        if self.playback is not None and self.playback.is_streamable(obj):
+            return self.serve_viewing(user, obj, now, request_id)
+        row = self.serve(user, obj, now, request_id)
         return [row] if row is not None else []
 
     def _row(
-        self, request: Request, now: float, cache_status: CacheStatus, decision, chunk_index: int
+        self, user: User, obj: ContentObject, now: float, cache_status: CacheStatus, decision, chunk_index: int
     ) -> tuple:
         """One log row, fields in :meth:`RecordBatch.iter_rows` order."""
-        user, obj = request.user, request.obj
         return (
             now,
             obj.site,
@@ -356,7 +362,7 @@ class SimulatorShard:
             chunk_index,
         )
 
-    def _request_rng(self, request: Request) -> np.random.Generator:
+    def _request_rng(self, request_id: int) -> np.random.Generator:
         """The request's private random stream — pure function of the id.
 
         It is ``counter_rng(seed, "request", request_id)``, served by
@@ -364,10 +370,9 @@ class SimulatorShard:
         until the next request's ``_request_rng`` call: every draw for a
         request is made before the shard moves on.
         """
-        return self._request_streams.at(request.request_id)
+        return self._request_streams.at(request_id)
 
-    def _browser_for(self, request: Request) -> BrowserCache:
-        user = request.user
+    def _browser_for(self, user: User, now: float) -> BrowserCache:
         browser = self.browsers.get(user.user_id)
         if browser is None:
             browser = BrowserCache(self.config.browser_cache_bytes, incognito=user.incognito)
@@ -378,27 +383,26 @@ class SimulatorShard:
                 self.metrics.evicted_browsers += 1
         else:
             self.browsers.move_to_end(user.user_id)
-        browser.observe_request_time(request.timestamp)
+        browser.observe_request_time(now)
         return browser
 
-    def serve(self, request: Request) -> tuple | None:
-        """Serve one request end-to-end, returning its log row; None when
-        served from the browser.
+    def serve(self, user: User, obj: ContentObject, now: float, request_id: int) -> tuple | None:
+        """Serve ``user``'s request ``request_id`` for ``obj`` at ``now``
+        end-to-end, returning its log row; None when served from the
+        browser.
 
         A fresh local copy is served without contacting the CDN with
         probability ``browser_local_serve_prob`` — those accesses are
         invisible to CDN logs, which is the mechanism behind the paper's
         incognito/304 discussion (Section V).
         """
-        user, obj = request.user, request.obj
-        now = request.timestamp
-        dc, edge = self.dc, self.edge
-        rng = self._request_rng(request)
+        edge = self.edge
+        rng = self._request_rng(request_id)
         self._apply_background_churn(now)
         if self.replicator is not None:
             self.replicator.advance(now, (edge,))
 
-        browser = self._browser_for(request)
+        browser = self._browser_for(user, now)
 
         cached = browser.get(obj.object_id)
         if cached is not None and rng.random() < self.config.browser_local_serve_prob:
@@ -415,19 +419,21 @@ class SimulatorShard:
 
         # First-byte latency model: user <-> edge round trip; on an edge
         # miss the edge must first fetch from the origin continent.
-        latency = 2 * latency_ms(user.continent, dc.continent)
+        latency = self._user_rtt[user.continent.code]
 
         cache_status = CacheStatus.MISS
         chunk_index = -1
         bytes_from_origin = 0
         if decision.status_code in (200, 206):
             cacheable = rng.random() < self.cache_priority.get(obj.site, 1.0)
-            result = edge.serve(obj, intent, now, cacheable=cacheable)
+            # 200/206 means access was allowed, so ``current_version`` is
+            # the origin's version at ``now``: the edge need not look it up.
+            result = edge.serve(obj, intent, now, cacheable=cacheable, version=current_version)
             cache_status = result.cache_status
             chunk_index = result.first_chunk_index
             bytes_from_origin = result.bytes_from_origin
             if cache_status is CacheStatus.MISS:
-                latency += 2 * latency_ms(dc.continent, self.config.origin_continent)
+                latency += self._origin_rtt
             self._maybe_browser_store(browser, obj, current_version, now)
             if self.proxies is not None:
                 self.proxies.admit(user.continent, obj, now)
@@ -444,17 +450,17 @@ class SimulatorShard:
 
         self.metrics.record(
             site=obj.site,
-            category=obj.category,
             cache_status=cache_status,
             status_code=decision.status_code,
             bytes_served=decision.bytes_served,
             bytes_from_origin=bytes_from_origin,
             latency_ms=latency,
         )
-        return self._row(request, now, cache_status, decision, chunk_index)
+        return self._row(user, obj, now, cache_status, decision, chunk_index)
 
-    def serve_viewing(self, request: Request) -> list[tuple]:
-        """Serve one video viewing as a stream of segment requests.
+    def serve_viewing(self, user: User, obj: ContentObject, now: float, request_id: int) -> list[tuple]:
+        """Serve ``user``'s viewing ``request_id`` of video ``obj``, started
+        at ``now``, as a stream of segment requests.
 
         Only used in playback mode: the viewing is expanded into
         sequential/seeking segment downloads with abandonment, each served
@@ -463,41 +469,42 @@ class SimulatorShard:
         its draws come from the request's stream, which the next request
         re-keys — and its rows come back as one list.
         """
-        user, obj = request.user, request.obj
-        dc, edge = self.dc, self.edge
-        rng = self._request_rng(request)
-        self._browser_for(request)
+        edge = self.edge
+        rng = self._request_rng(request_id)
+        self._browser_for(user, now)
+        user_rtt = self._user_rtt[user.continent.code]
 
-        allowed = self.origin.is_published(obj, request.timestamp) and self.origin.check_access(rng)
+        allowed = self.origin.is_published(obj, now) and self.origin.check_access(rng)
         if not allowed:
-            decision = decide_response(ClientIntent(kind="full"), obj, False, 0)
+            decision = decide_response(FULL_INTENT, obj, False, 0)
             self.metrics.record(
-                site=obj.site, category=obj.category, cache_status=CacheStatus.MISS,
+                site=obj.site, cache_status=CacheStatus.MISS,
                 status_code=decision.status_code, bytes_served=0, bytes_from_origin=0,
-                latency_ms=2 * latency_ms(user.continent, dc.continent),
+                latency_ms=user_rtt,
             )
-            return [self._row(request, request.timestamp, CacheStatus.MISS, decision, -1)]
+            return [self._row(user, obj, now, CacheStatus.MISS, decision, -1)]
 
         assert self.playback is not None
         rows = []
+        start = now
         for segment in self.playback.viewing(obj, rng):
-            now = request.timestamp + segment.offset_seconds
+            now = start + segment.offset_seconds
             self._apply_background_churn(now)
             if self.replicator is not None:
                 self.replicator.advance(now, (edge,))
             version = self.origin.current_version(obj, now)
             decision = decide_response(segment.intent, obj, True, version)
             cacheable = rng.random() < self.cache_priority.get(obj.site, 1.0)
-            result = edge.serve(obj, segment.intent, now, cacheable=cacheable)
-            latency = 2 * latency_ms(user.continent, dc.continent)
+            result = edge.serve(obj, segment.intent, now, cacheable=cacheable, version=version)
+            latency = user_rtt
             if result.cache_status is CacheStatus.MISS:
-                latency += 2 * latency_ms(dc.continent, self.config.origin_continent)
+                latency += self._origin_rtt
             self.metrics.record(
-                site=obj.site, category=obj.category, cache_status=result.cache_status,
+                site=obj.site, cache_status=result.cache_status,
                 status_code=decision.status_code, bytes_served=decision.bytes_served,
                 bytes_from_origin=result.bytes_from_origin, latency_ms=latency,
             )
-            rows.append(self._row(request, now, result.cache_status, decision, result.first_chunk_index))
+            rows.append(self._row(user, obj, now, result.cache_status, decision, result.first_chunk_index))
         return rows
 
     def _apply_background_churn(self, now: float) -> None:
@@ -531,54 +538,64 @@ class SimulatorShard:
 
 def _serve_shard_queue(
     worker_id: int,
-    shards: dict[tuple[str, int], SimulatorShard],
+    shards: dict[int, SimulatorShard],
+    tables: RequestTables | None,
     in_queue,
     out_queue,
 ) -> None:
-    """Persistent worker-process loop: serve dispatched chunks until EOF.
+    """Persistent worker-process loop: serve dispatched pieces until EOF.
 
-    The worker owns a fixed subset of shards.  Messages on ``in_queue``
-    are ``(shard_key, seq, [Request, ...])`` chunks — FIFO per shard, so
-    serving them in arrival order is exactly the sequential computation —
-    or ``None`` to finish.  Each served chunk is acknowledged on
-    ``out_queue`` as a :class:`RecordBatch` plus the per-row
-    ``request_id`` array the parent's frontier merge needs; at
+    The worker owns a fixed subset of shards, keyed by shard position,
+    and starts with the :class:`RequestTables` of the stream's first
+    block.  Messages on ``in_queue`` are ``(position, seq, timestamps,
+    user_index, object_index, request_ids)`` pieces of block columns —
+    FIFO per shard, so serving them in arrival order is exactly the
+    sequential computation; other :class:`RequestTables`, when a later
+    block indexes into different ones; or ``None`` to finish.  Each served piece is
+    acknowledged on ``out_queue`` as a :class:`RecordBatch` plus the
+    per-row ``request_id`` array the parent's frontier merge needs; at
     EOF the worker ships every shard it mutated back whole, so the parent
     can adopt exactly the state a sequential run would have left.
     """
     fail_rid = int(os.environ.get(_FAIL_RID_ENV, "-1") or "-1")
     kill_rid = int(os.environ.get(_KILL_RID_ENV, "-1") or "-1")
-    busy = {key: 0.0 for key in shards}
-    touched: set[tuple[str, int]] = set()
+    busy = {position: 0.0 for position in shards}
+    touched: set[int] = set()
     while True:
         message = in_queue.get()
         if message is None:
             break
-        key, seq, chunk = message
-        shard = shards[key]
+        if isinstance(message, RequestTables):
+            tables = message
+            continue
+        position, seq, timestamps, user_index, object_index, request_ids = message
+        shard = shards[position]
+        users, objects = tables.users, tables.objects
         start = time.perf_counter()
         builder = BatchBuilder()
         rids: list[int] = []
         try:
-            for request in chunk:
-                if request.request_id == kill_rid:
+            for now, user, obj, request_id in zip(
+                timestamps.tolist(), user_index.tolist(), object_index.tolist(), request_ids.tolist()
+            ):
+                if request_id == kill_rid:
                     os.kill(os.getpid(), 9)  # injected hard crash (tests)
-                if request.request_id == fail_rid:
+                if request_id == fail_rid:
                     raise RuntimeError(f"injected worker failure at request {fail_rid}")
-                rows = shard.process(request)
+                rows = shard.process(users[user], objects[obj], now, request_id)
                 for row in rows:
                     builder.append(*row)
-                rids.extend([request.request_id] * len(rows))
+                rids.extend([request_id] * len(rows))
             batch = builder.finish() if len(builder) else None
         except Exception as exc:
-            out_queue.put(("error", worker_id, key, f"{type(exc).__name__}: {exc}"))
+            out_queue.put(("error", worker_id, position, f"{type(exc).__name__}: {exc}"))
             return
-        busy[key] += time.perf_counter() - start
-        touched.add(key)
+        busy[position] += time.perf_counter() - start
+        touched.add(position)
         out_queue.put(
-            ("result", worker_id, key, seq, batch, np.asarray(rids, dtype=np.int64), len(chunk))
+            ("result", worker_id, position, seq, batch, np.asarray(rids, dtype=np.int64), len(request_ids))
         )
-    out_queue.put(("done", worker_id, {key: shards[key] for key in touched}, busy))
+    out_queue.put(("done", worker_id, {position: shards[position] for position in touched}, busy))
 
 
 class _ShardChannel:
@@ -846,6 +863,9 @@ class CdnSimulator:
                     dc, partition, self.config, self._cache_priority
                 )
         self._next_request_id = 0
+        #: The latest request tables and their per-user routing keys (see
+        #: :meth:`_user_keys`).
+        self._user_keys_of: tuple | None = None
         #: Statistics of the latest :meth:`run_batches` call.
         self.sim_stats: SimStats | None = None
 
@@ -914,42 +934,53 @@ class CdnSimulator:
     def run(self, requests: Iterable[Request]) -> Iterator[LogRecord]:
         """Process requests in timestamp order, yielding log records.
 
-        Requests fully served from a user's local browser cache produce no
-        CDN log record (exactly why the paper's publishers cannot measure —
-        or rely on — browser caching).  Input order is trusted (the
-        workload generator emits sorted streams); out-of-order input only
-        perturbs cache-state realism, not correctness.
+        The record-at-a-time adapter over the same per-request machinery
+        as :meth:`run_batches`; requests without an id get the next ids in
+        stream order.  Requests fully served from a user's local browser
+        cache produce no CDN log record (exactly why the paper's
+        publishers cannot measure — or rely on — browser caching).  Input
+        order is trusted (the workload generator emits sorted streams);
+        out-of-order input only perturbs cache-state realism, not
+        correctness.
         """
         for request in self._identified(requests):
-            for row in self._shard_of(request.user).process(request):
+            shard = self._shard_of(request.user)
+            for row in shard.process(request.user, request.obj, request.timestamp, request.request_id):
                 yield record_from_row(row)
 
     def run_batches(
         self,
-        requests: Iterable[Request] | Iterable[list[Request]],
+        blocks: Iterable[RequestBlock],
         batch_size: int = DEFAULT_BATCH_SIZE,
         workers: int | None = None,
         queue_depth: int | None = None,
         spill_pool=None,
     ) -> Iterator[RecordBatch]:
-        """Process requests and yield columnar :class:`RecordBatch` blocks.
+        """Serve request blocks and yield columnar :class:`RecordBatch` blocks.
 
-        Accepts either a flat request stream or the chunked stream from
-        :meth:`~repro.workload.generator.WorkloadGenerator.merged_request_batches`;
-        both are served through the same per-request machinery, so the
-        emitted records are identical to :meth:`run`'s.  This is the
-        production path into :meth:`repro.core.dataset.TraceDataset.from_batches`.
+        ``blocks`` is a stream of :class:`~repro.workload.generator.RequestBlock`
+        slices, as :meth:`~repro.workload.generator.WorkloadGenerator.merged_request_batches`
+        yields them; each row is served by looking its user and object up
+        by index, through the same per-request machinery as :meth:`run`,
+        so the emitted records are identical to :meth:`run`'s over the
+        same requests, whatever the block boundaries.  The router is read
+        at every request of the sequential path, so a
+        :meth:`~repro.cdn.routing.Router.mark_down` between two pulls takes
+        effect at the next request.  This is the production path into
+        :meth:`repro.core.dataset.TraceDataset.from_batches`.
 
         ``workers`` above 1 (default 1) runs the streaming dispatcher: the
-        request source is drained incrementally and fed to persistent
-        per-shard worker processes through bounded dispatch windows of
-        ``queue_depth`` requests each (default ``DEFAULT_QUEUE_DEPTH``),
-        so workload generation overlaps simulation and peak resident
-        requests stay O(queue_depth × shards) instead of the whole stream.
-        An incremental frontier merge re-emits the per-shard record
-        streams in global ``request_id`` order — the output is
-        bit-identical to the sequential path for any worker count, batch
-        size and queue depth, and the merged metrics match exactly.
+        blocks are drained incrementally and their columns, split by
+        shard, fed to persistent per-shard worker processes through
+        bounded dispatch windows of ``queue_depth`` requests each
+        (default ``DEFAULT_QUEUE_DEPTH``), so workload generation overlaps
+        simulation and peak resident requests stay O(queue_depth × shards)
+        instead of the whole stream.  Routing there is decided when a
+        block is dispatched.  An incremental frontier merge re-emits the
+        per-shard record streams in global ``request_id`` order — the
+        output is bit-identical to the sequential path for any worker
+        count, block size, batch size and queue depth, and the merged
+        metrics match exactly.
 
         Exhaustion contract: the returned iterator is lazy.
         :attr:`sim_stats` is reset to ``None`` up front and populated only
@@ -976,9 +1007,9 @@ class CdnSimulator:
         self.sim_stats = None
         if workers > 1:
             return self._run_batches_parallel(
-                requests, batch_size, workers, queue_depth, spill_pool
+                blocks, batch_size, workers, queue_depth, spill_pool
             )
-        return self._run_batches_sequential(requests, batch_size)
+        return self._run_batches_sequential(blocks, batch_size)
 
     def warm(self, catalogs: Iterable) -> int:
         """Pre-fill every edge cache with popular pre-existing objects.
@@ -1061,7 +1092,8 @@ class CdnSimulator:
     def serve(self, request: Request) -> LogRecord | None:
         """Serve one request end-to-end; None when served from the browser."""
         request = next(self._identified((request,)))
-        row = self._shard_of(request.user).serve(request)
+        shard = self._shard_of(request.user)
+        row = shard.serve(request.user, request.obj, request.timestamp, request.request_id)
         return None if row is None else record_from_row(row)
 
     def serve_viewing(self, request: Request) -> Iterator[LogRecord]:
@@ -1072,7 +1104,9 @@ class CdnSimulator:
         out its finished records.
         """
         request = next(self._identified((request,)))
-        return map(record_from_row, self._shard_of(request.user).serve_viewing(request))
+        shard = self._shard_of(request.user)
+        rows = shard.serve_viewing(request.user, request.obj, request.timestamp, request.request_id)
+        return map(record_from_row, rows)
 
     # -- internals -----------------------------------------------------------
 
@@ -1097,51 +1131,63 @@ class CdnSimulator:
                 self._next_request_id = max(self._next_request_id, request.request_id + 1)
             yield request
 
-    def _request_blocks(self, source: Iterable) -> Iterator[list[Request]]:
-        """Identified dispatch blocks from a flat or pre-batched stream.
+    def _user_keys(self, tables: RequestTables) -> tuple[list[int], list[int]]:
+        """Each user's continent code and cache partition, by user index.
 
-        Pre-batched input (lists, e.g. ``merged_request_batches``) keeps
-        its own block boundaries; flat requests are coalesced into
-        ``DISPATCH_BLOCK``-sized blocks.  Ids are stamped in stream order
-        either way, so blocking changes nothing about the output.
+        Computed once per :class:`RequestTables` (every block of one
+        stream shares its tables).  A user's shard is then at position
+        ``router.route_positions[code] * shards_per_dc + partition`` of
+        ``_shards``, which lists each data center's partitions in
+        topology order.
         """
-        staging: list[Request] = []
-        for item in source:
-            if isinstance(item, list):
-                if staging:
-                    yield list(self._identified(staging))
-                    staging = []
-                if item:
-                    yield list(self._identified(item))
-            else:
-                staging.append(item)
-                if len(staging) >= DISPATCH_BLOCK:
-                    yield list(self._identified(staging))
-                    staging = []
-        if staging:
-            yield list(self._identified(staging))
+        if self._user_keys_of is None or self._user_keys_of[0] is not tables:
+            partitions = self.config.shards_per_dc
+            self._user_keys_of = (
+                tables,
+                [user.continent.code for user in tables.users],
+                [user_partition(user.user_id, partitions) for user in tables.users],
+            )
+        return self._user_keys_of[1], self._user_keys_of[2]
 
     def _run_batches_sequential(
-        self, requests: Iterable[Request] | Iterable[list[Request]], batch_size: int
+        self, blocks: Iterable[RequestBlock], batch_size: int
     ) -> Iterator[RecordBatch]:
         start = time.perf_counter()
-        source = _TimedIterator(requests)
-        queued = {key: 0 for key in self._shards}
-        emitted = {key: 0 for key in self._shards}
-        busy = {key: 0.0 for key in self._shards}
+        source = _TimedIterator(blocks)
+        shards = list(self._shards.values())
+        # Per-shard bookkeeping, by shard position.
+        queued = [0] * len(shards)
+        emitted = [0] * len(shards)
+        busy = [0.0] * len(shards)
+        partitions_per_dc = self.config.shards_per_dc
+        clock = time.perf_counter
         peak_resident = 0
         builder = BatchBuilder()
-        for item in source:
-            block = item if isinstance(item, list) else [item]
+        for block in source:
+            if not len(block):
+                continue
             if len(block) > peak_resident:
                 peak_resident = len(block)
-            for request in self._identified(block):
-                key = self._shard_key(request.user)
-                tick = time.perf_counter()
-                rows = self._shards[key].process(request)
-                busy[key] += time.perf_counter() - tick
-                queued[key] += 1
-                emitted[key] += len(rows)
+            # Later record-at-a-time requests without an id continue
+            # past every id this block holds.
+            self._next_request_id = max(self._next_request_id, int(block.request_id[-1]) + 1)
+            users, objects = block.tables.users, block.tables.objects
+            codes, partitions = self._user_keys(block.tables)
+            # Refilled in place by every mark_down/mark_up, so each
+            # request below reads the routing table as it is then.
+            routes = self.router.route_positions
+            for now, user, obj, request_id in zip(
+                block.timestamps.tolist(),
+                block.user_index.tolist(),
+                block.object_index.tolist(),
+                block.request_id.tolist(),
+            ):
+                position = routes[codes[user]] * partitions_per_dc + partitions[user]
+                tick = clock()
+                rows = shards[position].process(users[user], objects[obj], now, request_id)
+                busy[position] += clock() - tick
+                queued[position] += 1
+                emitted[position] += len(rows)
                 # Cut at exactly batch_size rows: a playback request's
                 # rows may straddle two batches.
                 for row in rows:
@@ -1164,7 +1210,7 @@ class CdnSimulator:
 
     def _run_batches_parallel(
         self,
-        requests: Iterable[Request] | Iterable[list[Request]],
+        blocks: Iterable[RequestBlock],
         batch_size: int,
         workers: int,
         queue_depth: int,
@@ -1172,35 +1218,47 @@ class CdnSimulator:
     ) -> Iterator[RecordBatch]:
         """Streaming producer/consumer dispatch over persistent shard workers.
 
-        The parent drains the request source block by block, partitions
-        each block by shard, and dispatches chunks of at most
-        ``queue_depth`` requests into each shard's bounded window —
-        blocking (and meanwhile draining worker results) when a window is
-        full.  Worker acknowledgements advance the per-shard frontiers;
-        the frontier merge emits every row whose id all shards have
-        passed, cut into ``batch_size`` batches.  Mutated shards
-        are adopted back only after every worker finished cleanly, so a
-        failure leaves the simulator exactly as before the call.
+        The parent drains the blocks one by one, splits each block's
+        columns by shard position with numpy, and dispatches column
+        pieces of at most ``queue_depth`` requests into each shard's
+        bounded window — blocking (and meanwhile draining worker results)
+        when a window is full.  The workers start at the first block and
+        get its request tables as a process argument (a later block with
+        other tables sends them once, as a message).
+        Worker acknowledgements advance the per-shard frontiers; the
+        frontier merge emits every row whose id all shards have passed,
+        cut into ``batch_size`` batches.  Mutated shards are adopted back
+        only after every worker finished cleanly, so a failure leaves the
+        simulator exactly as before the call.
         """
         start = time.perf_counter()
         keys = list(self._shards)
+        positions = range(len(keys))
         n_workers = min(workers, len(keys))
         context = multiprocessing.get_context()
         in_queues = [context.Queue() for _ in range(n_workers)]
         out_queue = context.Queue()
-        channels = {key: _ShardChannel(key, index % n_workers) for index, key in enumerate(keys)}
+        channels = [_ShardChannel(keys[position], position % n_workers) for position in positions]
         processes = []
-        for worker_id in range(n_workers):
-            owned = {key: self._shards[key] for key in keys if channels[key].worker_id == worker_id}
-            processes.append(
-                context.Process(
+
+        def start_workers(tables: RequestTables | None) -> None:
+            """Start the workers, handing each its shards and ``tables``
+            as process arguments (inherited, not pickled, under fork)."""
+            for worker_id in range(n_workers):
+                owned = {
+                    position: self._shards[keys[position]]
+                    for position in positions
+                    if channels[position].worker_id == worker_id
+                }
+                process = context.Process(
                     target=_serve_shard_queue,
-                    args=(worker_id, owned, in_queues[worker_id], out_queue),
+                    args=(worker_id, owned, tables, in_queues[worker_id], out_queue),
                     daemon=True,
                 )
-            )
+                processes.append(process)
+                process.start()
 
-        merger = _FrontierMerger(keys)
+        merger = _FrontierMerger(positions)
         if spill_pool is not None:
             merger.attach_spill(spill_pool)
         carry: list[RecordBatch] = []  # merged rows not yet cut into a batch
@@ -1208,15 +1266,17 @@ class CdnSimulator:
         produced_through = -1
         peak_resident = 0
         done_workers: set[int] = set()
-        adopted: dict[tuple[str, int], SimulatorShard] = {}
-        worker_busy: dict[tuple[str, int], float] = {key: 0.0 for key in keys}
+        adopted: dict[int, SimulatorShard] = {}
+        worker_busy = [0.0] * len(keys)
+        sent_tables: RequestTables | None = None
+        partitions_per_dc = self.config.shards_per_dc
         # Acked-but-unemittable records are bounded too: when a slow shard
         # holds the frontier back this far, production stalls until it acks.
         buffer_cap = 4 * queue_depth * len(keys)
 
         def bound() -> int:
             head = produced_through
-            for channel in channels.values():
+            for channel in channels:
                 frontier = channel.frontier(produced_through)
                 if frontier < head:
                     head = frontier
@@ -1226,23 +1286,24 @@ class CdnSimulator:
             nonlocal total_inflight
             kind = message[0]
             if kind == "result":
-                _, _, key, seq, batch, rids, count = message
-                channel = channels[key]
+                _, _, position, seq, batch, rids, count = message
+                channel = channels[position]
                 channel.ack(seq, count)
                 total_inflight -= count
                 if batch is not None:
                     channel.records += len(batch)
-                    merger.push(key, rids, batch)
+                    merger.push(position, rids, batch)
             elif kind == "done":
                 _, worker_id, shards, busy = message
                 done_workers.add(worker_id)
                 adopted.update(shards)
-                worker_busy.update(busy)
+                for position, seconds in busy.items():
+                    worker_busy[position] = seconds
             else:  # "error"
-                _, worker_id, key, text = message
+                _, worker_id, position, text = message
                 raise SimulationError(
                     f"simulation worker {worker_id} failed serving shard "
-                    f"{self._shards[key].shard_id}: {text}; no shard state was "
+                    f"{self._shards[keys[position]].shard_id}: {text}; no shard state was "
                     "adopted — the simulator is unchanged and a retry is safe"
                 )
 
@@ -1272,9 +1333,9 @@ class CdnSimulator:
                         message = out_queue.get(timeout=0.5)
                     except queue_lib.Empty:
                         shard_ids = ", ".join(
-                            self._shards[key].shard_id
-                            for key in keys
-                            if channels[key].worker_id in dead
+                            self._shards[keys[position]].shard_id
+                            for position in positions
+                            if channels[position].worker_id in dead
                         )
                         raise SimulationError(
                             f"simulation worker(s) {dead} died serving shard(s) "
@@ -1303,34 +1364,54 @@ class CdnSimulator:
             carry[:] = [rows.rows(cut, held).compact()] if cut < held else []
 
         try:
-            for process in processes:
-                process.start()
-            source = _TimedIterator(requests, busy_probe=lambda: total_inflight > 0)
-            for block in self._request_blocks(source):
+            source = _TimedIterator(blocks, busy_probe=lambda: total_inflight > 0)
+            for block in source:
+                if not len(block):
+                    continue
                 if total_inflight + len(block) > peak_resident:
                     peak_resident = total_inflight + len(block)
-                partitions: dict[tuple[str, int], list[Request]] = {}
-                for request in block:
-                    partitions.setdefault(self._shard_key(request.user), []).append(request)
-                for key, part in partitions.items():
-                    channel = channels[key]
-                    for offset in range(0, len(part), queue_depth):
-                        piece = part[offset : offset + queue_depth]
+                if block.tables is not sent_tables:
+                    sent_tables = block.tables
+                    if processes:
+                        for in_queue in in_queues:
+                            in_queue.put(sent_tables)
+                    else:
+                        start_workers(sent_tables)
+                    codes, partitions = map(np.asarray, self._user_keys(sent_tables))
+                users = block.user_index
+                routes = np.asarray(self.router.route_positions)
+                shard_of = routes[codes[users]] * partitions_per_dc + partitions[users]
+                # Each shard's rows in block order: a stable sort by shard.
+                order = np.argsort(shard_of, kind="stable")
+                counts = np.bincount(shard_of, minlength=len(keys))
+                ends = np.cumsum(counts).tolist()
+                for position in np.flatnonzero(counts).tolist():
+                    channel = channels[position]
+                    shard_rows = order[ends[position] - int(counts[position]) : ends[position]]
+                    for offset in range(0, len(shard_rows), queue_depth):
+                        piece = shard_rows[offset : offset + queue_depth]
                         while channel.inflight + len(piece) > queue_depth:
                             drain(block=True)
                             yield from emit_ready()
-                        seq = channel.dispatch(piece[0].request_id, len(piece))
+                        request_ids = block.request_id[piece]
+                        seq = channel.dispatch(int(request_ids[0]), len(piece))
                         total_inflight += len(piece)
-                        in_queues[channel.worker_id].put((key, seq, piece))
+                        in_queues[channel.worker_id].put((
+                            position, seq, block.timestamps[piece], users[piece],
+                            block.object_index[piece], request_ids,
+                        ))
                 # Only now is every id in the block dispatched: an
                 # idle shard's frontier may advance this far, no further
                 # — mid-block it would overstate what the shard has seen.
-                produced_through = block[-1].request_id
+                produced_through = int(block.request_id[-1])
+                self._next_request_id = max(self._next_request_id, produced_through + 1)
                 drain(block=False)
                 yield from emit_ready()
                 while merger.buffered > buffer_cap and total_inflight > 0:
                     drain(block=True)
                     yield from emit_ready()
+            if not processes:
+                start_workers(None)  # an empty stream: the workers just finish
             while total_inflight > 0:
                 drain(block=True)
                 yield from emit_ready()
@@ -1340,18 +1421,18 @@ class CdnSimulator:
                 drain(block=True)
             # Every worker finished cleanly: adopt the mutated shards, so
             # caches/browsers/metrics match a sequential run exactly.
-            for key, shard in adopted.items():
-                self._shards[key] = shard
+            for position, shard in adopted.items():
+                self._shards[keys[position]] = shard
             yield from emit_ready(final=True)
             for process in processes:
                 process.join(timeout=5)
             self.sim_stats = self._build_stats(
                 workers=n_workers,
                 wall_seconds=time.perf_counter() - start,
-                queued={key: channels[key].dispatched for key in keys},
-                emitted={key: channels[key].records for key in keys},
+                queued=[channel.dispatched for channel in channels],
+                emitted=[channel.records for channel in channels],
                 busy=worker_busy,
-                queue_peaks={key: channels[key].queue_peak for key in keys},
+                queue_peaks=[channel.queue_peak for channel in channels],
                 generate_seconds=source.seconds,
                 overlap_fraction=source.overlap_fraction,
                 peak_resident_requests=peak_resident,
@@ -1373,29 +1454,30 @@ class CdnSimulator:
         self,
         workers: int,
         wall_seconds: float,
-        queued: dict[tuple[str, int], int],
-        emitted: dict[tuple[str, int], int],
-        busy: dict[tuple[str, int], float],
-        queue_peaks: dict[tuple[str, int], int] | None = None,
+        queued: list[int],
+        emitted: list[int],
+        busy: list[float],
+        queue_peaks: list[int] | None = None,
         generate_seconds: float = 0.0,
         overlap_fraction: float = 0.0,
         peak_resident_requests: int = 0,
         spill=None,
     ) -> SimStats:
+        """The run's :class:`SimStats`; per-shard figures are by shard position."""
         shards = tuple(
             ShardStats(
-                shard_id=self._shards[key].shard_id,
-                queue_depth=queued[key],
-                records=emitted[key],
-                wall_seconds=busy[key],
-                queue_peak=0 if queue_peaks is None else queue_peaks[key],
+                shard_id=shard.shard_id,
+                queue_depth=queued[position],
+                records=emitted[position],
+                wall_seconds=busy[position],
+                queue_peak=0 if queue_peaks is None else queue_peaks[position],
             )
-            for key in self._shards
+            for position, shard in enumerate(self._shards.values())
         )
         return SimStats(
             workers=workers,
-            requests=sum(queued.values()),
-            records=sum(emitted.values()),
+            requests=sum(queued),
+            records=sum(emitted),
             wall_seconds=wall_seconds,
             shards=shards,
             generate_seconds=generate_seconds,

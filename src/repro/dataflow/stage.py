@@ -2,9 +2,10 @@
 
 A *stage* is one step of the end-to-end measurement pipeline — workload
 generation, CDN simulation, trace writing, accumulator ingest — expressed
-as an operator over a stream of row blocks (``list[Request]`` between
-generate and simulate, :class:`~repro.trace.batch.RecordBatch` from the
-simulator onward; anything with ``len()`` counting rows).  The protocol
+as an operator over a stream of row blocks
+(:class:`~repro.workload.generator.RequestBlock` between generate and
+simulate, :class:`~repro.trace.batch.RecordBatch` from the simulator
+onward; anything with ``len()`` counting rows).  The protocol
 is deliberately tiny so that each subsystem module can expose an adapter
 without importing the executor:
 

@@ -10,6 +10,7 @@ HTTP status code.
 from __future__ import annotations
 
 import enum
+import functools
 
 
 class ContentCategory(enum.Enum):
@@ -85,6 +86,17 @@ class Continent(enum.Enum):
     def utc_offset_hours(self) -> int:
         """A representative whole-hour UTC offset for the continent."""
         return _CONTINENT_UTC_OFFSETS[self]
+
+    @functools.cached_property
+    def code(self) -> int:
+        """The continent's position in definition order, a small-int key.
+
+        The simulator's per-request routing and latency tables are lists
+        indexed by it: keying a dict by the member would run the
+        Python-level ``Enum.__hash__`` on every lookup.  Cached on the
+        member, so each read after the first is a plain attribute load.
+        """
+        return list(Continent).index(self)
 
 
 _CONTINENT_UTC_OFFSETS = {

@@ -7,13 +7,16 @@ sizes and category mixes, object-size models, Zipf popularity, temporal
 popularity-trend classes, content injection over the week, device mixes,
 continental user placement, session behaviour, and per-user addiction.
 
-The output is a stream of :class:`~repro.workload.generator.Request`
-events; feeding them through :class:`repro.cdn.CdnSimulator` yields the
-HTTP log records the analysis pipeline consumes.
+The output is a time-ordered stream of
+:class:`~repro.workload.generator.RequestBlock` columns (user and object
+indices into shared tables); feeding them through
+:class:`repro.cdn.CdnSimulator` yields the HTTP log records the analysis
+pipeline consumes.  :class:`~repro.workload.generator.Request` is the
+per-row view record-at-a-time callers use.
 """
 
 from repro.workload.catalog import ContentCatalog, ContentObject, build_catalog
-from repro.workload.generator import Request, WorkloadGenerator
+from repro.workload.generator import Request, RequestBlock, RequestTables, WorkloadGenerator
 from repro.workload.population import User, UserPopulation
 from repro.workload.profiles import (
     ALL_PROFILES,
@@ -36,6 +39,8 @@ __all__ = [
     "ContentObject",
     "PROFILES_BY_NAME",
     "Request",
+    "RequestBlock",
+    "RequestTables",
     "ScaleConfig",
     "SiteProfile",
     "User",

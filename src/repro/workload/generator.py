@@ -2,8 +2,9 @@
 
 This is the synthetic replacement for the paper's proprietary CDN logs.
 For each site it builds the catalog and user population, plans every user
-session for the week, and turns sessions into time-ordered
-:class:`Request` events with the object-selection model below:
+session for the week, and turns sessions into time-ordered request
+columns — timestamp, user index, object index and repeat flag — with the
+object-selection model below:
 
 * a request first draws its *category* from the site's request mix
   (Fig. 2a: request traffic skews differently from the catalog mix);
@@ -16,14 +17,17 @@ session for the week, and turns sessions into time-ordered
   addicted users add binge requests on top — producing the
   far-above-diagonal points of Fig. 13.
 
-Feeding the request stream to :class:`repro.cdn.CdnSimulator` yields the
-HTTP log the analysis pipeline consumes.
+The sites' columns merge into one time-ordered stream of
+:class:`RequestBlock` slices, whose index columns point into one shared
+:class:`RequestTables` of every user and object; feeding the blocks to
+:meth:`repro.cdn.CdnSimulator.run_batches` yields the HTTP log the
+analysis pipeline consumes.  A :class:`Request` is a view of one row,
+built only on demand by the record-at-a-time APIs.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -47,35 +51,120 @@ from repro.workload.temporal import trend_envelope
 
 @dataclass(frozen=True, slots=True)
 class Request:
-    """One user request event, before it reaches the CDN."""
+    """One user request event, before it reaches the CDN.
+
+    A view of one row of a request stream's columns, built on demand by
+    :meth:`RequestBlock.iter_requests` and :attr:`SiteWorkload.requests`
+    for the record-at-a-time APIs (:meth:`WorkloadGenerator.merged_requests`,
+    :meth:`repro.cdn.CdnSimulator.run`, ``serve`` and ``serve_viewing``).
+    """
 
     timestamp: float
     user: User
     obj: ContentObject
     is_repeat: bool = False
     #: Position of the request in the merged global stream; -1 until
-    #: assigned by :meth:`WorkloadGenerator.merged_requests` (the simulator
-    #: assigns stream order itself when it sees -1).  The id keys the
+    #: assigned by the merge (the simulator's record-at-a-time adapters
+    #: assign stream order themselves when they see -1).  The id keys the
     #: request's counter-based random stream, so every stochastic outcome
     #: is a pure function of the request — see :func:`repro.stats.sampling.counter_rng`.
     request_id: int = -1
 
-    def __lt__(self, other: "Request") -> bool:
-        return self.timestamp < other.timestamp
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RequestTables:
+    """The users and objects a request stream's index columns point into.
+
+    Every site's population and catalog, concatenated in profile order.
+    All blocks of one merged stream share one tables object, so a consumer
+    does its per-user and per-object work once per table, not per request.
+    """
+
+    users: tuple[User, ...]
+    objects: tuple[ContentObject, ...]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RequestBlock:
+    """Consecutive rows of the merged request stream, as columns.
+
+    Row ``i`` is request ``request_id[i]``: user
+    ``tables.users[user_index[i]]`` asks for object
+    ``tables.objects[object_index[i]]`` at ``timestamps[i]``.  Blocks cut
+    from one stream are views of its columns; ``len(block)`` is the row
+    count.
+    """
+
+    tables: RequestTables
+    timestamps: np.ndarray
+    user_index: np.ndarray
+    object_index: np.ndarray
+    is_repeat: np.ndarray
+    request_id: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def rows(self, start: int, stop: int) -> "RequestBlock":
+        """Rows ``[start, stop)`` as a block of views of these columns."""
+        return RequestBlock(
+            self.tables,
+            self.timestamps[start:stop],
+            self.user_index[start:stop],
+            self.object_index[start:stop],
+            self.is_repeat[start:stop],
+            self.request_id[start:stop],
+        )
+
+    def iter_requests(self) -> Iterator[Request]:
+        """Each row as a :class:`Request` view, in stream order."""
+        return _request_views(
+            self.tables.users, self.tables.objects, self.timestamps, self.user_index,
+            self.object_index, self.is_repeat, self.request_id.tolist(),
+        )
 
 
 @dataclass
 class SiteWorkload:
-    """Everything generated for one site."""
+    """Everything generated for one site.
+
+    The site's requests are four time-ordered columns: ``timestamps``
+    (float64 trace seconds), ``user_index`` (positions in
+    ``population.users``), ``object_index`` (positions in
+    ``catalog.objects``) and ``is_repeat``.
+    """
 
     profile: SiteProfile
     catalog: ContentCatalog
     population: UserPopulation
-    requests: list[Request]
+    timestamps: np.ndarray
+    user_index: np.ndarray
+    object_index: np.ndarray
+    is_repeat: np.ndarray
 
     @property
     def request_count(self) -> int:
-        return len(self.requests)
+        return len(self.timestamps)
+
+    @property
+    def requests(self) -> list[Request]:
+        """The site's requests as :class:`Request` views (ids unassigned),
+        built on every access — for tests and record-at-a-time callers."""
+        return list(
+            _request_views(
+                self.population.users, self.catalog.objects, self.timestamps,
+                self.user_index, self.object_index, self.is_repeat,
+                [-1] * self.request_count,
+            )
+        )
+
+
+def _request_views(users, objects, timestamps, user_index, object_index, is_repeat, request_ids):
+    """:class:`Request` views of request columns, one per row."""
+    for timestamp, user, obj, repeat, request_id in zip(
+        timestamps.tolist(), user_index.tolist(), object_index.tolist(), is_repeat.tolist(), request_ids
+    ):
+        yield Request(timestamp, users[user], objects[obj], repeat, request_id)
 
 
 class WorkloadGenerator:
@@ -125,13 +214,28 @@ class WorkloadGenerator:
     # -- public API --------------------------------------------------------
 
     def generate_site(self, profile: SiteProfile) -> SiteWorkload:
-        """Generate catalog, population and time-ordered requests for a site."""
+        """Generate catalog, population and time-ordered request columns for a site.
+
+        The requests are sorted by timestamp with a stable sort, so equal
+        timestamps keep their generation order.
+        """
         rng = make_rng(np.random.SeedSequence([self.seed, _stable_site_seed(profile.name)]))
         catalog = build_catalog(profile, self.scale, spawn_rng(rng, "catalog"))
         population = build_population(profile, self.scale, spawn_rng(rng, "population"))
-        requests = self._generate_requests(profile, catalog, population, spawn_rng(rng, "requests"))
-        requests.sort(key=lambda r: r.timestamp)
-        return SiteWorkload(profile=profile, catalog=catalog, population=population, requests=requests)
+        timestamps, users, objects, repeats = self._generate_requests(
+            profile, catalog, population, spawn_rng(rng, "requests")
+        )
+        timestamps = np.array(timestamps, dtype=np.float64)
+        order = np.argsort(timestamps, kind="stable")
+        return SiteWorkload(
+            profile=profile,
+            catalog=catalog,
+            population=population,
+            timestamps=timestamps[order],
+            user_index=np.array(users, dtype=np.int64)[order],
+            object_index=np.array(objects, dtype=np.int64)[order],
+            is_repeat=np.array(repeats, dtype=bool)[order],
+        )
 
     def generate_all(self) -> dict[str, SiteWorkload]:
         """Generate every configured site.
@@ -146,49 +250,68 @@ class WorkloadGenerator:
         workloads: dict[str, SiteWorkload] | None = None,
         start_request_id: int = 0,
     ) -> Iterator[Request]:
-        """All sites' requests merged into one global time order.
-
-        The CDN simulator consumes this stream so that shared edge caches
-        see cross-site interleaving, as a real CDN does.  Each merged
-        request is stamped with its position (offset by
-        ``start_request_id``) as ``request_id`` — the stable key the
-        simulator's counter-based RNG and shard-parallel merge are built
-        on.  The stream is lazy: requests are stamped as they are drawn,
-        so a streaming consumer (the simulator's producer/consumer
-        dispatcher) overlaps generation with its own work instead of
-        waiting for the whole stream.  ``start_request_id`` lets a
-        resumed or segmented run continue the id sequence where a
-        previous stream stopped, keeping the per-request RNG keys stable
-        across the seam.
-        """
-        if workloads is None:
-            workloads = self.generate_all()
-        merged = heapq.merge(*(w.requests for w in workloads.values()), key=lambda r: r.timestamp)
-        for request_id, request in enumerate(merged, start=start_request_id):
-            yield Request(request.timestamp, request.user, request.obj, request.is_repeat, request_id)
+        """The merged stream of :meth:`merged_request_batches`, one
+        :class:`Request` view per row — for record-at-a-time callers."""
+        yield from self._merge(workloads, start_request_id).iter_requests()
 
     def merged_request_batches(
         self,
         workloads: dict[str, SiteWorkload] | None = None,
         batch_size: int = 8192,
         start_request_id: int = 0,
-    ) -> Iterator[list[Request]]:
-        """The merged request stream chunked into time-ordered lists.
+    ) -> Iterator[RequestBlock]:
+        """All sites' requests merged into one global time order, as
+        :class:`RequestBlock` slices of ``batch_size`` rows.
 
-        The batch-oriented simulator entry point
-        (:meth:`repro.cdn.simulator.CdnSimulator.run_batches`) consumes
-        these; the chunking changes nothing about the stream's order.
-        Like :meth:`merged_requests` this is lazy (one ``batch_size``
-        block resident at a time) and resumable via ``start_request_id``.
+        The CDN simulator consumes this stream
+        (:meth:`repro.cdn.simulator.CdnSimulator.run_batches`) so that
+        shared edge caches see cross-site interleaving, as a real CDN
+        does.  The merge concatenates the sites' columns in profile order,
+        offsets their indices into one :class:`RequestTables` of every
+        user and object, and orders the rows with one stable argsort on
+        the timestamps — so requests with equal timestamps come in profile
+        order, then in their site's order.  Each row is stamped with its
+        position (offset by ``start_request_id``) as ``request_id``, the
+        stable key the simulator's counter-based RNG and shard-parallel
+        merge are built on; ``start_request_id`` lets a resumed or
+        segmented run continue the id sequence where a previous stream
+        stopped.  The stream is lazy: nothing is generated or merged
+        before the first block is pulled.
         """
-        block: list[Request] = []
-        for request in self.merged_requests(workloads, start_request_id=start_request_id):
-            block.append(request)
-            if len(block) >= batch_size:
-                yield block
-                block = []
-        if block:
-            yield block
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        return self._blocks(workloads, batch_size, start_request_id)
+
+    def _blocks(
+        self, workloads: dict[str, SiteWorkload] | None, batch_size: int, start_request_id: int
+    ) -> Iterator[RequestBlock]:
+        stream = self._merge(workloads, start_request_id)
+        for start in range(0, len(stream), batch_size):
+            yield stream.rows(start, start + batch_size)
+
+    def _merge(self, workloads: dict[str, SiteWorkload] | None, start_request_id: int) -> RequestBlock:
+        """The whole merged stream as one block (see :meth:`merged_request_batches`)."""
+        if workloads is None:
+            workloads = self.generate_all()
+        sites = list(workloads.values())
+        users: list[User] = []
+        objects: list[ContentObject] = []
+        user_index, object_index = [], []
+        for site in sites:
+            user_index.append(site.user_index + len(users))
+            object_index.append(site.object_index + len(objects))
+            users.extend(site.population.users)
+            objects.extend(site.catalog.objects)
+        timestamps = np.concatenate([site.timestamps for site in sites])
+        order = np.argsort(timestamps, kind="stable")
+        return RequestBlock(
+            RequestTables(tuple(users), tuple(objects)),
+            timestamps[order],
+            np.concatenate(user_index)[order],
+            np.concatenate(object_index)[order],
+            np.concatenate([site.is_repeat for site in sites])[order],
+            np.arange(start_request_id, start_request_id + len(order), dtype=np.int64),
+        )
 
     # -- internals ----------------------------------------------------------
 
@@ -198,7 +321,9 @@ class WorkloadGenerator:
         catalog: ContentCatalog,
         population: UserPopulation,
         rng: np.random.Generator,
-    ) -> list[Request]:
+    ) -> tuple[list[float], list[int], list[int], list[bool]]:
+        """The site's requests in generation order, as four columns:
+        timestamps, user indices, catalog positions and repeat flags."""
         duration = float(self.scale.duration_seconds)
         duration_hours = self.scale.duration_hours
 
@@ -234,9 +359,13 @@ class WorkloadGenerator:
         category_cdf /= category_cdf[-1]
         category_cdf = category_cdf.tolist()
 
-        requests: list[Request] = []
-        history: dict[int, list[ContentObject]] = {}
-        favorites: dict[int, ContentObject] = {}
+        timestamps: list[float] = []
+        user_indices: list[int] = []
+        positions: list[int] = []
+        repeats: list[bool] = []
+        # Histories and favourites hold catalog positions.
+        history: dict[int, list[int]] = {}
+        favorites: dict[int, int] = {}
 
         for user_index, n_sessions in enumerate(session_counts.tolist()):
             if n_sessions == 0:
@@ -258,31 +387,42 @@ class WorkloadGenerator:
                     rng,
                 )
                 for timestamp in plan.request_times:
-                    obj, is_repeat = self._pick_object(
+                    position, is_repeat = self._pick_object(
                         profile, selector, user, user_history, favorites, user_index,
                         timestamp, categories, category_cdf, rng,
                     )
-                    if obj is None:
+                    if position is None:
                         continue
-                    requests.append(Request(timestamp, user, obj, is_repeat))
-                    user_history.append(obj)
+                    timestamps.append(timestamp)
+                    user_indices.append(user_index)
+                    positions.append(position)
+                    repeats.append(is_repeat)
+                    user_history.append(position)
 
-        self._add_binges(profile, catalog, population, history, requests, duration, rng)
-        return requests
+        binge_times, binge_users, binge_positions = self._add_binges(
+            profile, catalog, population, history, duration, rng
+        )
+        timestamps.extend(binge_times)
+        user_indices.extend(binge_users)
+        positions.extend(binge_positions)
+        repeats.extend([True] * len(binge_times))
+        return timestamps, user_indices, positions, repeats
 
     def _pick_object(
         self,
         profile: SiteProfile,
         selector: "_ObjectSelector",
         user: User,
-        user_history: list[ContentObject],
-        favorites: dict[int, ContentObject],
+        user_history: list[int],
+        favorites: dict[int, int],
         user_index: int,
         timestamp: float,
         categories: list[ContentCategory],
         category_cdf: list[float],
         rng: np.random.Generator,
-    ) -> tuple[ContentObject | None, bool]:
+    ) -> tuple[int | None, bool]:
+        """The catalog position the request asks for (None: nothing
+        alive to draw) and whether it re-requests the user's history."""
         category = categories[bisect.bisect_right(category_cdf, rng.random())]
         addiction_level = profile.addiction_video if category is ContentCategory.VIDEO else profile.addiction_image
         repeat_prob = min(0.85, self.REPEAT_GAIN * user.addiction_propensity * addiction_level)
@@ -294,52 +434,61 @@ class WorkloadGenerator:
                 favorites[user_index] = favorite
             return favorite, True
         hour = min(int(timestamp // HOUR_SECONDS), selector.duration_hours - 1)
-        obj = selector.sample(category, hour, rng)
-        return obj, False
+        return selector.sample(category, hour, rng), False
 
     def _add_binges(
         self,
         profile: SiteProfile,
         catalog: ContentCatalog,
         population: UserPopulation,
-        history: dict[int, list[ContentObject]],
-        requests: list[Request],
+        history: dict[int, list[int]],
         duration: float,
         rng: np.random.Generator,
-    ) -> None:
-        """Append binge re-requests for strongly addicted users (Fig. 13/14).
+    ) -> tuple[list[float], list[int], list[int]]:
+        """Binge re-requests for strongly addicted users (Fig. 13/14).
 
         Each strongly addicted visitor fixates on one object — chosen
         uniformly from the catalog's dominant addictive category, so tail
         objects can acquire a dedicated fan — and re-requests it many
         times over a few days.  Occasional extreme binges produce the
         two-orders-of-magnitude requests-to-users outliers of Fig. 13.
+        Only ``history``'s keys (the users who requested anything) are
+        read.  Returns the binge requests' timestamps, user indices and
+        catalog positions; every one is a repeat.
         """
-        video_objects = catalog.by_category(ContentCategory.VIDEO)
-        if not video_objects:
-            return
+        times_out: list[float] = []
+        users_out: list[int] = []
+        positions_out: list[int] = []
+        objects = catalog.objects
+        video_positions = [
+            index for index, obj in enumerate(objects) if obj.category is ContentCategory.VIDEO
+        ]
+        if not video_positions:
+            return times_out, users_out, positions_out
         # Calibrated fan count: enough dedicated fans that >=10% of video
         # objects clear the 10-requests/user bar, spread over the catalog.
         addiction_boost = profile.addiction_video / 0.3
-        n_fans = max(2, int(round(self.BINGE_FANS_PER_VIDEO_OBJECT * addiction_boost * len(video_objects))))
+        n_fans = max(2, int(round(self.BINGE_FANS_PER_VIDEO_OBJECT * addiction_boost * len(video_positions))))
         candidates = sorted(
             history,
             key=lambda idx: -population.users[idx].addiction_propensity,
         )[: max(n_fans, 1)]
         for user_index in candidates:
-            user = population.users[user_index]
-            favorite = video_objects[int(rng.integers(0, len(video_objects)))]
+            favorite = video_positions[int(rng.integers(0, len(video_positions)))]
+            birth_time = objects[favorite].birth_time
             extra = 3 + int(rng.poisson(self.BINGE_MEAN_REQUESTS))
             # Extreme (Fig. 13's ~100x) binges only on sites with a real
             # video catalog; on image sites a single extreme fan would
             # visibly distort the site's category request mix.
-            if len(video_objects) >= 20 and rng.random() < self.EXTREME_BINGE_PROB:
+            if len(video_positions) >= 20 and rng.random() < self.EXTREME_BINGE_PROB:
                 extra *= 8
-            anchor = float(rng.uniform(max(favorite.birth_time, 0.0), duration))
+            anchor = float(rng.uniform(max(birth_time, 0.0), duration))
             spread = rng.exponential(scale=3 * HOUR_SECONDS, size=extra)
-            times = np.clip(anchor + np.cumsum(spread) - spread.sum() / 2, favorite.birth_time, duration - 1)
-            for t in times:
-                requests.append(Request(timestamp=float(t), user=user, obj=favorite, is_repeat=True))
+            times = np.clip(anchor + np.cumsum(spread) - spread.sum() / 2, birth_time, duration - 1)
+            times_out.extend(times.tolist())
+            users_out.extend([user_index] * extra)
+            positions_out.extend([favorite] * extra)
+        return times_out, users_out, positions_out
 
 
 class GenerateStage:
@@ -348,10 +497,9 @@ class GenerateStage:
     The plan adapter for :class:`WorkloadGenerator`.  ``connect`` builds
     the generator from the run's seed and scale and generates every site
     up front (that cost is attributed to this stage's wall time), then
-    returns the lazy merged request-block stream — downstream stages pull
-    one block at a time, so a streaming consumer overlaps with request
-    stamping exactly as :meth:`WorkloadGenerator.merged_request_batches`
-    promises.  The workloads and resolved profiles stay on the stage so
+    returns the lazy merged :class:`RequestBlock` stream of
+    :meth:`WorkloadGenerator.merged_request_batches` — downstream stages
+    pull one block at a time.  The workloads and resolved profiles stay on the stage so
     the simulate stage can size caches from the catalogs and the plan
     result can expose them.
     """
@@ -396,12 +544,16 @@ class _ObjectSelector:
         self.duration_hours = duration_hours
         self._envelopes: dict[ContentCategory, np.ndarray] = {}
         self._weights: dict[ContentCategory, np.ndarray] = {}
-        #: Per category with objects: the objects and one table slot per hour.
-        self._categories: dict[ContentCategory, tuple[list[ContentObject], list]] = {}
+        #: Per category with objects: their catalog positions and one table
+        #: slot per hour.
+        self._categories: dict[ContentCategory, tuple[list[int], list]] = {}
         for category in ContentCategory:
-            objects = catalog.by_category(category)
-            if not objects:
+            positions = [
+                index for index, obj in enumerate(catalog.objects) if obj.category is category
+            ]
+            if not positions:
                 continue
+            objects = [catalog.objects[index] for index in positions]
             envelope_matrix = np.empty((len(objects), duration_hours))
             for i, obj in enumerate(objects):
                 envelope_matrix[i] = trend_envelope(
@@ -413,21 +565,22 @@ class _ObjectSelector:
                 )
             self._envelopes[category] = envelope_matrix
             self._weights[category] = np.array([obj.popularity_weight for obj in objects])
-            self._categories[category] = (objects, [_UNSET] * duration_hours)
+            self._categories[category] = (positions, [_UNSET] * duration_hours)
 
     def weights_at(self, category: ContentCategory, hour: int) -> np.ndarray:
         """Selection weights of ``category``'s objects in ``hour``."""
         return self._weights[category] * self._envelopes[category][:, hour]
 
-    def sample(self, category: ContentCategory, hour: int, rng: np.random.Generator) -> ContentObject | None:
-        """Draw one object of ``category`` alive at ``hour`` (None if none).
+    def sample(self, category: ContentCategory, hour: int, rng: np.random.Generator) -> int | None:
+        """Draw the catalog position of one object of ``category`` alive at
+        ``hour`` (None if none).
 
         Draws one ``random()``, and nothing when no object can be drawn.
         """
         entry = self._categories.get(category)
         if entry is None:
             return None
-        objects, tables = entry
+        positions, tables = entry
         table = tables[hour]
         if table is _UNSET:
             weights = self.weights_at(category, hour)
@@ -436,7 +589,7 @@ class _ObjectSelector:
         if table is None:
             return None
         index = int(table.searchsorted(rng.random(), side="right"))
-        return objects[min(index, len(objects) - 1)]
+        return positions[min(index, len(positions) - 1)]
 
 
 _UNSET = object()

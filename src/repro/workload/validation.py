@@ -101,9 +101,10 @@ def validate_workload(workload: SiteWorkload) -> CalibrationReport:
     # Request category mix (Fig. 2a).  Binges skew video slightly upward,
     # hence the asymmetric-friendly tolerance.
     request_counts = {category: 0 for category in ContentCategory}
-    for request in workload.requests:
-        request_counts[request.obj.category] += 1
-    total_requests = max(1, len(workload.requests))
+    per_object = np.bincount(workload.object_index, minlength=total_objects)
+    for obj, count in zip(workload.catalog, per_object.tolist()):
+        request_counts[obj.category] += count
+    total_requests = max(1, workload.request_count)
     for category in ContentCategory:
         report.add(
             f"request share {category.value}",
@@ -135,7 +136,7 @@ def validate_workload(workload: SiteWorkload) -> CalibrationReport:
         )
 
     # Request timestamps stay inside the trace window and are sorted.
-    timestamps = np.array([r.timestamp for r in workload.requests])
+    timestamps = workload.timestamps
     in_order = float(np.all(np.diff(timestamps) >= 0)) if timestamps.size else 1.0
     report.add("requests sorted by time", 1.0, in_order, tolerance=0.0)
     return report

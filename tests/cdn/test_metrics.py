@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cdn.metrics import SimulationMetrics, SiteMetrics
-from repro.types import CacheStatus, ContentCategory
+from repro.types import CacheStatus
 
 
 class TestSiteMetrics:
@@ -18,9 +18,9 @@ class TestSiteMetrics:
 class TestSimulationMetrics:
     def test_record_accumulates(self):
         metrics = SimulationMetrics()
-        metrics.record("V-1", ContentCategory.VIDEO, CacheStatus.HIT, 200, 1000, 0, latency_ms=10.0)
-        metrics.record("V-1", ContentCategory.VIDEO, CacheStatus.MISS, 200, 1000, 1000, latency_ms=300.0)
-        metrics.record("P-1", ContentCategory.IMAGE, CacheStatus.HIT, 304, 0, 0, latency_ms=10.0)
+        metrics.record("V-1", CacheStatus.HIT, 200, 1000, 0, latency_ms=10.0)
+        metrics.record("V-1", CacheStatus.MISS, 200, 1000, 1000, latency_ms=300.0)
+        metrics.record("P-1", CacheStatus.HIT, 304, 0, 0, latency_ms=10.0)
         site = metrics.sites["V-1"]
         assert site.requests == 2
         assert site.hits == 1
@@ -33,9 +33,9 @@ class TestSimulationMetrics:
 
     def test_status_code_totals(self):
         metrics = SimulationMetrics()
-        metrics.record("V-1", ContentCategory.VIDEO, CacheStatus.HIT, 200, 1, 0)
-        metrics.record("P-1", ContentCategory.IMAGE, CacheStatus.HIT, 200, 1, 0)
-        metrics.record("P-1", ContentCategory.IMAGE, CacheStatus.MISS, 403, 0, 0)
+        metrics.record("V-1", CacheStatus.HIT, 200, 1, 0)
+        metrics.record("P-1", CacheStatus.HIT, 200, 1, 0)
+        metrics.record("P-1", CacheStatus.MISS, 403, 0, 0)
         totals = metrics.status_code_totals()
         assert totals[200] == 2
         assert totals[403] == 1

@@ -163,3 +163,54 @@ class TestRouterFailover:
         assert records
         late_dcs = {r.datacenter for r in records[len(records) // 2 :]}
         assert "dc-europe" not in {r.datacenter for r in simulator.run(iter(workload.requests[half:]))}
+
+    def test_run_batches_follows_router_at_every_request(self):
+        """A ``mark_down`` between two pulls of ``run_batches`` takes effect
+        at the next request, even in the middle of a request block: the
+        whole run equals a record-at-a-time replay through
+        ``CdnSimulator.serve`` with the mark at the same request."""
+        from repro.cdn.simulator import CdnSimulator, SimulationConfig
+        from repro.types import DAY_SECONDS
+        from repro.workload.generator import WorkloadGenerator
+        from repro.workload.profiles import profile_p1, profile_v1
+        from repro.workload.scale import ScaleConfig
+
+        block_rows = 8192
+        mark_after = 3 * DAY_SECONDS
+        profiles = (profile_v1(), profile_p1())
+        generator = WorkloadGenerator(profiles=profiles, scale=ScaleConfig.tiny(), seed=9)
+        workloads = generator.generate_all()
+
+        def simulator() -> CdnSimulator:
+            return CdnSimulator(profiles=profiles, config=SimulationConfig(seed=10))
+
+        batched = simulator()
+        rows, marked_rows = [], None
+        for batch in batched.run_batches(
+            generator.merged_request_batches(workloads, batch_size=block_rows), batch_size=1
+        ):
+            rows.extend(batch.iter_records())
+            if marked_rows is None and rows[-1].timestamp > mark_after:
+                batched.router.mark_down("dc-europe")
+                marked_rows = len(rows)
+        assert marked_rows is not None
+
+        replay = simulator()
+        expected, marked_at, failed_over = [], None, set()
+        for index, request in enumerate(generator.merged_requests(workloads)):
+            record = replay.serve(request)
+            if record is None:
+                continue
+            expected.append(record)
+            if marked_at is not None and request.user.continent is Continent.EUROPE:
+                failed_over.add(record.datacenter)
+            if marked_at is None and record.timestamp > mark_after:
+                replay.router.mark_down("dc-europe")
+                marked_at = index
+        # The mark fell inside a block, and European users' later rows
+        # name the fail-over data center.
+        assert (marked_at + 1) % block_rows != 0
+        assert failed_over == {"dc-north_america"}
+        assert "dc-europe" in {r.datacenter for r in rows[:marked_rows]}
+        assert "dc-europe" not in {r.datacenter for r in rows[marked_rows:]}
+        assert rows == expected

@@ -4,9 +4,10 @@ The sharded simulator's contract (mirroring
 ``tests/core/test_streaming_equivalence.py`` for the ingest engines):
 ``run_batches(workers=N)`` must produce *exactly* the record stream of the
 sequential path — every ``LogRecord`` field, in the same global order —
-for any worker count and batch size, and the merged
+for any worker count, request-block size and batch size, and the merged
 ``SimulationMetrics`` / ``CacheStats`` / origin / push / proxy counters
-must match the sequential run's exactly.
+must match the sequential run's exactly.  The reference is the
+record-at-a-time adapter ``CdnSimulator.run`` over the same requests.
 """
 
 from __future__ import annotations
@@ -25,21 +26,25 @@ from repro.workload.scale import ScaleConfig
 
 SEED = 11
 N_REQUESTS = 2500
+#: Rows per request block fed to ``run_batches`` unless a test says otherwise.
+BLOCK_ROWS = 1024
 
 
 @pytest.fixture(scope="module")
 def workload():
-    """Two sites' merged, id-stamped request stream plus their catalogs."""
+    """The first rows of two sites' merged request stream, as one block,
+    plus their catalogs."""
     profiles = (profile_v1(), profile_v2())
     generator = WorkloadGenerator(profiles=profiles, scale=ScaleConfig.tiny(), seed=SEED)
     workloads = generator.generate_all()
-    requests = []
-    for request in generator.merged_requests(workloads):
-        requests.append(request)
-        if len(requests) >= N_REQUESTS:
-            break
+    block = next(generator.merged_request_batches(workloads, batch_size=N_REQUESTS))
     catalogs = [w.catalog for w in workloads.values()]
-    return profiles, requests, catalogs
+    return profiles, block, catalogs
+
+
+def _blocks(block, rows):
+    """``block`` cut into consecutive blocks of ``rows`` rows."""
+    return [block.rows(start, start + rows) for start in range(0, len(block), rows)]
 
 
 def _simulator(profiles, catalogs, **overrides) -> CdnSimulator:
@@ -49,23 +54,23 @@ def _simulator(profiles, catalogs, **overrides) -> CdnSimulator:
     return simulator
 
 
-def _run_sequential(profiles, requests, catalogs, **overrides):
+def _run_sequential(profiles, block, catalogs, **overrides):
     simulator = _simulator(profiles, catalogs, **overrides)
-    records = list(simulator.run(iter(requests)))
+    records = list(simulator.run(block.iter_requests()))
     return simulator, records
 
 
 def _run_batched(
-    profiles, requests, catalogs, workers, batch_size, queue_depth=None, chunked=None, **overrides
+    profiles, block, catalogs, workers, batch_size, queue_depth=None, block_rows=BLOCK_ROWS,
+    **overrides,
 ):
     simulator = _simulator(profiles, catalogs, **overrides)
-    if chunked is not None:
-        source = iter([requests[i : i + chunked] for i in range(0, len(requests), chunked)])
-    else:
-        source = iter(requests)
     batches = list(
         simulator.run_batches(
-            source, batch_size=batch_size, workers=workers, queue_depth=queue_depth
+            iter(_blocks(block, block_rows)),
+            batch_size=batch_size,
+            workers=workers,
+            queue_depth=queue_depth,
         )
     )
     records = [record for batch in batches for record in batch.iter_records()]
@@ -75,18 +80,18 @@ def _run_batched(
 @pytest.fixture(scope="module")
 def reference(workload):
     """The sequential run every parallel configuration must reproduce."""
-    profiles, requests, catalogs = workload
-    return _run_sequential(profiles, requests, catalogs)
+    profiles, block, catalogs = workload
+    return _run_sequential(profiles, block, catalogs)
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 7])
     @pytest.mark.parametrize("batch_size", [1, 64, 10**9])
     def test_run_batches_matches_sequential(self, workload, reference, workers, batch_size):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         _, expected = reference
         _, records, batches = _run_batched(
-            profiles, requests, catalogs, workers=workers, batch_size=batch_size
+            profiles, block, catalogs, workers=workers, batch_size=batch_size
         )
         assert len(records) == len(expected)
         assert records == expected  # every LogRecord field, field by field
@@ -94,9 +99,9 @@ class TestBitIdentity:
             assert all(len(batch) <= batch_size for batch in batches)
 
     def test_global_order_is_sequential_order(self, workload, reference):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         _, expected = reference
-        _, records, _ = _run_batched(profiles, requests, catalogs, workers=3, batch_size=128)
+        _, records, _ = _run_batched(profiles, block, catalogs, workers=3, batch_size=128)
         assert [r.timestamp for r in records] == [r.timestamp for r in expected]
         assert [r.timestamp for r in records] == sorted(r.timestamp for r in records)
 
@@ -124,8 +129,8 @@ class TestBatchIdentity:
     def test_parallel_batches_equal_sequential_column_for_column(
         self, workload, batch_size, playback_mode
     ):
-        profiles, requests, catalogs = workload
-        prefix = requests[:1200]
+        profiles, block, catalogs = workload
+        prefix = block.rows(0, 1200)
 
         def batches(workers):
             return _run_batched(
@@ -138,19 +143,66 @@ class TestBatchIdentity:
             assert _columns(batches(workers)) == expected
 
 
+class TestBlockSize:
+    """Where the request stream is cut into blocks changes nothing: the
+    sequential and the 2-worker path emit the same batches, column for
+    column, as one block holding the whole stream does."""
+
+    @pytest.fixture(scope="class")
+    def one_block_batches(self, workload):
+        profiles, block, catalogs = workload
+        _, _, batches = _run_batched(
+            profiles, block, catalogs, workers=1, batch_size=300, block_rows=len(block)
+        )
+        return _columns(batches)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 8192])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_size_does_not_change_batches(
+        self, workload, one_block_batches, workers, block_rows
+    ):
+        profiles, block, catalogs = workload
+        _, _, batches = _run_batched(
+            profiles, block, catalogs, workers=workers, batch_size=300, block_rows=block_rows
+        )
+        assert _columns(batches) == one_block_batches
+
+    def test_blocks_from_two_streams(self, workload):
+        """A later block may index into other request tables — here the
+        same sites merged in the other order, so every index means another
+        user and object, its ids continuing past the first stream's: both
+        paths serve it as the record-at-a-time adapter serves the same
+        requests."""
+        profiles, block, catalogs = workload
+        generator = WorkloadGenerator(profiles=profiles, scale=ScaleConfig.tiny(), seed=SEED)
+        workloads = generator.generate_all()
+        reordered = dict(reversed(list(workloads.items())))
+        other = next(
+            generator.merged_request_batches(reordered, batch_size=300, start_request_id=len(block))
+        )
+        assert other.tables.users[0].site != block.tables.users[0].site
+        blocks = [block.rows(0, 500), other]
+        requests = [request for b in blocks for request in b.iter_requests()]
+        expected = list(_simulator(profiles, catalogs).run(iter(requests)))
+        for workers in (1, 2):
+            simulator = _simulator(profiles, catalogs)
+            batches = list(simulator.run_batches(iter(blocks), batch_size=128, workers=workers))
+            assert [record for batch in batches for record in batch.iter_records()] == expected
+
+
 class TestMergedMetrics:
     def test_metrics_match_sequential_exactly(self, workload, reference):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         seq_sim, _ = reference
-        par_sim, _, _ = _run_batched(profiles, requests, catalogs, workers=4, batch_size=512)
+        par_sim, _, _ = _run_batched(profiles, block, catalogs, workers=4, batch_size=512)
         assert par_sim.metrics == seq_sim.metrics  # includes float latency totals
         assert par_sim.cache_stats() == seq_sim.cache_stats()
         assert par_sim.origin == seq_sim.origin
 
     def test_per_edge_cache_state_matches(self, workload, reference):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         seq_sim, _ = reference
-        par_sim, _, _ = _run_batched(profiles, requests, catalogs, workers=2, batch_size=256)
+        par_sim, _, _ = _run_batched(profiles, block, catalogs, workers=2, batch_size=256)
         for dc_id, seq_edge in seq_sim.edges.items():
             par_edge = par_sim.edges[dc_id]
             for seq_cache, par_cache in zip(seq_edge.caches(), par_edge.caches()):
@@ -159,12 +211,12 @@ class TestMergedMetrics:
                 assert len(seq_cache) == len(par_cache)
 
     def test_push_and_proxy_stats_match(self, workload):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
 
         def run(workers):
             simulator = _simulator(profiles, catalogs, isp_proxies=True)
             simulator.enable_push(catalogs)
-            batches = list(simulator.run_batches(iter(requests), batch_size=512, workers=workers))
+            batches = list(simulator.run_batches(iter([block]), batch_size=512, workers=workers))
             records = [record for batch in batches for record in batch.iter_records()]
             return simulator, records
 
@@ -179,12 +231,12 @@ class TestMergedMetrics:
         )
 
     def test_playback_mode_matches(self, workload):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         seq_sim, seq_records = _run_sequential(
-            profiles, requests[:800], catalogs, playback_mode=True
+            profiles, block.rows(0, 800), catalogs, playback_mode=True
         )
         par_sim, par_records, _ = _run_batched(
-            profiles, requests[:800], catalogs, workers=2, batch_size=64, playback_mode=True
+            profiles, block.rows(0, 800), catalogs, workers=2, batch_size=64, playback_mode=True
         )
         assert par_records == seq_records
         assert par_sim.metrics == seq_sim.metrics
@@ -192,10 +244,10 @@ class TestMergedMetrics:
 
 class TestShardsPerDc:
     def test_partitioned_dc_still_bit_identical(self, workload):
-        profiles, requests, catalogs = workload
-        seq_sim, seq_records = _run_sequential(profiles, requests, catalogs, shards_per_dc=2)
+        profiles, block, catalogs = workload
+        seq_sim, seq_records = _run_sequential(profiles, block, catalogs, shards_per_dc=2)
         par_sim, par_records, _ = _run_batched(
-            profiles, requests, catalogs, workers=5, batch_size=256, shards_per_dc=2
+            profiles, block, catalogs, workers=5, batch_size=256, shards_per_dc=2
         )
         assert par_records == seq_records
         assert par_sim.metrics == seq_sim.metrics
@@ -208,14 +260,14 @@ class TestShardsPerDc:
 
 class TestSimStats:
     def test_stats_populated_after_exhaustion(self, workload):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         for workers in (1, 2):
             simulator, records, _ = _run_batched(
-                profiles, requests, catalogs, workers=workers, batch_size=512
+                profiles, block, catalogs, workers=workers, batch_size=512
             )
             stats = simulator.sim_stats
             assert stats is not None
-            assert stats.requests == len(requests)
+            assert stats.requests == len(block)
             assert stats.records == len(records)
             assert sum(s.records for s in stats.shards) == stats.records
             assert sum(s.queue_depth for s in stats.shards) == stats.requests
@@ -265,9 +317,9 @@ class TestWarmDeterminism:
 
 class TestBrowserEviction:
     def test_cap_bounds_tracked_browsers(self, workload, reference):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         capped, records = _run_sequential(
-            profiles, requests, catalogs, max_tracked_browsers=5
+            profiles, block, catalogs, max_tracked_browsers=5
         )
         assert capped.metrics.evicted_browsers > 0
         for shard in capped._shards.values():
@@ -276,12 +328,12 @@ class TestBrowserEviction:
         assert reference[0].metrics.evicted_browsers == 0
 
     def test_cap_still_bit_identical_across_workers(self, workload):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         _, seq_records = _run_sequential(
-            profiles, requests, catalogs, max_tracked_browsers=5
+            profiles, block, catalogs, max_tracked_browsers=5
         )
         par_sim, par_records, _ = _run_batched(
-            profiles, requests, catalogs, workers=3, batch_size=128, max_tracked_browsers=5
+            profiles, block, catalogs, workers=3, batch_size=128, max_tracked_browsers=5
         )
         assert par_records == seq_records
         assert par_sim.metrics.evicted_browsers > 0
@@ -305,8 +357,8 @@ class TestStreamingDispatch:
     @pytest.mark.parametrize("workers", [2, 5])
     @pytest.mark.parametrize("queue_depth", [1, 17, 100_000])
     def test_queue_depth_grid_bit_identical(self, workload, workers, queue_depth):
-        profiles, requests, catalogs = workload
-        prefix = requests[: 400 if queue_depth == 1 else 1200]
+        profiles, block, catalogs = workload
+        prefix = block.rows(0, 400 if queue_depth == 1 else 1200)
         _, expected = _run_sequential(profiles, prefix, catalogs)
         # batch_size 64 > queue_depth 1/17 exercises a dispatch window
         # smaller than one output batch.
@@ -315,52 +367,44 @@ class TestStreamingDispatch:
         )
         assert records == expected
 
-    def test_prebatched_input_bit_identical(self, workload, reference):
-        profiles, requests, catalogs = workload
-        _, expected = reference
-        _, records, _ = _run_batched(
-            profiles, requests, catalogs, workers=3, batch_size=256, queue_depth=50, chunked=100
-        )
-        assert records == expected
-
     def test_peak_resident_bounded_by_queue_depth(self, workload, reference):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         _, expected = reference
         simulator, records, _ = _run_batched(
-            profiles, requests, catalogs, workers=3, batch_size=256, queue_depth=32, chunked=100
+            profiles, block, catalogs, workers=3, batch_size=256, queue_depth=32, block_rows=100
         )
         assert records == expected
         stats = simulator.sim_stats
         n_shards = len(simulator._shards)
         # At most one staged producer block plus a full window per shard.
         assert 0 < stats.peak_resident_requests <= 32 * n_shards + 100
-        assert stats.peak_resident_requests < len(requests)
+        assert stats.peak_resident_requests < len(block)
         assert all(shard.queue_peak <= 32 for shard in stats.shards)
         assert any(shard.queue_peak > 0 for shard in stats.shards)
         assert stats.generate_seconds > 0
         assert 0.0 <= stats.overlap_fraction <= 1.0
         # The big-window run keeps everything in flight at once.
         big, _, _ = _run_batched(
-            profiles, requests, catalogs, workers=3, batch_size=256, queue_depth=100_000
+            profiles, block, catalogs, workers=3, batch_size=256, queue_depth=100_000
         )
         assert stats.peak_resident_requests < big.sim_stats.peak_resident_requests
 
     def test_queue_depth_validated(self, workload):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         simulator = _simulator(profiles, catalogs)
         with pytest.raises(ValueError):
-            simulator.run_batches(iter(requests), workers=2, queue_depth=0)
+            simulator.run_batches(iter([block]), workers=2, queue_depth=0)
 
 
 class TestStaleStats:
     def test_abandoned_iterator_leaves_stats_none(self, workload):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         for workers in (1, 3):
             simulator = _simulator(profiles, catalogs)
-            full = list(simulator.run_batches(iter(requests), batch_size=128, workers=workers))
+            full = list(simulator.run_batches(iter([block]), batch_size=128, workers=workers))
             assert full and simulator.sim_stats is not None
             previous = simulator.sim_stats
-            iterator = simulator.run_batches(iter(requests), batch_size=128, workers=workers)
+            iterator = simulator.run_batches(iter([block]), batch_size=128, workers=workers)
             # The new run resets the stats before producing anything …
             assert simulator.sim_stats is None
             next(iterator)
@@ -374,13 +418,13 @@ class TestWorkerFailure:
     def _expect_consistent_failure(self, workload, env_name, monkeypatch):
         from repro.errors import SimulationError
 
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         simulator = _simulator(profiles, catalogs)
-        victim = requests[120]
+        [victim] = block.rows(120, 121).iter_requests()
         monkeypatch.setenv(env_name, str(victim.request_id))
         before = dict(simulator._shards)
         with pytest.raises(SimulationError) as excinfo:
-            list(simulator.run_batches(iter(requests), batch_size=128, workers=3, queue_depth=64))
+            list(simulator.run_batches(iter([block]), batch_size=128, workers=3, queue_depth=64))
         # No shard state was adopted: every shard object is the parent's
         # own pre-run instance, so a retry starts from consistent state.
         assert all(simulator._shards[key] is before[key] for key in before)
@@ -499,8 +543,8 @@ def test_hypothesis_frontier_merge_order(data):
 def test_hypothesis_grid_bit_identical(workload, workers, batch_size, slice_len):
     """Property: any (workers, batch_size, stream prefix) combination
     reproduces the sequential records exactly."""
-    profiles, requests, catalogs = workload
-    prefix = requests[:slice_len]
+    profiles, block, catalogs = workload
+    prefix = block.rows(0, slice_len)
     _, expected = _run_sequential(profiles, prefix, catalogs)
     _, records, _ = _run_batched(
         profiles, prefix, catalogs, workers=workers, batch_size=batch_size

@@ -9,7 +9,7 @@ from repro.cdn.http import ClientIntent
 from repro.cdn.simulator import CdnSimulator, SimulationConfig, SimulatorShard
 from repro.types import CacheStatus, Continent, ContentCategory, DeviceType, OBSERVED_STATUS_CODES, TrendClass
 from repro.workload.catalog import ContentObject
-from repro.workload.generator import Request, WorkloadGenerator
+from repro.workload.generator import WorkloadGenerator
 from repro.workload.population import User
 from repro.workload.profiles import ALL_PROFILES, profile_v2
 from repro.workload.scale import ScaleConfig
@@ -178,10 +178,10 @@ class TestRevalidationCacheStatus:
         shard.origin.forbidden_rate = 0.0
         shard.origin.mutation_rate_per_day = 0.0
         shard.edge.serve(obj, ClientIntent(kind="full"), now=0.0)
-        first = shard.serve(Request(10.0, user, obj, request_id=0))  # fills the browser cache
+        first = shard.serve(user, obj, 10.0, 0)  # fills the browser cache
         assert first[8] in (200, 206)
 
-        held = shard.serve(Request(20.0, user, obj, request_id=1))
+        held = shard.serve(user, obj, 20.0, 1)
         assert held[8] == 304
         assert held[7] is True  # logged HIT
 
@@ -189,7 +189,7 @@ class TestRevalidationCacheStatus:
         assert holder.invalidate(first_key)
         if category is ContentCategory.VIDEO:
             assert "vid#c1" in holder  # later chunks stay; only the first decides
-        evicted = shard.serve(Request(30.0, user, obj, request_id=2))
+        evicted = shard.serve(user, obj, 30.0, 2)
         assert evicted[8] == 304
         assert evicted[7] is False  # logged MISS
 

@@ -32,13 +32,9 @@ def workload():
     profiles = (profile_v1(), profile_v2())
     generator = WorkloadGenerator(profiles=profiles, scale=ScaleConfig.tiny(), seed=SEED)
     workloads = generator.generate_all()
-    requests = []
-    for request in generator.merged_requests(workloads):
-        requests.append(request)
-        if len(requests) >= N_REQUESTS:
-            break
+    block = next(generator.merged_request_batches(workloads, batch_size=N_REQUESTS))
     catalogs = [w.catalog for w in workloads.values()]
-    return profiles, requests, catalogs
+    return profiles, block, catalogs
 
 
 def _simulator(profiles, catalogs) -> CdnSimulator:
@@ -50,9 +46,9 @@ def _simulator(profiles, catalogs) -> CdnSimulator:
 
 @pytest.fixture(scope="module")
 def reference(workload):
-    profiles, requests, catalogs = workload
+    profiles, block, catalogs = workload
     simulator = _simulator(profiles, catalogs)
-    records = list(simulator.run(iter(requests)))
+    records = list(simulator.run(block.iter_requests()))
     return simulator, records
 
 
@@ -69,13 +65,13 @@ class TestBudgetedParallelEquivalence:
     def test_records_bit_identical(
         self, workload, reference, workers, batch_size, queue_depth, budget, tmp_path
     ):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         _, expected = reference
         simulator = _simulator(profiles, catalogs)
         with SpillPool(MemoryBudget(budget), spill_dir=str(tmp_path)) as pool:
             batches = list(
                 simulator.run_batches(
-                    iter(requests),
+                    iter([block]),
                     batch_size=batch_size,
                     workers=workers,
                     queue_depth=queue_depth,
@@ -95,12 +91,12 @@ class TestBudgetedParallelEquivalence:
         assert list(tmp_path.iterdir()) == []
 
     def test_metrics_match_sequential(self, workload, reference, tmp_path):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         ref_sim, _ = reference
         simulator = _simulator(profiles, catalogs)
         with SpillPool(MemoryBudget(1), spill_dir=str(tmp_path)) as pool:
             for _ in simulator.run_batches(
-                iter(requests), batch_size=128, workers=3, spill_pool=pool
+                iter([block]), batch_size=128, workers=3, spill_pool=pool
             ):
                 pass
         assert simulator.metrics == ref_sim.metrics
@@ -108,9 +104,9 @@ class TestBudgetedParallelEquivalence:
         assert simulator.origin == ref_sim.origin
 
     def test_no_pool_means_no_spill_telemetry(self, workload):
-        profiles, requests, catalogs = workload
+        profiles, block, catalogs = workload
         simulator = _simulator(profiles, catalogs)
-        for _ in simulator.run_batches(iter(requests[:500]), batch_size=128, workers=2):
+        for _ in simulator.run_batches(iter([block.rows(0, 500)]), batch_size=128, workers=2):
             pass
         stats = simulator.sim_stats
         assert stats is not None

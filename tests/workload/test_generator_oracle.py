@@ -129,9 +129,12 @@ def _reference_requests(generator: WorkloadGenerator, profile) -> list[tuple]:
                 requests.append((timestamp, user.user_id, obj.object_id, is_repeat))
                 user_history.append(obj)
 
-    binges = []
-    generator._add_binges(profile, catalog, population, history, binges, duration, rng)
-    requests.extend((r.timestamp, r.user.user_id, r.obj.object_id, r.is_repeat) for r in binges)
+    # The binges read only the history's keys (who requested anything).
+    times, users, positions = generator._add_binges(profile, catalog, population, history, duration, rng)
+    requests.extend(
+        (timestamp, population.users[user].user_id, catalog.objects[position].object_id, True)
+        for timestamp, user, position in zip(times, users, positions)
+    )
     requests.sort(key=lambda r: r[0])
     return requests
 
