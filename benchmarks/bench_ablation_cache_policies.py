@@ -8,21 +8,10 @@ request hit ratios and origin offload.
 
 from __future__ import annotations
 
-from conftest import BENCH_SEED, print_header
+from conftest import BENCH_SEED, print_header, replay
 
 from repro.cdn.policies import policy_names
-from repro.cdn.simulator import CdnSimulator, SimulationConfig
-
-
-def replay(pipeline_result, config: SimulationConfig) -> float:
-    simulator = CdnSimulator(config=config)
-    if config.warm_caches:
-        simulator.warm(pipeline_result.catalogs.values())
-    requests = [r for w in pipeline_result.workloads.values() for r in w.requests]
-    requests.sort(key=lambda r: r.timestamp)
-    for _ in simulator.run(iter(requests)):
-        pass
-    return simulator.metrics.overall_hit_ratio
+from repro.cdn.simulator import SimulationConfig
 
 
 def test_ablation_cache_policies(benchmark, pipeline_result):
@@ -34,7 +23,8 @@ def test_ablation_cache_policies(benchmark, pipeline_result):
     def sweep():
         for policy in policy_names():
             config = SimulationConfig(seed=BENCH_SEED + 1, cache_policy=policy, cache_capacity_bytes=capacity)
-            results[policy] = replay(pipeline_result, config)
+            simulator, _ = replay(pipeline_result, config)
+            results[policy] = simulator.metrics.overall_hit_ratio
         return results
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

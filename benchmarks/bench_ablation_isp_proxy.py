@@ -10,32 +10,29 @@ before it reaches the CDN.
 
 from __future__ import annotations
 
-from conftest import BENCH_SEED, print_header
+from conftest import BENCH_SEED, print_header, replay
 
-from repro.cdn.simulator import CdnSimulator, SimulationConfig
+from repro.cdn.simulator import SimulationConfig
 
 
-def replay(pipeline_result, proxies: bool):
+def replay_with(pipeline_result, proxies: bool):
     catalog_bytes = sum(c.total_bytes() for c in pipeline_result.catalogs.values())
     config = SimulationConfig(
         seed=BENCH_SEED + 1,
         cache_capacity_bytes=max(1, int(0.4 * catalog_bytes)),
         isp_proxies=proxies,
     )
-    simulator = CdnSimulator(config=config)
-    simulator.warm(pipeline_result.catalogs.values())
-    requests = [r for w in pipeline_result.workloads.values() for r in w.requests]
-    requests.sort(key=lambda r: r.timestamp)
-    records = sum(1 for _ in simulator.run(iter(requests)))
-    return simulator, records, len(requests)
+    simulator, records = replay(pipeline_result, config)
+    requests = sum(w.request_count for w in pipeline_result.workloads.values())
+    return simulator, len(records), requests
 
 
 def test_ablation_isp_proxy(benchmark, pipeline_result):
     runs = {}
 
     def sweep():
-        runs["off"] = replay(pipeline_result, proxies=False)
-        runs["on"] = replay(pipeline_result, proxies=True)
+        runs["off"] = replay_with(pipeline_result, proxies=False)
+        runs["on"] = replay_with(pipeline_result, proxies=True)
         return runs
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

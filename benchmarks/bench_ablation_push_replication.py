@@ -12,22 +12,15 @@ traffic saved per pushed byte.
 
 from __future__ import annotations
 
-from conftest import BENCH_SEED, print_header
+from conftest import BENCH_SEED, print_header, replay
 
-from repro.cdn.simulator import CdnSimulator, SimulationConfig
+from repro.cdn.simulator import SimulationConfig
 
 
-def replay(pipeline_result, push: bool):
+def replay_with(pipeline_result, push: bool):
     catalog_bytes = sum(c.total_bytes() for c in pipeline_result.catalogs.values())
     config = SimulationConfig(seed=BENCH_SEED + 1, cache_capacity_bytes=max(1, int(0.4 * catalog_bytes)))
-    simulator = CdnSimulator(config=config)
-    simulator.warm(pipeline_result.catalogs.values())
-    if push:
-        simulator.enable_push(pipeline_result.catalogs.values())
-    requests = [r for w in pipeline_result.workloads.values() for r in w.requests]
-    requests.sort(key=lambda r: r.timestamp)
-    for _ in simulator.run(iter(requests)):
-        pass
+    simulator, _ = replay(pipeline_result, config, push=push)
     return simulator
 
 
@@ -35,8 +28,8 @@ def test_ablation_push_replication(benchmark, pipeline_result):
     runs = {}
 
     def sweep():
-        runs["off"] = replay(pipeline_result, push=False)
-        runs["on"] = replay(pipeline_result, push=True)
+        runs["off"] = replay_with(pipeline_result, push=False)
+        runs["on"] = replay_with(pipeline_result, push=True)
         return runs
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -9,6 +9,9 @@ from ``REPRO_SCALE`` (tiny | small | medium; default small — big enough
 for stable distribution shapes, small enough to run on a laptop in well
 under a minute).
 
+The ablation benchmarks instead replay the run's workloads through fresh
+simulators under other configurations (:func:`replay`).
+
 Every benchmark run additionally appends one machine-readable record per
 executed ``bench_*`` test to ``BENCH_results.json`` at the repo root
 (figure id, outcome, wall time, scale, plus whatever extra
@@ -25,7 +28,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.cdn.simulator import CdnSimulator, SimulationConfig
 from repro.dataflow import Plan, PlanResult, RunConfig
+from repro.trace.batch import RecordBatch
+from repro.workload.generator import WorkloadGenerator
 
 BENCH_SEED = 2016  # the paper's year
 
@@ -105,6 +111,32 @@ def dataset(pipeline_result: PlanResult):
 @pytest.fixture(scope="session")
 def catalogs(pipeline_result: PlanResult):
     return pipeline_result.catalogs
+
+
+def replay(
+    pipeline_result: PlanResult,
+    config: SimulationConfig,
+    sites: tuple[str, ...] | None = None,
+    push: bool = False,
+) -> tuple[CdnSimulator, RecordBatch]:
+    """Serve the run's merged request stream again, on a new simulator.
+
+    The simulator runs ``config``; it warms with every catalog when the
+    config asks for warm caches, and with ``push`` replicates popular
+    objects (:meth:`~repro.cdn.simulator.CdnSimulator.enable_push`).
+    ``sites`` restricts the stream to those sites' requests.  Returns the
+    simulator and every log record it emitted, as one batch.
+    """
+    workloads = pipeline_result.workloads
+    if sites is not None:
+        workloads = {name: workloads[name] for name in sites}
+    simulator = CdnSimulator(config=config)
+    if config.warm_caches:
+        simulator.warm(pipeline_result.catalogs.values())
+    if push:
+        simulator.enable_push(pipeline_result.catalogs.values())
+    stream = WorkloadGenerator().merged_request_batches(workloads)
+    return simulator, RecordBatch.concat(list(simulator.run_batches(stream)))
 
 
 def print_header(figure: str, claim: str) -> None:

@@ -26,7 +26,7 @@ def replay(generator: WorkloadGenerator, workloads, config: SimulationConfig) ->
     simulator = CdnSimulator(profiles=generator.profiles, config=config)
     if config.warm_caches:
         simulator.warm(w.catalog for w in workloads.values())
-    for _ in simulator.run(generator.merged_requests(workloads)):
+    for _ in simulator.run_batches(generator.merged_request_batches(workloads)):
         pass
     origin_gb = simulator.origin.bytes_served / 1e9
     return simulator.metrics.overall_hit_ratio, origin_gb

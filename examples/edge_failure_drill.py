@@ -17,14 +17,40 @@ from __future__ import annotations
 
 import argparse
 
+import numpy as np
+
 from repro.cdn.simulator import CdnSimulator, SimulationConfig
-from repro.types import CacheStatus, DAY_SECONDS
+from repro.types import DAY_SECONDS
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.scale import ScaleConfig
 
 FAIL_AT = 3 * DAY_SECONDS          # outage starts Tuesday 00:00
 RECOVER_AT = 5 * DAY_SECONDS       # repaired Thursday 00:00
 FAILED_DC = "dc-europe"
+
+
+def drill_blocks(blocks, router):
+    """The request blocks, split where the outage starts and ends.
+
+    The router is marked between two pulls: the simulator reads it at
+    every request, so the mark holds from the first request at or after
+    each instant.
+    """
+    events = [(FAIL_AT, router.mark_down, "marked down"), (RECOVER_AT, router.mark_up, "restored")]
+    for block in blocks:
+        start = 0
+        while events:
+            at, mark, label = events[0]
+            cut = int(np.searchsorted(block.timestamps, at))
+            if cut == len(block):
+                break
+            if cut > start:
+                yield block.rows(start, cut)
+            mark(FAILED_DC)
+            print(f"  !! {FAILED_DC} {label} at t={block.timestamps[cut] / DAY_SECONDS:.2f} days")
+            events.pop(0)
+            start = cut
+        yield block.rows(start, len(block))
 
 
 def main() -> None:
@@ -40,36 +66,22 @@ def main() -> None:
     simulator = CdnSimulator(profiles=generator.profiles, config=config)
     simulator.warm(w.catalog for w in workloads.values())
 
-    # Day-indexed accounting while we drive the simulator manually.
-    day_hits = [0] * 7
-    day_requests = [0] * 7
-    day_latency = [0.0] * 7
-    failed = False
-    recovered = False
-    for request in generator.merged_requests(workloads):
-        if not failed and request.timestamp >= FAIL_AT:
-            simulator.router.mark_down(FAILED_DC)
-            failed = True
-            print(f"  !! {FAILED_DC} marked down at t={request.timestamp / DAY_SECONDS:.2f} days")
-        if not recovered and request.timestamp >= RECOVER_AT:
-            simulator.router.mark_up(FAILED_DC)
-            recovered = True
-            print(f"  !! {FAILED_DC} restored at t={request.timestamp / DAY_SECONDS:.2f} days")
-        record = simulator.serve(request)
-        if record is None:
-            continue
-        day = min(6, int(record.timestamp // DAY_SECONDS))
-        day_requests[day] += 1
-        if record.cache_status is CacheStatus.HIT:
-            day_hits[day] += 1
+    # Day-indexed accounting of the logged (CDN-visible) requests.
+    day_hits = np.zeros(7, dtype=np.int64)
+    day_requests = np.zeros(7, dtype=np.int64)
+    blocks = drill_blocks(generator.merged_request_batches(workloads), simulator.router)
+    for batch in simulator.run_batches(blocks):
+        days = np.minimum(6, batch.timestamp // DAY_SECONDS).astype(np.int64)
+        day_requests += np.bincount(days, minlength=7)
+        day_hits += np.bincount(days, weights=batch.cache_status, minlength=7).astype(np.int64)
 
     print("\nday  requests  hit ratio   note")
     notes = {3: "outage begins", 4: "outage", 5: "recovered"}
     for day in range(7):
         if day_requests[day] == 0:
             continue
-        ratio = day_hits[day] / day_requests[day]
-        print(f"  {day}  {day_requests[day]:>8,}  {ratio:>8.1%}   {notes.get(day, '')}")
+        ratio = int(day_hits[day]) / int(day_requests[day])
+        print(f"  {day}  {int(day_requests[day]):>8,}  {ratio:>8.1%}   {notes.get(day, '')}")
 
     print(
         "\nDuring the outage the failed-over European users land on a North"

@@ -12,8 +12,7 @@ routing, pluggable cache-replacement policies with TTL revalidation, video
 chunking, an origin server with validators and access control, a per-user
 browser cache with incognito disposal, and the simulator that turns
 workload request blocks (:class:`~repro.workload.generator.RequestBlock`)
-into columnar log batches, or :class:`~repro.workload.generator.Request`
-events into :class:`~repro.trace.record.LogRecord` log lines.
+into columnar log batches (:class:`~repro.trace.batch.RecordBatch`).
 """
 
 from repro.cdn.cache import CacheEntry, CacheStats, EvictionPolicy

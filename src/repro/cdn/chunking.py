@@ -33,15 +33,20 @@ class Chunker:
 
     Each object's chunks — its *plan* — are built once per chunker, on
     first use, and cached by ``object_id``: the plan is a pure function of
-    the object and ``chunk_bytes``.  A byte range is served as a slice of
-    the plan.  This module is the only place that formats chunk keys.
+    the object's id, size and category and of ``chunk_bytes``.  One id may
+    name different objects in different catalogs (the same URL under two
+    seeds), so each entry keeps the size and category it was built from
+    and is reused only for an object that has both.  A byte range is
+    served as a slice of the plan.  This module is the only place that
+    formats chunk keys.
     """
 
     def __init__(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES):
         if chunk_bytes <= 0:
             raise CdnError(f"chunk size must be positive, got {chunk_bytes}")
         self.chunk_bytes = chunk_bytes
-        self._plans: dict[str, tuple[ChunkRef, ...]] = {}
+        #: object_id -> (size, category, plan).
+        self._plans: dict[str, tuple[int, ContentCategory, tuple[ChunkRef, ...]]] = {}
 
     def is_chunked(self, obj: ContentObject) -> bool:
         """Only videos larger than one chunk are split."""
@@ -83,25 +88,26 @@ class Chunker:
     def all_chunks(self, obj: ContentObject) -> tuple[ChunkRef, ...]:
         """Every chunk of ``obj`` in index order: the object's plan.
 
-        Built on first use and cached by ``object_id``.  An unchunked
+        Built on first use and cached (see the class docstring).  An unchunked
         object is one chunk keyed by its ``object_id``; a chunked video's
         chunk ``i`` is keyed ``"<object_id>#c<i>"``.  Every chunk is full
         except the object's final one, which holds the remainder
         (``chunk_size``'s definition, computed arithmetically).
         """
-        plan = self._plans.get(obj.object_id)
-        if plan is None:
-            size = obj.size_bytes
-            if not self.is_chunked(obj):
-                plan = (ChunkRef(key=obj.object_id, index=0, size=size),)
-            else:
-                chunk_bytes = self.chunk_bytes
-                final = (size - 1) // chunk_bytes
-                final_size = size - chunk_bytes * final
-                prefix = f"{obj.object_id}#c"
-                plan = tuple(
-                    ChunkRef(key=f"{prefix}{index}", index=index, size=chunk_bytes if index < final else final_size)
-                    for index in range(final + 1)
-                )
-            self._plans[obj.object_id] = plan
+        size = obj.size_bytes
+        entry = self._plans.get(obj.object_id)
+        if entry is not None and entry[0] == size and entry[1] is obj.category:
+            return entry[2]
+        if not self.is_chunked(obj):
+            plan = (ChunkRef(key=obj.object_id, index=0, size=size),)
+        else:
+            chunk_bytes = self.chunk_bytes
+            final = (size - 1) // chunk_bytes
+            final_size = size - chunk_bytes * final
+            prefix = f"{obj.object_id}#c"
+            plan = tuple(
+                ChunkRef(key=f"{prefix}{index}", index=index, size=chunk_bytes if index < final else final_size)
+                for index in range(final + 1)
+            )
+        self._plans[obj.object_id] = (size, obj.category, plan)
         return plan

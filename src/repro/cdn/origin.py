@@ -81,7 +81,10 @@ class OriginServer:
         from a counter-based stream keyed on ``(seed, object_id)`` — a
         pure function of the object, not of query order.  The version is
         simply one plus the number of events at or before ``now``, so it
-        is monotone in ``now`` and identical across origin replicas.
+        is monotone in ``now`` and identical across origin replicas.  The
+        key is the id alone by design: objects that share an id (the same
+        URL in two catalogs) share one schedule, as one URL at a real
+        origin has one modification history.
         """
         if self.mutation_rate_per_day <= 0:
             return 1

@@ -43,9 +43,6 @@ class Router:
             raise RoutingError("router needs a non-empty topology")
         self.topology = topology
         self._down: set[str] = set()
-        #: The serving data center per continent, indexed by
-        #: :attr:`~repro.types.Continent.code`.
-        self._routes: list[DataCenter] = []
         #: Topology position of each continent's serving data center,
         #: indexed by :attr:`~repro.types.Continent.code`.  :meth:`_rebuild`
         #: refills it in place, so a reference held across requests sees
@@ -62,7 +59,6 @@ class Router:
             for continent in Continent
         ]
         positions = {dc.dc_id: index for index, dc in enumerate(self.topology)}
-        self._routes[:] = routes
         self.route_positions[:] = [positions[dc.dc_id] for dc in routes]
 
     def mark_down(self, dc_id: str) -> None:
@@ -84,21 +80,4 @@ class Router:
 
     def route(self, user: User) -> DataCenter:
         """The data center serving ``user``."""
-        return self._routes[user.continent.code]
-
-    def shard_for(self, user: User, shards_per_dc: int = 1) -> tuple[str, int]:
-        """The simulation shard serving ``user``: (dc_id, partition).
-
-        A user routes to exactly one data center and, within it, to one
-        stable cache partition — the property the sharded simulator
-        exploits to run shards in parallel without sharing state.
-        """
-        return self.route(user).dc_id, user_partition(user.user_id, shards_per_dc)
-
-    def route_continent(self, continent: Continent) -> DataCenter:
-        """The data center serving users on ``continent``."""
-        return self._routes[continent.code]
-
-    def latency_to_user(self, user: User) -> float:
-        """One-way latency (ms) between the user and their data center."""
-        return latency_ms(user.continent, self.route(user).continent)
+        return self.topology.datacenters[self.route_positions[user.continent.code]]

@@ -70,8 +70,10 @@ class EdgeServer:
         self.chunker = chunker or Chunker()
         self.trend_aware_ttl = trend_aware_ttl
         #: Each object's trend TTL, looked up once per object (beside the
-        #: chunker's per-object plan) instead of on every request.
-        self._ttls: dict[str, float] = {}
+        #: chunker's per-object plan) instead of on every request:
+        #: object_id -> (trend, TTL), reused only for an object of that
+        #: trend, since one id may name different objects in two catalogs.
+        self._ttls: dict[str, tuple[TrendClass, float]] = {}
 
     @property
     def is_split(self) -> bool:
@@ -92,9 +94,12 @@ class EdgeServer:
     def _ttl_for(self, obj: ContentObject) -> float | None:
         if not self.trend_aware_ttl:
             return None
-        ttl = self._ttls.get(obj.object_id)
-        if ttl is None:
-            ttl = self._ttls[obj.object_id] = TREND_TTL_SECONDS[obj.trend]
+        trend = obj.trend
+        entry = self._ttls.get(obj.object_id)
+        if entry is not None and entry[0] is trend:
+            return entry[1]
+        ttl = TREND_TTL_SECONDS[trend]
+        self._ttls[obj.object_id] = (trend, ttl)
         return ttl
 
     def serve(

@@ -1,9 +1,7 @@
 """The CDN simulator: workload requests in, HTTP log records out.
 
 For each workload request — a row of a
-:class:`~repro.workload.generator.RequestBlock`, or a
-:class:`~repro.workload.generator.Request` view on the record-at-a-time
-adapters — the simulator
+:class:`~repro.workload.generator.RequestBlock` — the simulator
 
 1. routes the user to their data center (:mod:`repro.cdn.routing`);
 2. consults the user's browser cache — a fresh private copy turns the
@@ -17,9 +15,7 @@ adapters — the simulator
    agent, anonymised user id, cache status, status code, bytes served and
    data center, exactly the schema the paper's dataset has (Section III) —
    as a field tuple that a :class:`~repro.trace.batch.BatchBuilder` stores
-   directly; :class:`~repro.trace.record.LogRecord` objects are built only
-   by the record-at-a-time adapters (:meth:`CdnSimulator.run`,
-   :meth:`~CdnSimulator.serve`, :meth:`~CdnSimulator.serve_viewing`).
+   directly.
 
 Sharding and determinism
 ------------------------
@@ -51,7 +47,7 @@ import queue as queue_lib
 import time
 import zlib
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -67,23 +63,16 @@ from repro.cdn.metrics import SimulationMetrics
 from repro.cdn.origin import OriginServer
 from repro.cdn.playback import PlaybackModel
 from repro.cdn.policies import make_policy
-from repro.cdn.proxy import IspProxyLayer, ProxyConfig
+from repro.cdn.proxy import IspProxyLayer
 from repro.cdn.replication import PushReplicator, PushStats
 from repro.cdn.routing import Router, user_partition
 from repro.cdn.server import EdgeServer
 from repro.stats.sampling import CounterStreams, counter_rng
 from repro.trace.anonymize import Anonymizer
-from repro.trace.batch import (
-    ALL_COLUMNS,
-    BatchBuilder,
-    DEFAULT_BATCH_SIZE,
-    RecordBatch,
-    record_from_row,
-)
-from repro.trace.record import LogRecord
+from repro.trace.batch import ALL_COLUMNS, BatchBuilder, DEFAULT_BATCH_SIZE, RecordBatch
 from repro.types import CacheStatus, Continent, ContentCategory
 from repro.workload.catalog import ContentObject
-from repro.workload.generator import Request, RequestBlock, RequestTables
+from repro.workload.generator import RequestBlock, RequestTables
 from repro.workload.population import User
 from repro.workload.profiles import SiteProfile
 
@@ -106,6 +95,13 @@ DEFAULT_CACHE_CATALOG_FRACTION = 0.5
 #: Floor on the default edge cache capacity, so tiny test catalogs still
 #: get a cache with realistic churn behaviour.
 MIN_CACHE_CAPACITY_BYTES = 200_000_000
+
+#: Share of each edge's capacity given to the small-object tier when
+#: ``split_small_object_cache`` is on.
+SMALL_CACHE_FRACTION = 0.15
+
+#: Continent hosting the publishers' origin servers (the miss penalty).
+ORIGIN_CONTINENT = Continent.NORTH_AMERICA
 
 
 def sized_simulation_config(catalogs: Iterable, seed: int) -> "SimulationConfig":
@@ -138,8 +134,6 @@ class SimulationConfig:
     chunk_bytes: int = 2_000_000
     #: Trend-class-aware TTL revalidation at the edge (paper §IV-B idea).
     trend_aware_ttl: bool = True
-    #: Browser cache capacity per user, bytes.
-    browser_cache_bytes: int = 250_000_000
     #: Whether browsers cache video at all (players usually bypass).
     browser_caches_video: bool = False
     #: Probability a fresh browser-cache copy is served locally with *no*
@@ -149,8 +143,6 @@ class SimulationConfig:
     #: Run separate small-object and large-object caching tiers per edge
     #: (the paper's Section V suggestion).  False = one unified cache.
     split_small_object_cache: bool = True
-    #: Share of capacity given to the small-object tier when split.
-    small_cache_fraction: float = 0.15
     #: Warm the edge caches with popular pre-existing objects before the
     #: trace starts (a real CDN's caches are never cold on day one).
     warm_caches: bool = True
@@ -162,18 +154,10 @@ class SimulationConfig:
     #: lands mostly on large cold video chunks, reproducing the paper's
     #: image-over-video hit-ratio ordering.  0 disables churn.
     background_churn_per_day: float = 0.35
-    #: Proactively push popular newly-injected diurnal/long-lived objects
-    #: to every edge (paper Section V / IV-B implication).  Enable via
-    #: :meth:`CdnSimulator.enable_push` (needs the catalogs).
-    push_popularity_quantile: float = 0.9
-    #: Continent hosting the publishers' origin servers (miss penalty).
-    origin_continent: Continent = Continent.NORTH_AMERICA
     #: Optional ISP proxy-cache layer between users and the CDN (paper
     #: Section V).  Requests the proxy satisfies never reach the CDN and
     #: produce no log records.
     isp_proxies: bool = False
-    #: Per-continent ISP proxy capacity, bytes (when enabled).
-    isp_proxy_capacity_bytes: int = 2_000_000_000
     #: Streaming playback mode: each video viewing produces one 206 log
     #: record per downloaded segment (sequential + seeks + abandonment)
     #: instead of one record per viewing.  Off by default — the paper's
@@ -296,7 +280,7 @@ class SimulatorShard:
         capacity = max(1, dc.cache_capacity_bytes // max(1, config.shards_per_dc))
         chunker = Chunker(config.chunk_bytes)
         if config.split_small_object_cache:
-            small_capacity = max(1, int(config.small_cache_fraction * capacity))
+            small_capacity = max(1, int(SMALL_CACHE_FRACTION * capacity))
             large_capacity = max(1, capacity - small_capacity)
             small_cache = Cache(capacity_bytes=small_capacity, policy=make_policy(config.cache_policy))
             large_cache = Cache(capacity_bytes=large_capacity, policy=make_policy(config.cache_policy))
@@ -321,9 +305,7 @@ class SimulatorShard:
         self.replicator: PushReplicator | None = None
         self.proxies: IspProxyLayer | None = None
         if config.isp_proxies:
-            self.proxies = IspProxyLayer(
-                ProxyConfig(capacity_bytes=config.isp_proxy_capacity_bytes)
-            )
+            self.proxies = IspProxyLayer()
         self.playback: PlaybackModel | None = None
         if config.playback_mode:
             self.playback = PlaybackModel(segment_bytes=config.chunk_bytes)
@@ -331,7 +313,7 @@ class SimulatorShard:
         # the user <-> edge round trip per user continent (indexed by
         # ``Continent.code``), and the edge <-> origin round trip.
         self._user_rtt = [2 * latency_ms(continent, dc.continent) for continent in Continent]
-        self._origin_rtt = 2 * latency_ms(dc.continent, config.origin_continent)
+        self._origin_rtt = 2 * latency_ms(dc.continent, ORIGIN_CONTINENT)
 
     # -- serving -------------------------------------------------------------
 
@@ -375,7 +357,7 @@ class SimulatorShard:
     def _browser_for(self, user: User, now: float) -> BrowserCache:
         browser = self.browsers.get(user.user_id)
         if browser is None:
-            browser = BrowserCache(self.config.browser_cache_bytes, incognito=user.incognito)
+            browser = BrowserCache(incognito=user.incognito)
             self.browsers[user.user_id] = browser
             cap = self.config.max_tracked_browsers
             if cap is not None and len(self.browsers) > cap:
@@ -862,7 +844,6 @@ class CdnSimulator:
                 self._shards[(dc.dc_id, partition)] = SimulatorShard(
                     dc, partition, self.config, self._cache_priority
                 )
-        self._next_request_id = 0
         #: The latest request tables and their per-user routing keys (see
         #: :meth:`_user_keys`).
         self._user_keys_of: tuple | None = None
@@ -900,7 +881,7 @@ class CdnSimulator:
         """Merged ISP-proxy counters, or None when proxies are disabled."""
         if not self.config.isp_proxies:
             return None
-        merged = IspProxyLayer(ProxyConfig(capacity_bytes=self.config.isp_proxy_capacity_bytes))
+        merged = IspProxyLayer()
         for shard in self._shards.values():
             if shard.proxies is not None:
                 merged.merge(shard.proxies)
@@ -931,23 +912,6 @@ class CdnSimulator:
 
     # -- public API ----------------------------------------------------------
 
-    def run(self, requests: Iterable[Request]) -> Iterator[LogRecord]:
-        """Process requests in timestamp order, yielding log records.
-
-        The record-at-a-time adapter over the same per-request machinery
-        as :meth:`run_batches`; requests without an id get the next ids in
-        stream order.  Requests fully served from a user's local browser
-        cache produce no CDN log record (exactly why the paper's
-        publishers cannot measure — or rely on — browser caching).  Input
-        order is trusted (the workload generator emits sorted streams);
-        out-of-order input only perturbs cache-state realism, not
-        correctness.
-        """
-        for request in self._identified(requests):
-            shard = self._shard_of(request.user)
-            for row in shard.process(request.user, request.obj, request.timestamp, request.request_id):
-                yield record_from_row(row)
-
     def run_batches(
         self,
         blocks: Iterable[RequestBlock],
@@ -961,9 +925,9 @@ class CdnSimulator:
         ``blocks`` is a stream of :class:`~repro.workload.generator.RequestBlock`
         slices, as :meth:`~repro.workload.generator.WorkloadGenerator.merged_request_batches`
         yields them; each row is served by looking its user and object up
-        by index, through the same per-request machinery as :meth:`run`,
-        so the emitted records are identical to :meth:`run`'s over the
-        same requests, whatever the block boundaries.  The router is read
+        by index and handing them to the shard the router picks
+        (:meth:`SimulatorShard.process`), so the emitted records do not
+        depend on the block boundaries.  The router is read
         at every request of the sequential path, so a
         :meth:`~repro.cdn.routing.Router.mark_down` between two pulls takes
         effect at the next request.  This is the production path into
@@ -1083,53 +1047,13 @@ class CdnSimulator:
         objects to locations close to end-users) and gives every shard a
         replica with its own cursor.  Returns the number of planned pushes.
         """
-        plan = PushReplicator(popularity_quantile=self.config.push_popularity_quantile)
+        plan = PushReplicator()
         planned = plan.build_plan(catalogs)
         for shard in self._shards.values():
             shard.replicator = plan.fork()
         return planned
 
-    def serve(self, request: Request) -> LogRecord | None:
-        """Serve one request end-to-end; None when served from the browser."""
-        request = next(self._identified((request,)))
-        shard = self._shard_of(request.user)
-        row = shard.serve(request.user, request.obj, request.timestamp, request.request_id)
-        return None if row is None else record_from_row(row)
-
-    def serve_viewing(self, request: Request) -> Iterator[LogRecord]:
-        """Serve one video viewing as a stream of segment requests.
-
-        The whole viewing is served before this returns (see
-        :meth:`SimulatorShard.serve_viewing`); the iterator only hands
-        out its finished records.
-        """
-        request = next(self._identified((request,)))
-        shard = self._shard_of(request.user)
-        rows = shard.serve_viewing(request.user, request.obj, request.timestamp, request.request_id)
-        return map(record_from_row, rows)
-
     # -- internals -----------------------------------------------------------
-
-    def _shard_key(self, user) -> tuple[str, int]:
-        return self.router.shard_for(user, self.config.shards_per_dc)
-
-    def _shard_of(self, user) -> SimulatorShard:
-        return self._shards[self._shard_key(user)]
-
-    def _identified(self, requests: Iterable[Request]) -> Iterator[Request]:
-        """Stamp stream-order request ids onto requests that lack one.
-
-        Ids key each request's random stream, so the same input stream
-        gets the same ids — and therefore the same draws — on every
-        execution path.
-        """
-        for request in requests:
-            if request.request_id < 0:
-                request = replace(request, request_id=self._next_request_id)
-                self._next_request_id += 1
-            else:
-                self._next_request_id = max(self._next_request_id, request.request_id + 1)
-            yield request
 
     def _user_keys(self, tables: RequestTables) -> tuple[list[int], list[int]]:
         """Each user's continent code and cache partition, by user index.
@@ -1168,9 +1092,6 @@ class CdnSimulator:
                 continue
             if len(block) > peak_resident:
                 peak_resident = len(block)
-            # Later record-at-a-time requests without an id continue
-            # past every id this block holds.
-            self._next_request_id = max(self._next_request_id, int(block.request_id[-1]) + 1)
             users, objects = block.tables.users, block.tables.objects
             codes, partitions = self._user_keys(block.tables)
             # Refilled in place by every mark_down/mark_up, so each
@@ -1404,7 +1325,6 @@ class CdnSimulator:
                 # idle shard's frontier may advance this far, no further
                 # — mid-block it would overstate what the shard has seen.
                 produced_through = int(block.request_id[-1])
-                self._next_request_id = max(self._next_request_id, produced_through + 1)
                 drain(block=False)
                 yield from emit_ready()
                 while merger.buffered > buffer_cap and total_inflight > 0:

@@ -23,7 +23,6 @@ from collections.abc import Sequence
 
 from repro.cdn.simulator import SimulationConfig
 from repro.cdn.policies import policy_names
-from repro.core.dataset import TraceDataset
 from repro.dataflow import Plan, RunConfig
 from repro.workload.scale import SCALE_NAMES
 
@@ -185,38 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    bench = sub.add_parser(
-        "ingest-bench",
-        help="time batch vs record-at-a-time ingest of a trace file",
-    )
-    bench.add_argument("--trace", help="trace file to ingest with both engines")
-    bench.add_argument(
-        "--simulate",
-        action="store_true",
-        help=(
-            "end-to-end mode: run the generate→simulate→ingest streaming plan "
-            "in-process (per-stage telemetry) instead of reading --trace"
-        ),
-    )
-    _add_common(bench)
-    _add_sim_workers(bench)
-    bench.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="rows per columnar batch (default: REPRO_BATCH_SIZE, else 65536)",
-    )
-    bench.add_argument("--repeat", type=int, default=3, help="timing repetitions (best is kept)")
-    bench.add_argument("--results", help="append the measurement to this JSON results file")
-    bench.add_argument(
-        "--streaming",
-        action="store_true",
-        help=(
-            "also time the streaming keep_store=False ingest and record its "
-            "peak-memory series alongside throughput"
-        ),
-    )
-
     rep = sub.add_parser("reproduce", help="end-to-end: generate, simulate, analyze, report")
     _add_common(rep)
     rep.add_argument("--no-clustering", action="store_true", help="skip the O(n^2) DTW clustering")
@@ -239,107 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--out-dir", required=True)
     split.add_argument("--by", choices=("site", "day"), default="site")
     return parser
-
-
-def _ingest_bench(args: argparse.Namespace) -> int:
-    """Time both ingest engines over one trace and report records/s."""
-    import json
-    import time
-    from pathlib import Path
-
-    from repro.trace.reader import TraceReader
-
-    config = _config_from_args(args)
-    source = args.trace
-    if args.simulate:
-        # End-to-end mode: the actual streaming plan, stage-timed; the
-        # store is kept so both engines can be re-timed over the batches.
-        plan_result = (
-            Plan(config.replacing(keep_store=True)).generate().simulate().ingest().run()
-        )
-        print(plan_result.render_stats())
-        _print_sim_stats(plan_result.simulator)
-        batches = list(plan_result.batches or [])
-        source = f"simulate(seed={config.seed}, scale={config.scale})"
-    elif args.trace:
-        batches = list(TraceReader(args.trace).iter_batches(batch_size=config.batch_size))
-    else:
-        print("ingest-bench needs --trace FILE or --simulate")
-        return 2
-    records = [record for batch in batches for record in batch.iter_records()]
-    total = len(records)
-    if total == 0:
-        print(f"{source}: trace is empty, nothing to benchmark")
-        return 1
-
-    def best_of(build) -> float:
-        best = float("inf")
-        for _ in range(max(1, args.repeat)):
-            start = time.perf_counter()
-            build()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    record_seconds = best_of(lambda: TraceDataset.from_records(records, engine="record"))
-    batch_seconds = best_of(lambda: TraceDataset.from_batches(batches))
-    speedup = record_seconds / batch_seconds
-    print(f"trace: {source} ({total} records, batch_size={config.batch_size})")
-    print(f"record engine: {record_seconds:8.3f}s  {total / record_seconds:12,.0f} records/s")
-    print(f"batch engine:  {batch_seconds:8.3f}s  {total / batch_seconds:12,.0f} records/s")
-    print(f"speedup: {speedup:.1f}x")
-
-    peak_memory = None
-    if args.streaming:
-        streaming_seconds = best_of(
-            lambda: TraceDataset.from_batches(batches, keep_store=False)
-        )
-        streaming = TraceDataset.from_batches(batches, keep_store=False)
-        stats = streaming.ingest_stats
-        assert stats is not None
-        full_store_bytes = sum(batch.nbytes for batch in batches)
-        peak_memory = {
-            "batches": stats.batches,
-            "streaming_seconds": round(streaming_seconds, 6),
-            "peak_resident_bytes": stats.peak_resident_bytes,
-            "full_store_bytes": full_store_bytes,
-            "aggregate_bytes": stats.aggregate_bytes,
-            "resident_series": list(stats.resident_series),
-        }
-        print(
-            f"streaming:     {streaming_seconds:8.3f}s  "
-            f"{total / streaming_seconds:12,.0f} records/s  "
-            f"(peak resident ~{stats.peak_resident_bytes / 1e6:.1f} MB over "
-            f"{stats.batches} batches, full store ~{full_store_bytes / 1e6:.1f} MB)"
-        )
-    if args.results:
-        path = Path(args.results)
-        entries: list = []
-        if path.exists():
-            try:
-                loaded = json.loads(path.read_text())
-                if isinstance(loaded, list):
-                    entries = loaded
-            except (OSError, ValueError):
-                entries = []
-        entries.append(
-            {
-                "figure": "ingest_throughput",
-                "trace": str(source),
-                "records": total,
-                "batch_size": config.batch_size,
-                "record_seconds": round(record_seconds, 6),
-                "batch_seconds": round(batch_seconds, 6),
-                "record_per_s": round(total / record_seconds, 1),
-                "batch_per_s": round(total / batch_seconds, 1),
-                "speedup": round(speedup, 2),
-                "timestamp": round(time.time(), 3),
-            }
-        )
-        if peak_memory is not None:
-            entries[-1]["peak_memory"] = peak_memory
-        path.write_text(json.dumps(entries, indent=2) + "\n")
-        print(f"appended ingest record to {path}")
-    return 0
 
 
 def _maybe_export(report, export_dir: str | None) -> None:
@@ -397,9 +263,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "analyze":
         return _analyze(args)
-
-    if args.command == "ingest-bench":
-        return _ingest_bench(args)
 
     if args.command == "reproduce":
         config = _config_from_args(args)

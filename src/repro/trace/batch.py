@@ -12,7 +12,8 @@ into columns (:class:`~repro.trace.schema.BinaryDecoder`), and both seal
 their batches with :func:`seal_batch`.  A
 :class:`~repro.trace.record.LogRecord` is built only by the text readers,
 which parse each row into one, and as a view on demand
-(:func:`record_from_row`) for the record-at-a-time adapters and tests.
+(:func:`record_from_row`, :meth:`RecordBatch.iter_records`) for tests and
+record-level consumers.
 
 Interning codes are assigned in first-appearance order, and
 :meth:`RecordBatch.concat` preserves that order across batches.  Iterating

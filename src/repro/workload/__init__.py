@@ -10,13 +10,12 @@ continental user placement, session behaviour, and per-user addiction.
 The output is a time-ordered stream of
 :class:`~repro.workload.generator.RequestBlock` columns (user and object
 indices into shared tables); feeding them through
-:class:`repro.cdn.CdnSimulator` yields the HTTP log records the analysis
-pipeline consumes.  :class:`~repro.workload.generator.Request` is the
-per-row view record-at-a-time callers use.
+:meth:`repro.cdn.CdnSimulator.run_batches` yields the HTTP log records the
+analysis pipeline consumes.
 """
 
 from repro.workload.catalog import ContentCatalog, ContentObject, build_catalog
-from repro.workload.generator import Request, RequestBlock, RequestTables, WorkloadGenerator
+from repro.workload.generator import RequestBlock, RequestTables, WorkloadGenerator
 from repro.workload.population import User, UserPopulation
 from repro.workload.profiles import (
     ALL_PROFILES,
@@ -38,7 +37,6 @@ __all__ = [
     "ContentCatalog",
     "ContentObject",
     "PROFILES_BY_NAME",
-    "Request",
     "RequestBlock",
     "RequestTables",
     "ScaleConfig",

@@ -21,8 +21,7 @@ The sites' columns merge into one time-ordered stream of
 :class:`RequestBlock` slices, whose index columns point into one shared
 :class:`RequestTables` of every user and object; feeding the blocks to
 :meth:`repro.cdn.CdnSimulator.run_batches` yields the HTTP log the
-analysis pipeline consumes.  A :class:`Request` is a view of one row,
-built only on demand by the record-at-a-time APIs.
+analysis pipeline consumes.
 """
 
 from __future__ import annotations
@@ -47,28 +46,6 @@ from repro.workload.sessions import (
     start_hour_cdf,
 )
 from repro.workload.temporal import trend_envelope
-
-
-@dataclass(frozen=True, slots=True)
-class Request:
-    """One user request event, before it reaches the CDN.
-
-    A view of one row of a request stream's columns, built on demand by
-    :meth:`RequestBlock.iter_requests` and :attr:`SiteWorkload.requests`
-    for the record-at-a-time APIs (:meth:`WorkloadGenerator.merged_requests`,
-    :meth:`repro.cdn.CdnSimulator.run`, ``serve`` and ``serve_viewing``).
-    """
-
-    timestamp: float
-    user: User
-    obj: ContentObject
-    is_repeat: bool = False
-    #: Position of the request in the merged global stream; -1 until
-    #: assigned by the merge (the simulator's record-at-a-time adapters
-    #: assign stream order themselves when they see -1).  The id keys the
-    #: request's counter-based random stream, so every stochastic outcome
-    #: is a pure function of the request — see :func:`repro.stats.sampling.counter_rng`.
-    request_id: int = -1
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -116,13 +93,6 @@ class RequestBlock:
             self.request_id[start:stop],
         )
 
-    def iter_requests(self) -> Iterator[Request]:
-        """Each row as a :class:`Request` view, in stream order."""
-        return _request_views(
-            self.tables.users, self.tables.objects, self.timestamps, self.user_index,
-            self.object_index, self.is_repeat, self.request_id.tolist(),
-        )
-
 
 @dataclass
 class SiteWorkload:
@@ -145,26 +115,6 @@ class SiteWorkload:
     @property
     def request_count(self) -> int:
         return len(self.timestamps)
-
-    @property
-    def requests(self) -> list[Request]:
-        """The site's requests as :class:`Request` views (ids unassigned),
-        built on every access — for tests and record-at-a-time callers."""
-        return list(
-            _request_views(
-                self.population.users, self.catalog.objects, self.timestamps,
-                self.user_index, self.object_index, self.is_repeat,
-                [-1] * self.request_count,
-            )
-        )
-
-
-def _request_views(users, objects, timestamps, user_index, object_index, is_repeat, request_ids):
-    """:class:`Request` views of request columns, one per row."""
-    for timestamp, user, obj, repeat, request_id in zip(
-        timestamps.tolist(), user_index.tolist(), object_index.tolist(), is_repeat.tolist(), request_ids
-    ):
-        yield Request(timestamp, users[user], objects[obj], repeat, request_id)
 
 
 class WorkloadGenerator:
@@ -245,15 +195,6 @@ class WorkloadGenerator:
         """
         return {profile.name: self.generate_site(profile) for profile in self.profiles}
 
-    def merged_requests(
-        self,
-        workloads: dict[str, SiteWorkload] | None = None,
-        start_request_id: int = 0,
-    ) -> Iterator[Request]:
-        """The merged stream of :meth:`merged_request_batches`, one
-        :class:`Request` view per row — for record-at-a-time callers."""
-        yield from self._merge(workloads, start_request_id).iter_requests()
-
     def merged_request_batches(
         self,
         workloads: dict[str, SiteWorkload] | None = None,
@@ -275,8 +216,10 @@ class WorkloadGenerator:
         stable key the simulator's counter-based RNG and shard-parallel
         merge are built on; ``start_request_id`` lets a resumed or
         segmented run continue the id sequence where a previous stream
-        stopped.  The stream is lazy: nothing is generated or merged
-        before the first block is pulled.
+        stopped.  ``workloads`` defaults to :meth:`generate_all`'s; when
+        given, only they are merged, and the generator's own profiles,
+        scale and seed are not read.  The stream is lazy: nothing is
+        generated or merged before the first block is pulled.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")

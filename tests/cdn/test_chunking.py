@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,19 @@ class TestChunker:
         obj = make_object(ContentCategory.VIDEO, 2_500)
         chunks = chunker.chunks_for_range(obj, start=2_000, length=99_999)
         assert [c.index for c in chunks] == [2]
+
+    def test_objects_sharing_an_id_get_their_own_plans(self):
+        """One id may name different objects (the same URL in two seeds'
+        catalogs); each is planned from its own size and category."""
+        chunker = Chunker(chunk_bytes=1000)
+        short = make_object(ContentCategory.VIDEO, 2_500)
+        long = dataclasses.replace(short, size_bytes=7_200)
+        assert [c.size for c in chunker.all_chunks(short)] == [1000, 1000, 500]
+        assert [c.size for c in chunker.all_chunks(long)] == [1000] * 7 + [200]
+        assert [c.index for c in chunker.chunks_for_range(long, start=6_000, length=2_000)] == [6, 7]
+        assert [c.size for c in chunker.all_chunks(short)] == [1000, 1000, 500]
+        image = dataclasses.replace(short, category=ContentCategory.IMAGE, extension="jpg")
+        assert chunker.all_chunks(image) == (ChunkRef(key=short.object_id, index=0, size=2_500),)
 
     def test_invalid_ranges_rejected(self):
         chunker = Chunker(chunk_bytes=1000)

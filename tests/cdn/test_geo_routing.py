@@ -79,13 +79,7 @@ class TestRouter:
         )
         router = Router(topology)
         # South America is closer to North America (120ms) than Asia (280ms).
-        assert router.route_continent(Continent.SOUTH_AMERICA).dc_id == "dc-na"
-
-    def test_latency_to_user(self):
-        router = Router(default_datacenters())
-        assert router.latency_to_user(make_user(Continent.EUROPE)) == latency_ms(
-            Continent.EUROPE, Continent.EUROPE
-        )
+        assert router.route(make_user(Continent.SOUTH_AMERICA)).dc_id == "dc-na"
 
     def test_deterministic_tie_break(self):
         topology = Topology(
@@ -95,4 +89,4 @@ class TestRouter:
             )
         )
         router = Router(topology)
-        assert router.route_continent(Continent.EUROPE).dc_id == "dc-a"
+        assert router.route(make_user(Continent.EUROPE)).dc_id == "dc-a"

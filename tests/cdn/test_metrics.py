@@ -67,9 +67,9 @@ class TestSimulatedLatency:
             config=SimulationConfig(seed=42, cache_capacity_bytes=10**12, background_churn_per_day=0.0),
         )
         warm.warm([workload.catalog])
-        sample = workload.requests[:4000]
+        sample = next(generator.merged_request_batches({"V-1": workload}, batch_size=4000))
         for simulator in (cold, warm):
-            for _ in simulator.run(iter(sample)):
+            for _ in simulator.run_batches([sample]):
                 pass
         assert cold.metrics.overall_hit_ratio < warm.metrics.overall_hit_ratio
         assert cold.metrics.overall_mean_latency_ms > warm.metrics.overall_mean_latency_ms

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import zip_longest
-
 import pytest
 
 from repro.cdn.playback import PlaybackModel
@@ -115,14 +113,14 @@ class TestPlaybackSimulation:
 
         generator = WorkloadGenerator(profiles=(profile_v1(),), scale=ScaleConfig.tiny(), seed=21)
         workload = generator.generate_site(profile_v1())
-        sample = workload.requests[:2000]
+        sample = next(generator.merged_request_batches({"V-1": workload}, batch_size=2000))
 
         def run(playback: bool):
             simulator = CdnSimulator(
                 profiles=(profile_v1(),),
                 config=SimulationConfig(seed=22, playback_mode=playback),
             )
-            return list(simulator.run(iter(sample)))
+            return [record for batch in simulator.run_batches([sample]) for record in batch.iter_records()]
 
         plain = run(False)
         streamed = run(True)
@@ -141,69 +139,9 @@ class TestPlaybackSimulation:
         simulator = CdnSimulator(
             profiles=(profile_v1(),), config=SimulationConfig(seed=22, playback_mode=True)
         )
-        records = list(simulator.run(iter(workload.requests[:500])))
+        head = next(generator.merged_request_batches({"V-1": workload}, batch_size=500))
+        records = [record for batch in simulator.run_batches([head]) for record in batch.iter_records()]
         assert records
         assert simulator.metrics.total_requests == len(records)
         for record in records:
             assert record.status_code in (200, 204, 206, 304, 403, 416)
-
-    def test_interleaved_viewings_match_viewings_in_turn(self):
-        """A viewing's records do not depend on when its iterator is read.
-
-        Each shard serves every request from one re-keyed random stream,
-        so a viewing that drew lazily while its iterator was read would
-        take draws from whichever request came last.  Here two viewings'
-        iterators are read alternately, after later requests were served,
-        and must yield what reading each viewing in turn yields.
-        """
-        from repro.cdn.simulator import CdnSimulator, SimulationConfig
-        from repro.types import ContentCategory
-        from repro.workload.generator import Request, WorkloadGenerator
-        from repro.workload.profiles import profile_v1
-        from repro.workload.scale import ScaleConfig
-
-        generator = WorkloadGenerator(profiles=(profile_v1(),), scale=ScaleConfig.tiny(), seed=21)
-        workload = generator.generate_site(profile_v1())
-        user = workload.population.users[0]
-        config = SimulationConfig(seed=22, playback_mode=True)
-        largest = sorted(workload.catalog, key=lambda o: -o.size_bytes)
-        videos, others = largest[:2], largest[2:5]
-        assert all(o.category is ContentCategory.VIDEO for o in videos)
-        assert all(o.size_bytes > 4 * config.chunk_bytes for o in videos)
-        # One user, so every request lands on the same shard and stream.
-        first, second = (
-            Request(timestamp=1_000.0 + i, user=user, obj=obj, request_id=10 + i)
-            for i, obj in enumerate(videos)
-        )
-        singles = [
-            Request(timestamp=1_100.0 + i, user=user, obj=obj, request_id=20 + i)
-            for i, obj in enumerate(others)
-        ]
-
-        def simulator() -> CdnSimulator:
-            return CdnSimulator(profiles=(profile_v1(),), config=config)
-
-        in_turn = simulator()
-        first_expected = list(in_turn.serve_viewing(first))
-        singles_expected = [in_turn.serve(singles[0])]
-        second_expected = list(in_turn.serve_viewing(second))
-        singles_expected += [in_turn.serve(r) for r in singles[1:]]
-        assert len(first_expected) > 1 and len(second_expected) > 1
-
-        interleaved = simulator()
-        first_records = interleaved.serve_viewing(first)
-        singles_served = [interleaved.serve(singles[0])]
-        second_records = interleaved.serve_viewing(second)
-        singles_served += [interleaved.serve(r) for r in singles[1:]]
-        first_got, second_got = [], []
-        for a, b in zip_longest(first_records, second_records):
-            if a is not None:
-                first_got.append(a)
-            if b is not None:
-                second_got.append(b)
-
-        assert first_got == first_expected
-        assert second_got == second_expected
-        assert singles_served == singles_expected
-        assert interleaved.metrics == in_turn.metrics
-        assert interleaved.cache_stats() == in_turn.cache_stats()

@@ -104,7 +104,8 @@ class TestProxySimulatorIntegration:
                 profiles=(profile_p1(),),
                 config=SimulationConfig(seed=10, isp_proxies=proxies),
             )
-            return sum(1 for _ in simulator.run(iter(workload.requests)))
+            stream = generator.merged_request_batches({"P-1": workload})
+            return sum(len(batch) for batch in simulator.run_batches(stream))
 
         with_proxy = run(True)
         without_proxy = run(False)
@@ -148,6 +149,9 @@ class TestRouterFailover:
         assert router.route(make_user(Continent.EUROPE)).dc_id == "dc-north_america"
 
     def test_simulator_continues_through_failure(self):
+        """One run, with ``dc-europe`` marked down between the stream's two
+        halves: its users are served there before the mark and failed
+        over after it."""
         from repro.cdn.simulator import CdnSimulator, SimulationConfig
         from repro.workload.generator import WorkloadGenerator
         from repro.workload.profiles import profile_v1
@@ -156,19 +160,31 @@ class TestRouterFailover:
         generator = WorkloadGenerator(profiles=(profile_v1(),), scale=ScaleConfig.tiny(), seed=9)
         workload = generator.generate_site(profile_v1())
         simulator = CdnSimulator(profiles=(profile_v1(),), config=SimulationConfig(seed=10))
-        half = len(workload.requests) // 2
-        records = [r for r in simulator.run(iter(workload.requests[:half])) if r]
-        simulator.router.mark_down("dc-europe")
-        records += [r for r in simulator.run(iter(workload.requests[half:])) if r]
-        assert records
-        late_dcs = {r.datacenter for r in records[len(records) // 2 :]}
-        assert "dc-europe" not in {r.datacenter for r in simulator.run(iter(workload.requests[half:]))}
+        stream = next(generator.merged_request_batches({"V-1": workload}, batch_size=workload.request_count))
+        half = len(stream) // 2
+        marked = False
+
+        def halves():
+            nonlocal marked
+            yield stream.rows(0, half)
+            simulator.router.mark_down("dc-europe")
+            marked = True
+            yield stream.rows(half, len(stream))
+
+        before, after = set(), set()
+        # One-row batches come out as each request is served, so every
+        # batch lands on the side of the mark its request was served on.
+        for batch in simulator.run_batches(halves(), batch_size=1):
+            (after if marked else before).update(batch.datacenter.tolist())
+        assert "dc-europe" in before
+        assert "dc-north_america" in after
+        assert "dc-europe" not in after
 
     def test_run_batches_follows_router_at_every_request(self):
         """A ``mark_down`` between two pulls of ``run_batches`` takes effect
         at the next request, even in the middle of a request block: the
-        whole run equals a record-at-a-time replay through
-        ``CdnSimulator.serve`` with the mark at the same request."""
+        whole run equals a replay over one-row blocks, where the mark at
+        the same request falls between two block pulls."""
         from repro.cdn.simulator import CdnSimulator, SimulationConfig
         from repro.types import DAY_SECONDS
         from repro.workload.generator import WorkloadGenerator
@@ -196,17 +212,26 @@ class TestRouterFailover:
         assert marked_rows is not None
 
         replay = simulator()
+        pulled = []
+
+        def one_row_blocks():
+            for block in generator.merged_request_batches(workloads, batch_size=1):
+                pulled.append(block)
+                yield block
+
         expected, marked_at, failed_over = [], None, set()
-        for index, request in enumerate(generator.merged_requests(workloads)):
-            record = replay.serve(request)
-            if record is None:
-                continue
+        # A one-row batch comes out while its request's block is the last
+        # one pulled, and the mark made then holds from the next pull on.
+        for batch in replay.run_batches(one_row_blocks(), batch_size=1):
+            [record] = batch.iter_records()
+            block = pulled[-1]
             expected.append(record)
-            if marked_at is not None and request.user.continent is Continent.EUROPE:
+            user = block.tables.users[block.user_index[0]]
+            if marked_at is not None and user.continent is Continent.EUROPE:
                 failed_over.add(record.datacenter)
             if marked_at is None and record.timestamp > mark_after:
                 replay.router.mark_down("dc-europe")
-                marked_at = index
+                marked_at = int(block.request_id[0])
         # The mark fell inside a block, and European users' later rows
         # name the fail-over data center.
         assert (marked_at + 1) % block_rows != 0

@@ -127,7 +127,7 @@ class TestSimulatorIntegration:
             simulator.warm([workload.catalog])
             if push:
                 assert simulator.enable_push([workload.catalog]) > 0
-            for _ in simulator.run(iter(workload.requests)):
+            for _ in simulator.run_batches(generator.merged_request_batches({"V-1": workload})):
                 pass
             return simulator.metrics.overall_hit_ratio
 

@@ -95,6 +95,16 @@ class TestServe:
         entry = edge.large_cache.peek(key)
         assert entry.expires_at == pytest.approx(TREND_TTL_SECONDS[TrendClass.SHORT_LIVED])
 
+    def test_objects_sharing_an_id_get_their_own_ttls(self):
+        """One id may name objects of different trends (the same URL in
+        two seeds' catalogs); each is cached with its own trend's TTL."""
+        edge = make_edge()
+        key = "obj-1#c0"
+        for trend in (TrendClass.SHORT_LIVED, TrendClass.DIURNAL, TrendClass.SHORT_LIVED):
+            edge.large_cache.invalidate(key)
+            edge.serve(make_object(trend=trend), ClientIntent(kind="full"), now=0.0)
+            assert edge.large_cache.peek(key).expires_at == pytest.approx(TREND_TTL_SECONDS[trend])
+
     def test_ttl_disabled(self):
         edge = make_edge(trend_ttl=False)
         obj = make_object()

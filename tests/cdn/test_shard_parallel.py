@@ -7,7 +7,7 @@ sequential path — every ``LogRecord`` field, in the same global order —
 for any worker count, request-block size and batch size, and the merged
 ``SimulationMetrics`` / ``CacheStats`` / origin / push / proxy counters
 must match the sequential run's exactly.  The reference is the
-record-at-a-time adapter ``CdnSimulator.run`` over the same requests.
+sequential path over the same requests as one block.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cdn.routing import user_partition
 from repro.cdn.simulator import CdnSimulator, SimulationConfig
 from repro.stats.sampling import counter_rng
 from repro.trace.batch import ALL_COLUMNS, STRING_FIELDS, BatchBuilder
-from repro.workload.generator import WorkloadGenerator
+from repro.workload.generator import RequestBlock, RequestTables, WorkloadGenerator
 from repro.workload.profiles import profile_v1, profile_v2
 from repro.workload.scale import ScaleConfig
 
@@ -56,8 +57,27 @@ def _simulator(profiles, catalogs, **overrides) -> CdnSimulator:
 
 def _run_sequential(profiles, block, catalogs, **overrides):
     simulator = _simulator(profiles, catalogs, **overrides)
-    records = list(simulator.run(block.iter_requests()))
+    records = [record for batch in simulator.run_batches([block]) for record in batch.iter_records()]
     return simulator, records
+
+
+def _joined(blocks):
+    """The rows of ``blocks`` as one block, over one table that lists each
+    block's users and objects in turn."""
+    users, objects, user_index, object_index = [], [], [], []
+    for block in blocks:
+        user_index.append(block.user_index + len(users))
+        object_index.append(block.object_index + len(objects))
+        users.extend(block.tables.users)
+        objects.extend(block.tables.objects)
+    return RequestBlock(
+        RequestTables(tuple(users), tuple(objects)),
+        np.concatenate([block.timestamps for block in blocks]),
+        np.concatenate(user_index),
+        np.concatenate(object_index),
+        np.concatenate([block.is_repeat for block in blocks]),
+        np.concatenate([block.request_id for block in blocks]),
+    )
 
 
 def _run_batched(
@@ -171,8 +191,8 @@ class TestBlockSize:
         """A later block may index into other request tables — here the
         same sites merged in the other order, so every index means another
         user and object, its ids continuing past the first stream's: both
-        paths serve it as the record-at-a-time adapter serves the same
-        requests."""
+        paths serve it as the sequential path serves the same rows over
+        one table."""
         profiles, block, catalogs = workload
         generator = WorkloadGenerator(profiles=profiles, scale=ScaleConfig.tiny(), seed=SEED)
         workloads = generator.generate_all()
@@ -182,12 +202,31 @@ class TestBlockSize:
         )
         assert other.tables.users[0].site != block.tables.users[0].site
         blocks = [block.rows(0, 500), other]
-        requests = [request for b in blocks for request in b.iter_requests()]
-        expected = list(_simulator(profiles, catalogs).run(iter(requests)))
+        _, expected = _run_sequential(profiles, _joined(blocks), catalogs)
         for workers in (1, 2):
             simulator = _simulator(profiles, catalogs)
             batches = list(simulator.run_batches(iter(blocks), batch_size=128, workers=workers))
             assert [record for batch in batches for record in batch.iter_records()] == expected
+
+    def test_objects_sharing_ids_across_seeds(self):
+        """Object ids repeat across seeds with other sizes
+        (``V-1/video/000000`` is 816,910 bytes at seed 11 and 7,060,190
+        bytes at seed 12): one run over a block of each seed's stream
+        serves every object from its own chunk plan on both paths."""
+        profiles = (profile_v1(),)
+        first, second = (
+            WorkloadGenerator(profiles=profiles, scale=ScaleConfig.tiny(), seed=seed) for seed in (11, 12)
+        )
+        head = next(first.merged_request_batches(batch_size=500))
+        tail = next(second.merged_request_batches(batch_size=300, start_request_id=len(head)))
+        shared = {obj.object_id for obj in head.tables.objects} & {obj.object_id for obj in tail.tables.objects}
+        sizes = {obj.object_id: obj.size_bytes for obj in head.tables.objects}
+        assert any(sizes[obj.object_id] != obj.size_bytes for obj in tail.tables.objects if obj.object_id in shared)
+        runs = []
+        for workers in (1, 2):
+            simulator = CdnSimulator(profiles=profiles, config=SimulationConfig(seed=12))
+            runs.append(_columns(simulator.run_batches(iter([head, tail]), batch_size=256, workers=workers)))
+        assert runs[0] == runs[1]
 
 
 class TestMergedMetrics:
@@ -420,8 +459,8 @@ class TestWorkerFailure:
 
         profiles, block, catalogs = workload
         simulator = _simulator(profiles, catalogs)
-        [victim] = block.rows(120, 121).iter_requests()
-        monkeypatch.setenv(env_name, str(victim.request_id))
+        victim = block.rows(120, 121)
+        monkeypatch.setenv(env_name, str(int(victim.request_id[0])))
         before = dict(simulator._shards)
         with pytest.raises(SimulationError) as excinfo:
             list(simulator.run_batches(iter([block]), batch_size=128, workers=3, queue_depth=64))
@@ -438,8 +477,7 @@ class TestWorkerFailure:
         simulator, victim, message = self._expect_consistent_failure(
             workload, sim_module._FAIL_RID_ENV, monkeypatch
         )
-        shard_id = simulator._shards[simulator._shard_key(victim.user)].shard_id
-        assert shard_id in message
+        assert self._shard_id(simulator, victim) in message
         assert "injected worker failure" in message
 
     def test_killed_worker_named_and_consistent(self, workload, monkeypatch):
@@ -449,8 +487,18 @@ class TestWorkerFailure:
             workload, sim_module._KILL_RID_ENV, monkeypatch
         )
         assert "died" in message
-        shard_id = simulator._shards[simulator._shard_key(victim.user)].shard_id
-        assert shard_id in message
+        assert self._shard_id(simulator, victim) in message
+
+    @staticmethod
+    def _shard_id(simulator, victim) -> str:
+        """The id of the shard serving ``victim``'s one request: its user's
+        data center, through the router, and cache partition."""
+        user = victim.tables.users[victim.user_index[0]]
+        partitions = simulator.config.shards_per_dc
+        position = simulator.router.route_positions[user.continent.code] * partitions + user_partition(
+            user.user_id, partitions
+        )
+        return list(simulator._shards.values())[position].shard_id
 
 
 @settings(max_examples=40, deadline=None)

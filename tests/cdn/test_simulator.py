@@ -22,7 +22,8 @@ def v2_run():
     workload = generator.generate_site(profile_v2())
     simulator = CdnSimulator(profiles=(profile_v2(),), config=SimulationConfig(seed=6))
     simulator.warm([workload.catalog])
-    records = list(simulator.run(iter(workload.requests)))
+    stream = generator.merged_request_batches({"V-2": workload})
+    records = [record for batch in simulator.run_batches(stream) for record in batch.iter_records()]
     return workload, simulator, records
 
 
@@ -199,7 +200,8 @@ class TestConfigVariants:
         generator = WorkloadGenerator(profiles=(profile_v2(),), scale=ScaleConfig.tiny(), seed=5)
         workload = generator.generate_site(profile_v2())
         simulator = CdnSimulator(profiles=(profile_v2(),), config=config)
-        return list(simulator.run(iter(workload.requests[:3000])))
+        head = next(generator.merged_request_batches({"V-2": workload}, batch_size=3000))
+        return [record for batch in simulator.run_batches([head]) for record in batch.iter_records()]
 
     def test_unified_cache_mode(self):
         records = self._run(SimulationConfig(seed=1, split_small_object_cache=False))

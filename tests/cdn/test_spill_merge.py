@@ -48,7 +48,7 @@ def _simulator(profiles, catalogs) -> CdnSimulator:
 def reference(workload):
     profiles, block, catalogs = workload
     simulator = _simulator(profiles, catalogs)
-    records = list(simulator.run(block.iter_requests()))
+    records = [record for batch in simulator.run_batches([block]) for record in batch.iter_records()]
     return simulator, records
 
 

@@ -7,6 +7,7 @@ conservation laws, schema validity, ordering, determinism.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cdn.simulator import CdnSimulator, SimulationConfig
@@ -25,25 +26,26 @@ def site_run(request):
     workload = generator.generate_site(profile_v2())
     simulator = CdnSimulator(profiles=(profile_v2(),), config=SimulationConfig(seed=seed + 1))
     simulator.warm([workload.catalog])
-    records = list(simulator.run(iter(workload.requests)))
+    stream = generator.merged_request_batches({"V-2": workload})
+    records = [record for batch in simulator.run_batches(stream) for record in batch.iter_records()]
     return workload, simulator, records
 
 
 class TestWorkloadInvariants:
     def test_every_request_after_object_birth(self, site_run):
         workload, _, _ = site_run
-        for request in workload.requests:
-            assert request.timestamp >= request.obj.birth_time - 1e-6
+        births = np.array([obj.birth_time for obj in workload.catalog.objects])
+        assert (workload.timestamps >= births[workload.object_index] - 1e-6).all()
 
     def test_requests_time_ordered(self, site_run):
         workload, _, _ = site_run
-        times = [r.timestamp for r in workload.requests]
+        times = workload.timestamps.tolist()
         assert times == sorted(times)
 
     def test_requests_within_week(self, site_run):
         workload, _, _ = site_run
         duration = ScaleConfig.tiny().duration_seconds
-        assert all(0 <= r.timestamp < duration for r in workload.requests)
+        assert ((workload.timestamps >= 0) & (workload.timestamps < duration)).all()
 
 
 class TestSimulationInvariants:

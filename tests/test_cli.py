@@ -137,10 +137,6 @@ class TestDataflowCli:
         assert "stage read_trace" in out
         assert "stage ingest" in out
 
-    def test_ingest_bench_requires_a_source(self, capsys):
-        assert main(["ingest-bench"]) == 2
-        assert "--trace" in capsys.readouterr().out
-
     def test_scale_flag_beats_environment(self, monkeypatch, capsys):
         # REPRO_SCALE would pick small; the explicit flag must win.
         monkeypatch.setenv("REPRO_SCALE", "small")

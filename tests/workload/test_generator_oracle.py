@@ -145,7 +145,16 @@ def _reference_requests(generator: WorkloadGenerator, profile) -> list[tuple]:
 def test_generate_site_matches_reference_loop(scale_name, seed, profile):
     generator = WorkloadGenerator(profiles=(profile,), scale=SCALES[scale_name], seed=seed)
     workload = generator.generate_site(profile)
-    produced = [(r.timestamp, r.user.user_id, r.obj.object_id, r.is_repeat) for r in workload.requests]
+    users, objects = workload.population.users, workload.catalog.objects
+    produced = [
+        (timestamp, users[user].user_id, objects[obj].object_id, repeat)
+        for timestamp, user, obj, repeat in zip(
+            workload.timestamps.tolist(),
+            workload.user_index.tolist(),
+            workload.object_index.tolist(),
+            workload.is_repeat.tolist(),
+        )
+    ]
     expected = _reference_requests(generator, profile)
     assert len(produced) == len(expected)
     for index, (got, want) in enumerate(zip(produced, expected)):

@@ -3,10 +3,10 @@
 :meth:`WorkloadGenerator.merged_request_batches` concatenates the sites'
 request columns in profile order and orders them with one stable argsort
 on the timestamps.  The reference below is the merge that replaced:
-``heapq.merge(..., key=timestamp)`` over each site's :class:`Request`
-views, which breaks timestamp ties by input position — profile order
-first, then each site's own order — and numbers the merged requests from
-``start_request_id``.  The two must agree row by row (request id,
+``heapq.merge(..., key=timestamp)`` over each site's requests, as row
+tuples read from the site's columns, which breaks timestamp ties by input
+position — profile order first, then each site's own order — and numbers
+the merged requests from ``start_request_id``.  The two must agree row by row (request id,
 timestamp, user, object, repeat flag), whatever the block size, including
 on timestamps that two sites share.
 """
@@ -38,12 +38,24 @@ def _generated(scale_name: str, seed: int) -> tuple[WorkloadGenerator, dict[str,
     return generator, generator.generate_all()
 
 
-def _reference_rows(workloads: dict[str, SiteWorkload], start_request_id: int = 0) -> list[tuple]:
-    merged = heapq.merge(*(w.requests for w in workloads.values()), key=lambda r: r.timestamp)
+def _site_rows(workload: SiteWorkload) -> list[tuple]:
+    """The site's requests in its own order, as (timestamp, user id,
+    object id, repeat flag) tuples."""
+    users, objects = workload.population.users, workload.catalog.objects
     return [
-        (request_id, r.timestamp, r.user.user_id, r.obj.object_id, r.is_repeat)
-        for request_id, r in enumerate(merged, start=start_request_id)
+        (timestamp, users[user].user_id, objects[obj].object_id, repeat)
+        for timestamp, user, obj, repeat in zip(
+            workload.timestamps.tolist(),
+            workload.user_index.tolist(),
+            workload.object_index.tolist(),
+            workload.is_repeat.tolist(),
+        )
     ]
+
+
+def _reference_rows(workloads: dict[str, SiteWorkload], start_request_id: int = 0) -> list[tuple]:
+    merged = heapq.merge(*(_site_rows(w) for w in workloads.values()), key=lambda row: row[0])
+    return [(request_id, *row) for request_id, row in enumerate(merged, start=start_request_id)]
 
 
 def _merged_rows(generator, workloads, batch_size: int, start_request_id: int = 0) -> list[tuple]:
@@ -146,4 +158,3 @@ def test_blocks_are_views_of_one_stream():
     assert len({id(block.tables) for block in blocks}) == 1
     head = blocks[0].rows(10, 20)
     assert head.request_id.tolist() == list(range(10, 20))
-    assert [r.request_id for r in head.iter_requests()] == list(range(10, 20))
