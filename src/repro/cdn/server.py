@@ -17,7 +17,7 @@ from repro.cdn.chunking import Chunker
 from repro.cdn.geo import DataCenter
 from repro.cdn.http import ClientIntent
 from repro.cdn.origin import OriginServer
-from repro.types import CacheStatus, ContentCategory, TrendClass
+from repro.types import CacheStatus, TrendClass
 from repro.workload.catalog import ContentObject
 
 #: TTLs by trend class, implementing the paper's Section IV-B suggestion:

@@ -22,14 +22,15 @@ instead of O(trace):
   Fig. 3 hourly table and the Fig. 16 response-code table, which every
   dataset carries as :class:`ScanTables`.
 * :class:`StreamingAggregates`    — the bundle a dataset folds batches
-  into; ``finalize_deferred`` emits exactly the lazy-view structure the
-  dataset materialises :class:`~repro.core.dataset.ObjectStats` and the
-  user index from.
+  into; ``finalize_deferred`` emits the structure the dataset
+  materialises :class:`~repro.core.dataset.ObjectStats` from, and
+  ``finalize_timelines`` the dataset's one user index
+  (:class:`UserTimelines`).
 
 Every partial is *mergeable*: folding the same rows in any batching
 (including one batch of everything) yields bit-identical aggregates,
 which is the property the streaming-equivalence suite pins against the
-scalar reference engine.
+tests' scalar reference ingest.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 from repro.trace.batch import CATEGORIES, RecordBatch, StringColumn
 from repro.types import Continent, HOUR_SECONDS
 
-#: Status codes that represent an actual content access (mirrors
-#: ``dataset.CONTENT_STATUS_CODES``; kept as a tuple for numpy masks).
+#: Status codes that represent an actual content access (the per-object
+#: popularity and hit-ratio analyses exclude errors and beacons).
 _CONTENT_CODES = (200, 206, 304)
 
 #: Map data-center id to a whole-hour UTC offset (continent routing).
@@ -89,7 +90,7 @@ class InternTable:
     dictionary but absent from its rows (possible for ``filter``/``take``
     views, which share their parent's dictionary) are never interned, so
     global code order always equals the order a sequential scan of the
-    rows would first have seen each value — the scalar engine's
+    rows would first have seen each value — a record-at-a-time dict's
     insertion order.
     """
 
@@ -287,13 +288,11 @@ class ObjectAccumulator:
             self._hours.add((c_obj << 32) | hour)
 
     def finalize_deferred(self) -> dict[str, object]:
-        """The object half of the dataset's lazy-view structure."""
+        """The structure the dataset materialises its object index from."""
         n = len(self.table)
+        # Global codes are assigned in first-appearance order, so the code
+        # axis *is* a record-at-a-time scan's insertion order.
         deferred: dict[str, object] = {
-            "n_obj": n,
-            # Global codes are assigned in first-appearance order, so the
-            # code axis *is* the scalar engine's insertion order.
-            "obj_order": list(range(n)),
             "obj_names": list(self.table.values),
             "shell_sites": self.shell_sites,
             "shell_categories": self.shell_categories,
@@ -435,8 +434,8 @@ class UserTimelineAccumulator:
     Each batch contributes one *pack* of (global user code, timestamp)
     pairs; finalize groups and sorts them in a single vectorised
     ``np.lexsort`` by (user, timestamp).  Equal timestamps are
-    indistinguishable, so the result is value-identical to the scalar
-    engine's per-user stable sort of the append-order sequence.
+    indistinguishable, so the result is value-identical to a per-user
+    stable sort of the append-order sequence.
 
     With a spill handle attached (:meth:`attach_spill`), the pool may
     evict the resident packs at any point: :meth:`spill_packs` lexsorts
@@ -652,8 +651,8 @@ def _no_keys() -> np.ndarray:
 class ScanTables:
     """The Fig. 3 hourly table and the Fig. 16 response-code table.
 
-    Built at ingest for every dataset, whatever its engine and whether or
-    not it keeps its rows; the defaults are the tables of an empty trace.
+    Built at ingest for every dataset, whether or not it keeps its rows;
+    the defaults are the tables of an empty trace.
     ``site_values`` lists the sites in first-appearance order, which is
     the site-code axis of both key layouts.
     """
@@ -666,23 +665,35 @@ class ScanTables:
     response_counts: np.ndarray = field(default_factory=_no_keys)
 
 
+def _no_times() -> np.ndarray:
+    return np.empty(0, dtype=np.float64)
+
+
 @dataclass
 class UserTimelines:
     """Columnar per-user timelines: every user's sorted timestamps as one
-    contiguous array plus segment bounds, in first-appearance order."""
+    contiguous array plus segment bounds, in first-appearance order.  The
+    defaults are the timelines of an empty trace."""
 
-    names: list[str]
-    sites: list[str]
-    agents: list[str]
-    sorted_ts: np.ndarray
-    starts: np.ndarray
-    stops: np.ndarray
+    names: list[str] = field(default_factory=list)
+    sites: list[str] = field(default_factory=list)
+    agents: list[str] = field(default_factory=list)
+    sorted_ts: np.ndarray = field(default_factory=_no_times)
+    starts: np.ndarray = field(default_factory=_no_keys)
+    stops: np.ndarray = field(default_factory=_no_keys)
+    _positions: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.names)
 
     def timeline(self, index: int) -> np.ndarray:
         return self.sorted_ts[self.starts[index] : self.stops[index]]
+
+    def index_of(self, name: str) -> int | None:
+        """The position of user ``name`` (``None`` for an unknown user)."""
+        if self._positions is None:
+            self._positions = {user: index for index, user in enumerate(self.names)}
+        return self._positions.get(name)
 
 
 @dataclass
@@ -751,20 +762,24 @@ class StreamingAggregates:
         self.batches += 1
 
     def finalize_deferred(self) -> dict[str, object]:
-        """The complete lazy-view structure the dataset materialises its
-        python-object indices from (same shape for eager and streaming)."""
+        """The structure the dataset materialises its
+        :class:`~repro.core.dataset.ObjectStats` from."""
         deferred = self.objects.finalize_deferred()
         if "pair_user_codes" in deferred:
             user_values = self.users.values
             deferred["pair_names"] = [user_values[code] for code in deferred.pop("pair_user_codes")]
-        sorted_ts, starts, stops = self.timelines.finalize(len(self.users))
-        deferred["sorted_ts"] = sorted_ts
-        deferred["user_starts"] = starts
-        deferred["user_stops"] = stops
-        deferred["user_names"] = list(self.users.values)
-        deferred["user_sites"] = self.timelines.shell_sites
-        deferred["user_agents"] = self.timelines.shell_agents
         return deferred
+
+    def finalize_timelines(self) -> UserTimelines:
+        sorted_ts, starts, stops = self.timelines.finalize(len(self.users))
+        return UserTimelines(
+            names=self.users.values,
+            sites=self.timelines.shell_sites,
+            agents=self.timelines.shell_agents,
+            sorted_ts=sorted_ts,
+            starts=starts,
+            stops=stops,
+        )
 
     def finalize_scan_tables(self) -> ScanTables:
         hourly_keys, hourly_counts, hourly_bytes = self.hourly.finalize()

@@ -16,15 +16,9 @@ times larger than memory ingests in O(batch + aggregates).  With
 and concatenated into the row store behind ``records``, ``store()`` and
 ``site_records``.
 
-Two engines build the same indices and tables:
-
-* ``engine="batch"`` (default) — the streaming accumulator fold above.
-  This is the production path.
-* ``engine="record"`` — the original record-at-a-time loop, kept as the
-  reference implementation; it counts with plain dicts, independently of
-  the accumulators.  The equivalence tests pin the batch engine to it
-  field-for-field, and the ingest benchmark measures the speedup against
-  it.
+:class:`DatasetBuilder` is the one ingest; every constructor feeds it
+batches.  The equivalence suites pin it field for field to a scalar
+record-at-a-time reference that lives with the tests.
 """
 
 from __future__ import annotations
@@ -37,18 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.accumulate import (
-    DC_OFFSET_HOURS,
     IngestStats,
     ScanTables,
     SiteExtent,
     StreamingAggregates,
     UserTimelines,
-    hourly_key,
-    response_key,
 )
 from repro.errors import (
     AnalysisError,
-    ConfigError,
     EmptyDatasetError,
     PlanError,
     StorelessDatasetError,
@@ -63,11 +53,7 @@ from repro.trace.batch import (
 )
 from repro.trace.reader import TraceReader
 from repro.trace.record import LogRecord
-from repro.types import CacheStatus, ContentCategory, HOUR_SECONDS
-
-#: Status codes that represent an actual content access (the per-object
-#: popularity and hit-ratio analyses exclude errors and beacons).
-CONTENT_STATUS_CODES = frozenset({200, 206, 304})
+from repro.types import ContentCategory, HOUR_SECONDS
 
 
 @dataclass
@@ -141,36 +127,32 @@ class TraceDataset:
     """All analyses' view of one trace.
 
     Build with :meth:`from_batches` (columnar streaming fold, the
-    production path), :meth:`from_records` (any iterable of records), or
-    :meth:`from_file` (a trace written by
-    :class:`~repro.trace.writer.TraceWriter`).  Pass ``keep_store=False``
-    to drop the rows after folding each batch: every index, table and
-    figure analysis is the same, only the row-level accessors
-    (``records``, ``store``, ``site_records``) become unavailable.
+    production path), :meth:`from_records` (any iterable of records,
+    chunked into batches), or :meth:`from_file` (a trace written by
+    :class:`~repro.trace.writer.TraceWriter`); ``TraceDataset()`` is the
+    empty dataset.  Pass ``keep_store=False`` to drop the rows after
+    folding each batch: every index, table and figure analysis is the
+    same, only the row-level accessors (``records``, ``store``,
+    ``site_records``) become unavailable.
     """
 
     def __init__(self) -> None:
-        self._records: list[LogRecord] | None = None
         self._store: RecordBatch | None = None
+        #: The store's record view, built on first access to ``records``.
+        self._records: list[LogRecord] | None = None
         self._length = 0
-        # Python-object views of the indices.  The scalar engine fills
-        # these eagerly; the columnar engine leaves them ``None`` and
-        # materialises them on first access from ``_deferred`` (the
-        # accumulators' finalised group-by tables).
-        self._object_stats_map: dict[str, ObjectStats] | None = {}
-        self._user_times_map: dict[str, list[float]] | None = {}
-        self._user_site_map: dict[str, str] | None = {}
-        self._user_agent_map: dict[str, str] | None = {}
+        # ``object_stats`` is materialised on first access from
+        # ``_deferred`` (the accumulators' finalised group-by tables).
+        self._object_stats_map: dict[str, ObjectStats] | None = None
         self._deferred: dict[str, object] | None = None
         self._sites: set[str] = set()
-        self._site_rows_map: dict[str, list[int] | np.ndarray] | None = {}
-        self._site_extents: dict[str, SiteExtent] | None = None
-        self._timelines: UserTimelines | None = None
+        self._site_rows_map: dict[str, np.ndarray] | None = None
+        self._site_extents: dict[str, SiteExtent] = {}
+        self._timelines = UserTimelines()
         #: The Fig. 3 hourly and Fig. 16 response-code tables, built at
-        #: ingest by every engine (empty for a hand-built dataset).
+        #: ingest (empty for an empty dataset).
         self.scan_aggregates = ScanTables()
-        #: What the last streaming ingest cost; ``None`` for the scalar
-        #: engine and hand-built datasets.
+        #: What the ingest cost; ``None`` for the empty dataset.
         self.ingest_stats: IngestStats | None = None
         self.duration_seconds: float = 0.0
 
@@ -181,32 +163,15 @@ class TraceDataset:
         """Per-object aggregates keyed by object id, insertion-ordered by
         first appearance in the trace."""
         if self._object_stats_map is None:
-            self._materialize_object_stats()
-        return self._object_stats_map  # type: ignore[return-value]
+            self._object_stats_map = self._materialize_object_stats() if self._deferred else {}
+            self._deferred = None
+        return self._object_stats_map
 
     @property
-    def _user_times(self) -> dict[str, list[float]]:
-        if self._user_times_map is None:
-            self._materialize_user_index()
-        return self._user_times_map  # type: ignore[return-value]
-
-    @property
-    def _user_site(self) -> dict[str, str]:
-        if self._user_site_map is None:
-            self._materialize_user_index()
-        return self._user_site_map  # type: ignore[return-value]
-
-    @property
-    def _user_agent(self) -> dict[str, str]:
-        if self._user_agent_map is None:
-            self._materialize_user_index()
-        return self._user_agent_map  # type: ignore[return-value]
-
-    @property
-    def _site_rows(self) -> dict[str, list[int] | np.ndarray]:
+    def _site_rows(self) -> dict[str, np.ndarray]:
         if self._site_rows_map is None:
-            self._materialize_site_rows()
-        return self._site_rows_map  # type: ignore[return-value]
+            self._site_rows_map = self._materialize_site_rows()
+        return self._site_rows_map
 
     # -- construction ---------------------------------------------------------
 
@@ -214,33 +179,12 @@ class TraceDataset:
     def from_records(
         cls,
         records: Iterable[LogRecord],
-        engine: str = "batch",
         batch_size: int = DEFAULT_BATCH_SIZE,
         keep_store: bool = True,
     ) -> "TraceDataset":
-        """Build from a record iterable (materialised; test-scale API).
-
-        ``engine="batch"`` chunks the records into columnar batches and
-        runs the streaming accumulator ingest; ``engine="record"`` runs
-        the scalar reference loop.  Both produce identical indices.
-        """
-        records = records if isinstance(records, list) else list(records)
-        if engine == "batch":
-            dataset = cls.from_batches(iter_record_batches(records, batch_size), keep_store=keep_store)
-            if keep_store:
-                dataset._records = records
-            return dataset
-        if engine != "record":
-            raise ConfigError(f"unknown ingest engine {engine!r}; expected 'batch' or 'record'")
-        dataset = cls()
-        dataset._records = records
-        dataset._length = len(records)
-        hourly: dict[tuple[str, int, int], list[int]] = {}
-        responses: dict[tuple[str, int, int], int] = {}
-        for row, record in enumerate(records):
-            dataset._ingest(row, record, hourly, responses)
-        dataset._finalize(hourly, responses)
-        return dataset
+        """Build from a record iterable (test-scale API): the records are
+        chunked into batches and folded like any batch stream."""
+        return cls.from_batches(iter_record_batches(records, batch_size), keep_store)
 
     @classmethod
     def from_batches(
@@ -300,171 +244,54 @@ class TraceDataset:
             spill_dir=spill_dir,
         )
 
-    # -- scalar reference engine ----------------------------------------------
-
-    def _ingest(
-        self,
-        row: int,
-        record: LogRecord,
-        hourly: dict[tuple[str, int, int], list[int]],
-        responses: dict[tuple[str, int, int], int],
-    ) -> None:
-        self._sites.add(record.site)
-        self._site_rows.setdefault(record.site, []).append(row)  # type: ignore[union-attr]
-        self.duration_seconds = max(self.duration_seconds, record.timestamp)
-        hour = int(record.timestamp // HOUR_SECONDS)
-
-        # Fig. 3: (site, serving data center's UTC offset, UTC hour) cells.
-        cell = hourly.setdefault((record.site, DC_OFFSET_HOURS.get(record.datacenter, 0), hour), [0, 0])
-        cell[0] += 1
-        cell[1] += record.bytes_served
-        # Fig. 16: (site, category, status) counts.
-        code_key = (record.site, CATEGORIES.index(record.category), record.status_code)
-        responses[code_key] = responses.get(code_key, 0) + 1
-
-        stats = self.object_stats.get(record.object_id)
-        if stats is None:
-            stats = ObjectStats(
-                object_id=record.object_id,
-                site=record.site,
-                category=record.category,
-                extension=record.extension,
-                size_bytes=record.object_size,
-            )
-            self.object_stats[record.object_id] = stats
-        if record.status_code in CONTENT_STATUS_CODES:
-            stats.requests += 1
-            stats.bytes_requested += record.object_size
-            stats.user_counts[record.user_id] = stats.user_counts.get(record.user_id, 0) + 1
-            stats.first_seen = min(stats.first_seen, record.timestamp)
-            stats.last_seen = max(stats.last_seen, record.timestamp)
-            stats.hourly[hour] = stats.hourly.get(hour, 0) + 1
-            if record.status_code in (200, 206):
-                if record.cache_status is CacheStatus.HIT:
-                    stats.hits += 1
-                else:
-                    stats.misses += 1
-
-        # Per-user timeline (all statuses: a 403 is still user activity).
-        key = record.user_id
-        self._user_times.setdefault(key, []).append(record.timestamp)
-        self._user_site.setdefault(key, record.site)
-        self._user_agent.setdefault(key, record.user_agent)
-
-    def _finalize(
-        self,
-        hourly: dict[tuple[str, int, int], list[int]],
-        responses: dict[tuple[str, int, int], int],
-    ) -> None:
-        for times in self._user_times.values():
-            times.sort()
-        # Encode both tables in the accumulators' key layout, sites coded
-        # in first-appearance order, keys ascending.
-        site_values = list(self._site_rows)
-        site_code = {site: code for code, site in enumerate(site_values)}
-        hourly_rows = sorted(
-            (hourly_key(site_code[site], offset, hour), count, nbytes)
-            for (site, offset, hour), (count, nbytes) in hourly.items()
-        )
-        response_rows = sorted(
-            (response_key(site_code[site], category, status), count)
-            for (site, category, status), count in responses.items()
-        )
-        hourly_keys, hourly_counts, hourly_bytes = np.array(hourly_rows, dtype=np.int64).reshape(-1, 3).T
-        response_keys, response_counts = np.array(response_rows, dtype=np.int64).reshape(-1, 2).T
-        self.scan_aggregates = ScanTables(
-            site_values=site_values,
-            hourly_keys=hourly_keys,
-            hourly_counts=hourly_counts,
-            hourly_bytes=hourly_bytes,
-            response_keys=response_keys,
-            response_counts=response_counts,
-        )
-
     # -- lazy materialisation of the python-object views -----------------------
 
-    def _materialize_object_stats(self) -> None:
+    def _materialize_object_stats(self) -> dict[str, ObjectStats]:
         d = self._deferred
         assert d is not None
-        n_obj: int = d["n_obj"]  # type: ignore[assignment]
-        requests = d["requests"]
-        hits = d["hits"]
-        misses = d["misses"]
-        bytes_requested = d["bytes_requested"]
-        first_seen = d["first_seen"]
-        last_seen = d["last_seen"]
-        stats_by_code: list[ObjectStats | None] = [None] * n_obj
-        mapping: dict[str, ObjectStats] = {}
-        for position, code in enumerate(d["obj_order"]):  # type: ignore[arg-type]
-            stats = ObjectStats(
-                object_id=d["obj_names"][position],  # type: ignore[index]
-                site=d["shell_sites"][position],  # type: ignore[index]
-                category=CATEGORIES[d["shell_categories"][position]],  # type: ignore[index]
-                extension=d["shell_extensions"][position],  # type: ignore[index]
-                size_bytes=d["shell_sizes"][position],  # type: ignore[index]
-                requests=requests[code],  # type: ignore[index]
-                hits=hits[code],  # type: ignore[index]
-                misses=misses[code],  # type: ignore[index]
-                bytes_requested=bytes_requested[code],  # type: ignore[index]
-                first_seen=first_seen[code],  # type: ignore[index]
-                last_seen=last_seen[code],  # type: ignore[index]
+        # Global object codes are first-appearance positions: the i-th
+        # entry of every per-object list belongs to object code i.
+        by_code = [
+            ObjectStats(name, site, CATEGORIES[category], extension, size, *aggregates)
+            for name, site, category, extension, size, *aggregates in zip(
+                d["obj_names"],  # type: ignore[arg-type]
+                d["shell_sites"],
+                d["shell_categories"],
+                d["shell_extensions"],
+                d["shell_sizes"],
+                # requests, hits, misses, bytes_requested, first_seen, last_seen
+                d["requests"],
+                d["hits"],
+                d["misses"],
+                d["bytes_requested"],
+                d["first_seen"],
+                d["last_seen"],
             )
-            stats_by_code[code] = stats
-            mapping[stats.object_id] = stats
+        ]
         if "pair_names" in d:
             # Each object's (user, count) and (hour, count) entries form one
             # contiguous run; a shared zip iterator plus islice builds every
             # dict in a single linear pass without slice copies.
             pairs = zip(d["pair_names"], d["pair_counts"])  # type: ignore[arg-type]
             for code, length in zip(d["pair_seg_codes"], d["pair_seg_lengths"]):  # type: ignore[arg-type]
-                stats_by_code[code].user_counts = dict(islice(pairs, length))  # type: ignore[union-attr]
+                by_code[code].user_counts = dict(islice(pairs, length))
             hours = zip(d["hour_bins"], d["hour_counts"])  # type: ignore[arg-type]
             for code, length in zip(d["hour_seg_codes"], d["hour_seg_lengths"]):  # type: ignore[arg-type]
-                stats_by_code[code].hourly = dict(islice(hours, length))  # type: ignore[union-attr]
-        self._object_stats_map = mapping
-        self._release_deferred()
+                by_code[code].hourly = dict(islice(hours, length))
+        return {stats.object_id: stats for stats in by_code}
 
-    def _materialize_user_index(self) -> None:
-        d = self._deferred
-        assert d is not None
-        names = d["user_names"]
-        sorted_ts = np.asarray(d["sorted_ts"], dtype=np.float64).tolist()
-        starts = np.asarray(d["user_starts"], dtype=np.int64).tolist()
-        stops = np.asarray(d["user_stops"], dtype=np.int64).tolist()
-        self._user_times_map = dict(
-            zip(
-                names,  # type: ignore[arg-type]
-                (sorted_ts[start:stop] for start, stop in zip(starts, stops)),
-            )
-        )
-        self._user_site_map = dict(zip(names, d["user_sites"]))  # type: ignore[arg-type]
-        self._user_agent_map = dict(zip(names, d["user_agents"]))  # type: ignore[arg-type]
-        self._release_deferred()
-
-    def _release_deferred(self) -> None:
-        if self._object_stats_map is not None and self._user_times_map is not None:
-            self._deferred = None
-
-    def _materialize_site_rows(self) -> None:
-        if not self._length:
-            self._site_rows_map = {}
-            return
-        if not self.has_store:
-            raise StorelessDatasetError(
-                "per-site row index unavailable: dataset was built with keep_store=False; "
-                "rebuild with keep_store=True for row-level access"
-            )
+    def _materialize_site_rows(self) -> dict[str, np.ndarray]:
         store = self.store()
         site_codes = store.site.codes
-        mapping: dict[str, list[int] | np.ndarray] = {}
+        mapping: dict[str, np.ndarray] = {}
         # Sites are few, so one boolean scan per site beats a full argsort
         # of the row axis.  Code order is first-appearance order (the
-        # dictionary invariant), matching scalar insertion order.
+        # dictionary invariant).
         for code, site in enumerate(store.site.values):
             rows = np.flatnonzero(site_codes == code)
             if rows.size:
                 mapping[site] = rows
-        self._site_rows_map = mapping
+        return mapping
 
     # -- accessors -------------------------------------------------------------
 
@@ -472,37 +299,29 @@ class TraceDataset:
     def has_store(self) -> bool:
         """Whether row-level access (``records``/``store``/``site_records``)
         is available — false only for ``keep_store=False`` datasets."""
-        return self._store is not None or self._records is not None
+        return self._store is not None
 
     @property
     def records(self) -> list[LogRecord]:
-        """The trace as a record list, materialised lazily for batch-built
-        datasets (test-scale convenience; analyses use the store)."""
+        """The trace as a record list: the store's record view, built on
+        first access (test-scale convenience; analyses use the indices)."""
         if self._records is None:
-            if self._store is None:
-                if self._length:
-                    raise StorelessDatasetError(
-                        "records unavailable: dataset was built with keep_store=False"
-                    )
-                self._records = []
-            else:
-                self._records = self._store.to_records()
+            self._records = self.store().to_records()
         return self._records
 
     def store(self) -> RecordBatch:
         """The trace as one columnar :class:`RecordBatch`.
 
-        Built lazily (and cached) for record-built datasets.  Raises
-        :class:`~repro.errors.AnalysisError` for ``keep_store=False``
-        datasets — the rows were dropped at ingest.
+        Raises :class:`~repro.errors.StorelessDatasetError` for
+        ``keep_store=False`` datasets — the rows were dropped at ingest.
         """
         if self._store is None:
-            if self._records is None and self._length:
+            if self._length:
                 raise StorelessDatasetError(
                     "row store unavailable: dataset was built with keep_store=False; "
                     "rebuild with keep_store=True for row-level access"
                 )
-            self._store = RecordBatch.from_records(self._records or [])
+            self._store = RecordBatch.empty()
         return self._store
 
     def __len__(self) -> int:
@@ -524,62 +343,24 @@ class TraceDataset:
             raise EmptyDatasetError("trace contains no records")
 
     def site_records(self, site: str) -> list[LogRecord]:
-        """The site's records, served from the per-site row index."""
+        """The site's records, materialised from the store by the per-site
+        row index."""
         rows = self._site_rows.get(site)
         if rows is None:
             return []
-        row_list = rows.tolist() if isinstance(rows, np.ndarray) else rows
-        if self._records is None and self._store is not None:
-            # Columnar store: materialise just this site's rows.
-            return self._store.take(np.asarray(row_list, dtype=np.intp)).to_records()
-        records = self.records
-        return [records[row] for row in row_list]
+        return self.store().take(rows).to_records()
 
     def site_extents(self) -> dict[str, SiteExtent]:
         """Per-site row extents (first row, last row, row count), in
-        first-appearance order.  Available on every engine, including
-        ``keep_store=False`` datasets."""
-        if self._site_extents is None:
-            self._site_extents = {
-                site: SiteExtent(first_row=int(rows[0]), last_row=int(rows[-1]), rows=len(rows))
-                for site, rows in self._site_rows.items()
-            }
+        first-appearance order.  Available on every dataset, including
+        ``keep_store=False`` ones."""
         return self._site_extents
 
     def user_timelines(self) -> UserTimelines:
         """Columnar per-user timelines (sorted timestamps + segment bounds
-        + per-user site/agent shells), in first-appearance order.  The
-        session, IAT and device analyses run off this instead of the
-        python-object user dicts."""
-        if self._timelines is None:
-            d = self._deferred
-            if d is not None:
-                self._timelines = UserTimelines(
-                    names=list(d["user_names"]),  # type: ignore[arg-type]
-                    sites=list(d["user_sites"]),  # type: ignore[arg-type]
-                    agents=list(d["user_agents"]),  # type: ignore[arg-type]
-                    sorted_ts=np.asarray(d["sorted_ts"], dtype=np.float64),
-                    starts=np.asarray(d["user_starts"], dtype=np.int64),
-                    stops=np.asarray(d["user_stops"], dtype=np.int64),
-                )
-            else:
-                names = list(self._user_times)
-                parts = [self._user_times[name] for name in names]
-                counts = np.array([len(part) for part in parts], dtype=np.int64)
-                sorted_ts = (
-                    np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
-                    if parts
-                    else np.empty(0, dtype=np.float64)
-                )
-                stops = np.cumsum(counts)
-                self._timelines = UserTimelines(
-                    names=names,
-                    sites=[self._user_site[name] for name in names],
-                    agents=[self._user_agent[name] for name in names],
-                    sorted_ts=sorted_ts,
-                    starts=stops - counts,
-                    stops=stops,
-                )
+        + per-user site/agent shells), in first-appearance order: the one
+        user index, which the session, IAT and device analyses and the
+        per-user accessors below read."""
         return self._timelines
 
     def objects_of(
@@ -605,22 +386,27 @@ class TraceDataset:
         return result
 
     def users_of(self, site: str | None = None) -> list[str]:
-        """User ids, optionally restricted to one site."""
+        """User ids in first-appearance order, optionally restricted to one
+        site."""
+        timelines = self._timelines
         if site is None:
-            return list(self._user_times)
-        return [user for user, user_site in self._user_site.items() if user_site == site]
+            return list(timelines.names)
+        return [user for user, user_site in zip(timelines.names, timelines.sites) if user_site == site]
 
     def user_timestamps(self, user_id: str) -> list[float]:
         """A user's request timestamps, ascending."""
-        return self._user_times.get(user_id, [])
+        index = self._timelines.index_of(user_id)
+        return [] if index is None else self._timelines.timeline(index).tolist()
 
     def user_site_of(self, user_id: str) -> str:
         """The site a user belongs to (the site of their first request;
         an empty string for unknown users)."""
-        return self._user_site.get(user_id, "")
+        index = self._timelines.index_of(user_id)
+        return "" if index is None else self._timelines.sites[index]
 
     def user_agent_of(self, user_id: str) -> str:
-        return self._user_agent.get(user_id, "")
+        index = self._timelines.index_of(user_id)
+        return "" if index is None else self._timelines.agents[index]
 
     def top_objects(
         self,
@@ -677,7 +463,7 @@ class DatasetBuilder:
     dataset.  The dataflow ingest stage drives it batch-by-batch from the
     plan's single drain loop; ``from_batches`` drives it from its own
     loop — both paths share this one implementation, which is what keeps
-    them pinned together by the engine-equivalence suites.
+    them pinned together by the equivalence suites.
     """
 
     def __init__(
@@ -757,7 +543,6 @@ class DatasetBuilder:
         stats.store_bytes = self._store_bytes
         dataset.ingest_stats = stats
         dataset._length = aggregates.rows
-        dataset._site_rows_map = None
         if self.keep_store:
             dataset._store = RecordBatch.concat(self._kept)
         dataset.scan_aggregates = aggregates.finalize_scan_tables()
@@ -766,10 +551,7 @@ class DatasetBuilder:
             dataset._sites = set(aggregates.sites.values)
             dataset._site_extents = aggregates.extents.finalize(aggregates.sites.values)
             dataset._deferred = aggregates.finalize_deferred()
-            dataset._object_stats_map = None
-            dataset._user_times_map = None
-            dataset._user_site_map = None
-            dataset._user_agent_map = None
+            dataset._timelines = aggregates.finalize_timelines()
         # After finalize: the timeline merge has restored any spilled
         # runs, so the handle's counters are complete.
         timeline_handle = aggregates.timelines._spill_handle

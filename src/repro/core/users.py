@@ -65,7 +65,7 @@ def interarrival_times(dataset: TraceDataset, max_samples_per_site: int | None =
     user's segment of the concatenated sorted timestamps, so one
     ``np.diff`` plus a segment-boundary mask yields every IAT at once;
     sites are keyed in the order their first two-request user appears —
-    the scalar engine's insertion order.
+    a record-at-a-time scan's insertion order.
     """
     timelines = dataset.user_timelines()
     ts = timelines.sorted_ts
@@ -155,8 +155,8 @@ def session_lengths(
     lengths = np.maximum(ts[session_stops - 1] - ts[session_starts], min_length_s)
     session_user = np.searchsorted(timelines.stops, session_starts, side="right")
     # Every user emits at least one session and sessions come out in
-    # user order, so first-session site order equals the scalar
-    # engine's user first-appearance insertion order.
+    # user order, so first-session site order equals the users'
+    # first-appearance order.
     site_index: dict[str, int] = {}
     for site in timelines.sites:
         if site not in site_index:

@@ -5,8 +5,8 @@ record carries a publisher identifier, hashed URL, object file type, object
 size, user agent, request timestamp, plus the response's cache status and
 HTTP status code.  This subpackage defines that record
 (:class:`~repro.trace.record.LogRecord`), user-agent synthesis/parsing,
-privacy-preserving anonymisation, and streaming readers/writers for CSV,
-JSON-lines and a compact binary format.
+privacy-preserving anonymisation, and streaming batch readers/writers for
+CSV, JSON-lines and a compact binary format.
 """
 
 from repro.trace.anonymize import Anonymizer
@@ -17,7 +17,7 @@ from repro.trace.batch import (
     StringColumn,
     iter_record_batches,
 )
-from repro.trace.reader import TraceReader, read_trace
+from repro.trace.reader import TraceReader
 from repro.trace.record import LogRecord
 from repro.trace.tools import (
     TraceSummary,
@@ -27,7 +27,7 @@ from repro.trace.tools import (
     summarize_trace,
 )
 from repro.trace.useragent import parse_user_agent, synthesize_user_agent
-from repro.trace.writer import TraceWriter, write_trace, write_trace_batches
+from repro.trace.writer import TraceWriter, write_trace_batches
 
 __all__ = [
     "Anonymizer",
@@ -42,11 +42,9 @@ __all__ = [
     "iter_record_batches",
     "merge_traces",
     "parse_user_agent",
-    "read_trace",
     "split_trace_by_day",
     "split_trace_by_site",
     "summarize_trace",
     "synthesize_user_agent",
-    "write_trace",
     "write_trace_batches",
 ]

@@ -6,21 +6,20 @@ cache-status codes — with the string-valued fields (site, object id,
 extension, user id, user agent, datacenter) dictionary-interned as int32
 codes over a per-batch value list.  Batches are what flows between the
 pipeline stages (generator → simulator → writer/reader → dataset →
-analysis passes): the simulator appends each row's field tuple straight
-into a :class:`BatchBuilder`, the binary reader decodes rows straight
-into columns (:class:`~repro.trace.schema.BinaryDecoder`), and both seal
-their batches with :func:`seal_batch`.  A
-:class:`~repro.trace.record.LogRecord` is built only by the text readers,
-which parse each row into one, and as a view on demand
-(:func:`record_from_row`, :meth:`RecordBatch.iter_records`) for tests and
-record-level consumers.
+analysis passes): the simulator and the text readers append each row's
+field tuple straight into a :class:`BatchBuilder`, the binary reader
+decodes rows straight into columns
+(:class:`~repro.trace.schema.BinaryDecoder`), and both seal their
+batches with :func:`seal_batch`.  A :class:`~repro.trace.record.LogRecord`
+is only a view built on demand (:func:`record_from_row`,
+:meth:`RecordBatch.iter_records`) for tests and record-level consumers.
 
 Interning codes are assigned in first-appearance order, and
 :meth:`RecordBatch.concat` preserves that order across batches.  Iterating
 a string column's codes in ascending numeric order therefore reproduces
 the order a sequential record-at-a-time scan would have first seen each
 value — the invariant the columnar :class:`~repro.core.dataset.TraceDataset`
-ingest relies on to match the scalar reference engine exactly.
+ingest relies on to match the tests' scalar reference ingest exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import TraceError
 from repro.trace.record import LogRecord, check_fields
 from repro.types import CacheStatus, ContentCategory, category_for_extension
 
@@ -112,6 +112,24 @@ def record_from_row(row: tuple) -> LogRecord:
     )
 
 
+def _row_of(record: LogRecord) -> tuple:
+    """A record's fields as a :meth:`RecordBatch.iter_rows` tuple."""
+    return (
+        record.timestamp,
+        record.site,
+        record.object_id,
+        record.extension,
+        record.object_size,
+        record.user_id,
+        record.user_agent,
+        record.cache_status is CacheStatus.HIT,
+        record.status_code,
+        record.bytes_served,
+        record.datacenter,
+        record.chunk_index,
+    )
+
+
 class BatchBuilder:
     """Accumulates rows into column buffers; :meth:`finish` seals a batch.
 
@@ -177,20 +195,7 @@ class BatchBuilder:
 
     def append_record(self, record: LogRecord) -> None:
         """Store one :class:`LogRecord`'s fields as a row."""
-        self.append(
-            record.timestamp,
-            record.site,
-            record.object_id,
-            record.extension,
-            record.object_size,
-            record.user_id,
-            record.user_agent,
-            record.cache_status is CacheStatus.HIT,
-            record.status_code,
-            record.bytes_served,
-            record.datacenter,
-            record.chunk_index,
-        )
+        self.append(*_row_of(record))
 
     def finish(self) -> "RecordBatch":
         """Seal the rows into a batch, rejecting any value outside the schema.
@@ -510,11 +515,25 @@ def iter_record_batches(
     records: Iterable[LogRecord], batch_size: int = DEFAULT_BATCH_SIZE
 ) -> Iterator[RecordBatch]:
     """Chunk a record stream into :class:`RecordBatch` blocks."""
+    return iter_row_batches(map(_row_of, records), batch_size)
+
+
+def iter_row_batches(rows: Iterable[tuple], batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[RecordBatch]:
+    """Chunk a stream of :meth:`RecordBatch.iter_rows` tuples into batches.
+
+    When the stream raises a :class:`~repro.errors.TraceError`, the rows
+    before it are flushed as a final partial batch first.
+    """
     builder = BatchBuilder()
-    for record in records:
-        builder.append_record(record)
-        if len(builder) >= batch_size:
+    try:
+        for row in rows:
+            builder.append(*row)
+            if len(builder) >= batch_size:
+                yield builder.finish()
+                builder = BatchBuilder()
+    except TraceError:
+        if len(builder):
             yield builder.finish()
-            builder = BatchBuilder()
+        raise
     if len(builder):
         yield builder.finish()

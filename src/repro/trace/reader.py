@@ -1,11 +1,12 @@
 """Streaming trace readers with optional record filters.
 
 Mirror image of :mod:`repro.trace.writer`: format is inferred from the
-suffix, rows stream out as columnar batches, and callers can restrict by
-site, category, or time window without loading the file.  The binary
-format decodes straight into batch columns
-(:class:`~repro.trace.schema.BinaryDecoder`); the text formats parse each
-row into a validated :class:`LogRecord` first.  Every parse failure is a
+suffix (a further ``.gz`` means gzip), rows stream out as columnar
+batches, and callers can restrict by site, category, or time window
+without loading the file.  The binary format decodes straight into batch
+columns (:class:`~repro.trace.schema.BinaryDecoder`); the text formats
+decode each row to a checked field tuple and append it to a
+:class:`~repro.trace.batch.BatchBuilder`.  Every parse failure is a
 :class:`~repro.errors.TraceError` naming the file and the line (text
 formats) or byte offset (binary format).
 """
@@ -14,41 +15,25 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
 import json
 import struct
 import zlib
 from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO
 
 from repro.errors import TraceError, TraceFormatError, TraceTruncationError
 from repro.trace import schema
-from repro.trace.batch import DEFAULT_BATCH_SIZE, BatchBuilder, RecordBatch
-from repro.trace.record import LogRecord
+from repro.trace.batch import DEFAULT_BATCH_SIZE, RecordBatch, iter_row_batches
 from repro.types import ContentCategory, category_for_extension
 
-_FORMATS = ("csv", "jsonl", "bin")
 _BINARY_CHUNK = 1 << 20
 
 
-def _infer_format(path: Path) -> str:
-    suffixes = [s.lstrip(".") for s in path.suffixes]
-    for suffix in reversed(suffixes):
-        if suffix in _FORMATS:
-            return suffix
-    raise TraceFormatError(
-        f"cannot infer trace format from {path.name!r}; use one of {_FORMATS} as a suffix or pass fmt="
-    )
-
-
-def _open_binary(path: Path) -> IO[bytes]:
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")  # type: ignore[return-value]
-    return open(path, "rb")
-
-
 class TraceReader:
-    """Iterate over the records in a trace file.
+    """Stream the rows of a trace file as batches.
 
     Parameters
     ----------
@@ -74,19 +59,13 @@ class TraceReader:
         self.path = Path(path)
         if not self.path.exists():
             raise TraceFormatError(f"trace file does not exist: {self.path}")
-        self.fmt = fmt or _infer_format(self.path)
-        if self.fmt not in _FORMATS:
-            raise TraceFormatError(f"unknown trace format {self.fmt!r}; expected one of {_FORMATS}")
+        self.fmt = fmt or schema.infer_format(self.path)
+        if self.fmt not in schema.FORMATS:
+            raise TraceFormatError(f"unknown trace format {self.fmt!r}; expected one of {schema.FORMATS}")
         self.sites = sites
         self.categories = categories
         self.start = start
         self.end = end
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        """Record-at-a-time view: a thin adapter over :meth:`iter_batches`
-        that builds each :class:`LogRecord` from the batch columns."""
-        for batch in self.iter_batches():
-            yield from batch.iter_records()
 
     def iter_batches(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[RecordBatch]:
         """Stream the trace as columnar :class:`RecordBatch` blocks.
@@ -98,23 +77,9 @@ class TraceReader:
         every good record, then the failure.
         """
         if self.fmt == "bin":
-            yield from self._iter_binary(batch_size)
-            return
-        raw = self._iter_csv() if self.fmt == "csv" else self._iter_jsonl()
-        builder = BatchBuilder()
-        try:
-            for record in raw:
-                if self._matches(record.timestamp, record.site, record.extension):
-                    builder.append_record(record)
-                    if len(builder) >= batch_size:
-                        yield builder.finish()
-                        builder = BatchBuilder()
-        except TraceError:
-            if len(builder):
-                yield builder.finish()
-            raise
-        if len(builder):
-            yield builder.finish()
+            return self._iter_binary(batch_size)
+        rows = (row for row in self._iter_text() if self._matches(row[0], row[1], row[3]))
+        return iter_row_batches(rows, batch_size)
 
     def _matches(self, timestamp: float, site: str, extension: str) -> bool:
         if self.sites is not None and site not in self.sites:
@@ -127,20 +92,34 @@ class TraceReader:
             return False
         return True
 
-    def _iter_csv(self) -> Iterator[LogRecord]:
-        with open(self.path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                return
-            if tuple(header) != schema.FIELD_NAMES:
-                raise TraceFormatError(f"unexpected CSV header in {self.path.name}: {header}")
-            for row in reader:
-                yield self._parsed(schema.row_to_record, row, reader.line_num)
+    @contextmanager
+    def _opened(self) -> Iterator[IO[bytes]]:
+        """The file's bytes; a damaged gzip stream raises a typed error."""
+        try:
+            with schema.open_binary(self.path, "rb") as handle:
+                yield handle
+        except EOFError as exc:
+            raise TraceTruncationError(
+                f"{self.path.name}: truncated gzip stream (ends before its end-of-stream marker)"
+            ) from exc
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise TraceFormatError(f"{self.path.name}: not a valid gzip stream: {exc}") from exc
 
-    def _iter_jsonl(self) -> Iterator[LogRecord]:
-        with open(self.path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
+    def _iter_text(self) -> Iterator[tuple]:
+        """Each CSV or JSONL row's checked field tuple."""
+        with self._opened() as handle:
+            lines = self._text_lines(handle)
+            if self.fmt == "csv":
+                reader = csv.reader(lines)
+                header = next(reader, None)
+                if header is None:
+                    return
+                if tuple(header) != schema.FIELD_NAMES:
+                    raise TraceFormatError(f"unexpected CSV header in {self.path.name}: {header}")
+                for row in reader:
+                    yield self._parsed(schema.row_to_values, row, reader.line_num)
+                return
+            for line_number, line in enumerate(lines, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -148,9 +127,26 @@ class TraceReader:
                     payload = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TraceFormatError(f"{self.path.name}:{line_number}: invalid JSON") from exc
-                yield self._parsed(schema.dict_to_record, payload, line_number)
+                yield self._parsed(schema.dict_to_values, payload, line_number)
 
-    def _parsed(self, decode, raw, line_number: int) -> LogRecord:
+    def _text_lines(self, handle: IO[bytes]) -> Iterator[str]:
+        """The file's lines as text, split as text mode splits them.
+
+        Bytes that are not UTF-8 decode to lone surrogates, which no valid
+        UTF-8 decodes to, so a line holding one raises naming its line
+        after the lines before it were yielded.
+        """
+        newline = "" if self.fmt == "csv" else None
+        with io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape", newline=newline) as text:
+            for line_number, line in enumerate(text, start=1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise TraceFormatError(f"{self.path.name}:{line_number}: invalid UTF-8") from exc
+                yield line
+
+    def _parsed(self, decode, raw, line_number: int) -> tuple:
         """``decode(raw)``, with any error prefixed by ``file:line``."""
         try:
             return decode(raw)
@@ -172,41 +168,34 @@ class TraceReader:
     def _iter_binary_stream(self, decoder: schema.BinaryDecoder, batch_size: int) -> Iterator[RecordBatch]:
         """Yield every full batch; the rows left in ``decoder`` (at the end,
         or before an error) are the caller's to flush."""
-        try:
-            with _open_binary(self.path) as handle:
-                self._check_binary_header(handle)
-                # Absolute file offset of buffer[0]; keeps error messages
-                # pointing at the real byte position even across chunk reads.
-                consumed = len(schema.BINARY_MAGIC) + 2
-                buffer = b""
+        with self._opened() as handle:
+            self._check_binary_header(handle)
+            # Absolute file offset of buffer[0]; keeps error messages
+            # pointing at the real byte position even across chunk reads.
+            consumed = len(schema.BINARY_MAGIC) + 2
+            buffer = b""
+            offset = 0
+            while True:
+                try:
+                    offset = decoder.decode(buffer, offset, batch_size, consumed)
+                except TraceError as exc:
+                    raise type(exc)(f"{self.path.name}: {exc}") from exc
+                if len(decoder) >= batch_size:
+                    yield decoder.finish()
+                    continue
+                # read1: a gzip stream that breaks off mid-read still hands
+                # over every byte decompressed before the break.
+                chunk = handle.read1(_BINARY_CHUNK)
+                if not chunk:
+                    break
+                consumed += offset
+                buffer = buffer[offset:] + chunk
                 offset = 0
-                while True:
-                    try:
-                        offset = decoder.decode(buffer, offset, batch_size, consumed)
-                    except TraceError as exc:
-                        raise type(exc)(f"{self.path.name}: {exc}") from exc
-                    if len(decoder) >= batch_size:
-                        yield decoder.finish()
-                        continue
-                    # read1: a gzip stream that breaks off mid-read still hands
-                    # over every byte decompressed before the break.
-                    chunk = handle.read1(_BINARY_CHUNK)
-                    if not chunk:
-                        break
-                    consumed += offset
-                    buffer = buffer[offset:] + chunk
-                    offset = 0
-                if offset < len(buffer):
-                    raise TraceTruncationError(
-                        f"{self.path.name}: truncated record at byte {consumed + offset} "
-                        f"({len(buffer) - offset} trailing bytes)"
-                    )
-        except EOFError as exc:
-            raise TraceTruncationError(
-                f"{self.path.name}: truncated gzip stream (ends before its end-of-stream marker)"
-            ) from exc
-        except (gzip.BadGzipFile, zlib.error) as exc:
-            raise TraceFormatError(f"{self.path.name}: not a valid gzip stream: {exc}") from exc
+            if offset < len(buffer):
+                raise TraceTruncationError(
+                    f"{self.path.name}: truncated record at byte {consumed + offset} "
+                    f"({len(buffer) - offset} trailing bytes)"
+                )
 
     def _check_binary_header(self, handle: IO[bytes]) -> None:
         magic = handle.read(len(schema.BINARY_MAGIC))
@@ -244,20 +233,3 @@ class TraceSourceStage:
     def finish(self, stats, result) -> None:
         result.trace_path = self.path
 
-
-def read_trace(
-    path: str | Path, batch_size: int = DEFAULT_BATCH_SIZE, **kwargs: object
-) -> list[LogRecord]:
-    """Load an entire trace into memory as a record list.
-
-    **Test-scale only**: this materialises one ``LogRecord`` per row, which
-    is exactly the overhead the batch pipeline exists to avoid.  For large
-    traces use :meth:`TraceReader.iter_batches` (streaming column blocks)
-    or :meth:`repro.core.dataset.TraceDataset.from_file` (columnar ingest).
-    Internally this routes through the batch reader and builds each
-    record from the batch columns.
-    """
-    records: list[LogRecord] = []
-    for batch in TraceReader(path, **kwargs).iter_batches(batch_size=batch_size):  # type: ignore[arg-type]
-        records.extend(batch.iter_records())
-    return records

@@ -1,26 +1,50 @@
 """Serialisation schema shared by all trace formats.
 
-Defines the canonical field order, the CSV/JSONL field codecs, and the
-binary format: its struct layout, the writer's row encoder
-(:func:`pack_values`) and the reader's decoder (:class:`BinaryDecoder`),
-which turns rows straight into :class:`~repro.trace.batch.RecordBatch`
-columns.  Readers and writers both import from here so the two sides
-cannot drift apart.
+Defines the file formats and how a path opens (:func:`infer_format`,
+:func:`open_binary`), the canonical field order, the CSV/JSONL field
+codecs, and the binary format: its struct layout, the writer's row
+encoder (:func:`pack_values`) and the reader's decoder
+(:class:`BinaryDecoder`), which turns rows straight into
+:class:`~repro.trace.batch.RecordBatch` columns.  Readers and writers
+both import from here so the two sides cannot drift apart.
 """
 
 from __future__ import annotations
 
+import gzip
 import math
 import struct
 from collections.abc import Callable
-from typing import Any
+from pathlib import Path
+from typing import IO, Any
 
 import numpy as np
 
 from repro.errors import TraceFormatError, TraceSchemaError
 from repro.trace.batch import STRING_FIELDS, RecordBatch, seal_batch
-from repro.trace.record import INT64_MAX, LogRecord, check_fields
-from repro.types import CacheStatus
+from repro.trace.record import INT64_MAX, check_fields
+
+#: Trace file formats, named by their file suffix.
+FORMATS = ("csv", "jsonl", "bin")
+
+
+def infer_format(path: Path) -> str:
+    """The format a path's suffixes name (``trace.csv.gz`` is ``csv``)."""
+    suffixes = [s.lstrip(".") for s in path.suffixes]
+    for suffix in reversed(suffixes):
+        if suffix in FORMATS:
+            return suffix
+    raise TraceFormatError(
+        f"cannot infer trace format from {path.name!r}; use one of {FORMATS} as a suffix or pass fmt="
+    )
+
+
+def open_binary(path: Path, mode: str) -> IO[bytes]:
+    """Open a trace file's bytes: a ``.gz`` suffix means gzip, in every format."""
+    if path.suffix == ".gz":
+        return gzip.open(path, mode)  # type: ignore[return-value]
+    return open(path, mode)
+
 
 #: Canonical column order for text formats.
 FIELD_NAMES = (
@@ -62,6 +86,8 @@ _FIXED_DTYPE = np.dtype(
 #: prefix: one read per row covers every fixed-width value.
 _ROW_HEAD = struct.Struct("<dQQHhBH")
 _LENGTH = struct.Struct("<H")
+#: Text value of the cache status -> the row tuple's ``hit`` flag.
+_HIT = {"HIT": True, "MISS": False}
 
 
 def values_to_row(
@@ -95,45 +121,30 @@ def values_to_row(
     ]
 
 
-def record_to_row(record: LogRecord) -> list[str]:
-    """Serialise a record to a CSV row (field order = FIELD_NAMES)."""
-    return values_to_row(
-        record.timestamp,
-        record.site,
-        record.object_id,
-        record.extension,
-        record.object_size,
-        record.user_id,
-        record.user_agent,
-        record.cache_status is CacheStatus.HIT,
-        record.status_code,
-        record.bytes_served,
-        record.datacenter,
-        record.chunk_index,
-    )
-
-
-def row_to_record(row: list[str]) -> LogRecord:
-    """Parse a CSV row back into a record."""
+def row_to_values(row: list[str]) -> tuple:
+    """Parse a CSV row into the field tuple :meth:`BatchBuilder.append
+    <repro.trace.batch.BatchBuilder.append>` takes, checked against the schema."""
     if len(row) != len(FIELD_NAMES):
         raise TraceFormatError(f"expected {len(FIELD_NAMES)} fields, got {len(row)}")
     try:
-        return LogRecord(
-            timestamp=float(row[0]),
-            site=row[1],
-            object_id=row[2],
-            extension=row[3],
-            object_size=int(row[4]),
-            user_id=row[5],
-            user_agent=row[6],
-            cache_status=CacheStatus(row[7]),
-            status_code=int(row[8]),
-            bytes_served=int(row[9]),
-            datacenter=row[10],
-            chunk_index=int(row[11]),
+        values = (
+            float(row[0]),
+            row[1],
+            row[2],
+            row[3],
+            int(row[4]),
+            row[5],
+            row[6],
+            _HIT[row[7]],
+            int(row[8]),
+            int(row[9]),
+            row[10],
+            int(row[11]),
         )
     except (ValueError, KeyError) as exc:
         raise TraceFormatError(f"malformed trace row: {row!r}") from exc
+    _check_values(values)
+    return values
 
 
 def values_to_dict(
@@ -167,43 +178,35 @@ def values_to_dict(
     }
 
 
-def record_to_dict(record: LogRecord) -> dict[str, Any]:
-    """Serialise a record to a JSON-compatible dict."""
-    return values_to_dict(
-        record.timestamp,
-        record.site,
-        record.object_id,
-        record.extension,
-        record.object_size,
-        record.user_id,
-        record.user_agent,
-        record.cache_status is CacheStatus.HIT,
-        record.status_code,
-        record.bytes_served,
-        record.datacenter,
-        record.chunk_index,
-    )
-
-
-def dict_to_record(payload: dict[str, Any]) -> LogRecord:
-    """Parse a JSON dict back into a record."""
+def dict_to_values(payload: dict[str, Any]) -> tuple:
+    """Parse a JSON object into the field tuple :meth:`BatchBuilder.append
+    <repro.trace.batch.BatchBuilder.append>` takes, checked against the
+    schema; ``datacenter`` and ``chunk_index`` may be absent."""
     try:
-        return LogRecord(
-            timestamp=float(payload["timestamp"]),
-            site=str(payload["site"]),
-            object_id=str(payload["object_id"]),
-            extension=str(payload["extension"]),
-            object_size=int(payload["object_size"]),
-            user_id=str(payload["user_id"]),
-            user_agent=str(payload["user_agent"]),
-            cache_status=CacheStatus(payload["cache_status"]),
-            status_code=int(payload["status_code"]),
-            bytes_served=int(payload["bytes_served"]),
-            datacenter=str(payload.get("datacenter", "dc-0")),
-            chunk_index=int(payload.get("chunk_index", -1)),
+        values = (
+            float(payload["timestamp"]),
+            str(payload["site"]),
+            str(payload["object_id"]),
+            str(payload["extension"]),
+            int(payload["object_size"]),
+            str(payload["user_id"]),
+            str(payload["user_agent"]),
+            _HIT[payload["cache_status"]],
+            int(payload["status_code"]),
+            int(payload["bytes_served"]),
+            str(payload.get("datacenter", "dc-0")),
+            int(payload.get("chunk_index", -1)),
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise TraceFormatError(f"malformed trace object: {payload!r}") from exc
+    _check_values(values)
+    return values
+
+
+def _check_values(values: tuple) -> None:
+    """:func:`~repro.trace.record.check_fields` on a field tuple."""
+    (timestamp, site, object_id, _, object_size, _, _, _, status_code, bytes_served, _, chunk_index) = values
+    check_fields(timestamp, site, object_id, object_size, bytes_served, status_code, chunk_index)
 
 
 def pack_values(
@@ -238,24 +241,6 @@ def pack_values(
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
     return b"".join(parts)
-
-
-def pack_record(record: LogRecord) -> bytes:
-    """Serialise a record into the compact binary format."""
-    return pack_values(
-        record.timestamp,
-        record.site,
-        record.object_id,
-        record.extension,
-        record.object_size,
-        record.user_id,
-        record.user_agent,
-        record.cache_status is CacheStatus.HIT,
-        record.status_code,
-        record.bytes_served,
-        record.datacenter,
-        record.chunk_index,
-    )
 
 
 class BinaryDecoder:

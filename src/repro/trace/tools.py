@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+
+import numpy as np
 
 from repro.errors import TraceError
+from repro.trace.batch import RecordBatch, iter_row_batches
 from repro.trace.reader import TraceReader
-from repro.trace.record import LogRecord
-from repro.trace.writer import TraceWriter
+from repro.trace.writer import TraceWriter, write_trace_batches
 from repro.types import DAY_SECONDS
 
 
@@ -25,55 +27,66 @@ def merge_traces(inputs: list[str | Path], output: str | Path) -> int:
     """Merge trace files into one, ordered by timestamp.
 
     Inputs must each be internally time-ordered (as written by the
-    pipeline); the merge is a streaming k-way heap merge, so arbitrarily
-    large shards are fine.  Returns the number of records written.
+    pipeline); the merge is a streaming k-way heap merge over the inputs'
+    rows (ties keep input order), so arbitrarily large shards are fine.
+    Returns the number of records written.
     """
     if not inputs:
         raise TraceError("merge_traces needs at least one input file")
-    readers = [iter(TraceReader(path)) for path in inputs]
-    merged: Iterator[LogRecord] = heapq.merge(*readers, key=lambda r: r.timestamp)
-    with TraceWriter(output) as writer:
-        return writer.write_all(merged)
+    readers = [TraceReader(path) for path in inputs]
+    merged = heapq.merge(*map(_rows, readers), key=lambda row: row[0])
+    return write_trace_batches(iter_row_batches(merged), output)
+
+
+def _rows(reader: TraceReader) -> Iterator[tuple]:
+    for batch in reader.iter_batches():
+        yield from batch.iter_rows()
 
 
 def split_trace_by_site(input_path: str | Path, output_dir: str | Path, fmt: str = "csv") -> dict[str, Path]:
     """Split one trace into one file per site; returns site → path."""
-    directory = Path(output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    writers: dict[str, TraceWriter] = {}
-    try:
-        for record in TraceReader(input_path):
-            writer = writers.get(record.site)
-            if writer is None:
-                safe = record.site.replace("/", "_")
-                writer = TraceWriter(directory / f"{safe}.{fmt}")
-                writer.open()
-                writers[record.site] = writer
-            writer.write(record)
-    finally:
-        for writer in writers.values():
-            writer.close()
-    return {site: writer.path for site, writer in writers.items()}
+
+    def pieces(batch: RecordBatch) -> Iterator[tuple[str, str, np.ndarray]]:
+        # Site codes number the batch's sites in first-appearance order.
+        for code, site in enumerate(batch.site.values):
+            yield site, f"{site.replace('/', '_')}.{fmt}", batch.site.codes == code
+
+    return _split(input_path, Path(output_dir), pieces)
 
 
 def split_trace_by_day(input_path: str | Path, output_dir: str | Path, fmt: str = "csv") -> dict[int, Path]:
     """Split one trace into one file per trace day; returns day → path."""
-    directory = Path(output_dir)
+
+    def pieces(batch: RecordBatch) -> Iterator[tuple[int, str, np.ndarray]]:
+        days = (batch.timestamp // DAY_SECONDS).astype(np.int64)
+        found, first = np.unique(days, return_index=True)
+        for day in found[np.argsort(first)].tolist():
+            yield day, f"day{day}.{fmt}", days == day
+
+    return _split(input_path, Path(output_dir), pieces)
+
+
+def _split(input_path: str | Path, directory: Path, pieces: Callable) -> dict:
+    """Write each batch's pieces to one file per key.
+
+    ``pieces(batch)`` yields ``(key, file name, row mask)`` in the order
+    the keys first appear in the batch, so files open in first-appearance
+    order and each receives its rows in trace order.
+    """
     directory.mkdir(parents=True, exist_ok=True)
-    writers: dict[int, TraceWriter] = {}
+    writers: dict = {}
     try:
-        for record in TraceReader(input_path):
-            day = int(record.timestamp // DAY_SECONDS)
-            writer = writers.get(day)
-            if writer is None:
-                writer = TraceWriter(directory / f"day{day}.{fmt}")
-                writer.open()
-                writers[day] = writer
-            writer.write(record)
+        for batch in TraceReader(input_path).iter_batches():
+            for key, name, mask in pieces(batch):
+                writer = writers.get(key)
+                if writer is None:
+                    writer = writers[key] = TraceWriter(directory / name)
+                    writer.open()
+                writer.write_batch(batch.filter(mask))
     finally:
         for writer in writers.values():
             writer.close()
-    return {day: writer.path for day, writer in writers.items()}
+    return {key: writer.path for key, writer in writers.items()}
 
 
 @dataclass
@@ -101,10 +114,14 @@ class TraceSummary:
         return self.hits / self.records
 
     def render(self) -> str:
+        window = (
+            f"{self.first_timestamp:.0f}s .. {self.last_timestamp:.0f}s ({self.duration_days:.1f} days)"
+            if self.records
+            else "none (empty trace)"
+        )
         lines = [
             f"records:        {self.records:,}",
-            f"window:         {self.first_timestamp:.0f}s .. {self.last_timestamp:.0f}s "
-            f"({self.duration_days:.1f} days)",
+            f"window:         {window}",
             f"bytes served:   {self.bytes_served / 1e9:.2f} GB",
             f"hit ratio:      {self.hit_ratio:.1%}",
             "per-site records:",
@@ -120,13 +137,14 @@ class TraceSummary:
 def summarize_trace(input_path: str | Path) -> TraceSummary:
     """Stream over a trace once and collect the headline numbers."""
     summary = TraceSummary()
-    for record in TraceReader(input_path):
-        summary.records += 1
-        summary.first_timestamp = min(summary.first_timestamp, record.timestamp)
-        summary.last_timestamp = max(summary.last_timestamp, record.timestamp)
-        summary.bytes_served += record.bytes_served
-        summary.site_records[record.site] += 1
-        summary.status_codes[record.status_code] += 1
-        if record.is_hit:
-            summary.hits += 1
+    for batch in TraceReader(input_path).iter_batches():
+        summary.records += len(batch)
+        summary.first_timestamp = min(summary.first_timestamp, float(batch.timestamp.min()))
+        summary.last_timestamp = max(summary.last_timestamp, float(batch.timestamp.max()))
+        summary.bytes_served += sum(batch.bytes_served.tolist())  # python ints: no int64 wrap
+        site_counts = np.bincount(batch.site.codes, minlength=len(batch.site.values))
+        summary.site_records.update(dict(zip(batch.site.values, site_counts.tolist())))
+        codes, counts = np.unique(batch.status_code, return_counts=True)
+        summary.status_codes.update(dict(zip(codes.tolist(), counts.tolist())))
+        summary.hits += int(np.count_nonzero(batch.cache_status))
     return summary

@@ -1,14 +1,15 @@
 """Streaming trace writers (CSV, JSON-lines, compact binary).
 
-Traces can be large; writers therefore stream record-by-record and never
+Traces can be large; writers therefore stream batch-by-batch and never
 hold the full trace in memory.  Format is inferred from the file suffix
-(``.csv``, ``.jsonl``, ``.bin``) or forced with ``fmt=``.
+(``.csv``, ``.jsonl``, ``.bin``) or forced with ``fmt=``; a further
+``.gz`` suffix gzips the file, in every format.
 """
 
 from __future__ import annotations
 
 import csv
-import gzip
+import io
 import json
 import struct
 from collections.abc import Iterable
@@ -18,42 +19,23 @@ from typing import IO
 from repro.errors import PlanError, TraceFormatError
 from repro.trace import schema
 from repro.trace.batch import RecordBatch
-from repro.trace.record import LogRecord
-
-_FORMATS = ("csv", "jsonl", "bin")
-
-
-def _infer_format(path: Path) -> str:
-    suffixes = [s.lstrip(".") for s in path.suffixes]
-    for suffix in reversed(suffixes):
-        if suffix in _FORMATS:
-            return suffix
-    raise TraceFormatError(
-        f"cannot infer trace format from {path.name!r}; use one of {_FORMATS} as a suffix or pass fmt="
-    )
-
-
-def _open_binary(path: Path, mode: str) -> IO[bytes]:
-    if path.suffix == ".gz":
-        return gzip.open(path, mode)  # type: ignore[return-value]
-    return open(path, mode)
 
 
 class TraceWriter:
-    """Write records to a trace file, streaming.
+    """Write record batches to a trace file, streaming.
 
     Use as a context manager::
 
         with TraceWriter("trace.csv") as writer:
-            for record in records:
-                writer.write(record)
+            for batch in batches:
+                writer.write_batch(batch)
     """
 
     def __init__(self, path: str | Path, fmt: str | None = None):
         self.path = Path(path)
-        self.fmt = fmt or _infer_format(self.path)
-        if self.fmt not in _FORMATS:
-            raise TraceFormatError(f"unknown trace format {self.fmt!r}; expected one of {_FORMATS}")
+        self.fmt = fmt or schema.infer_format(self.path)
+        if self.fmt not in schema.FORMATS:
+            raise TraceFormatError(f"unknown trace format {self.fmt!r}; expected one of {schema.FORMATS}")
         self._handle: IO | None = None
         self._csv_writer: csv.writer | None = None
         self.records_written = 0
@@ -69,42 +51,21 @@ class TraceWriter:
         if self._handle is not None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        handle: IO = schema.open_binary(self.path, "wb")
         if self.fmt == "bin":
-            self._handle = _open_binary(self.path, "wb")
-            self._handle.write(schema.BINARY_MAGIC)
-            self._handle.write(struct.pack("<H", schema.BINARY_VERSION))
-        elif self.fmt == "csv":
-            self._handle = open(self.path, "w", newline="", encoding="utf-8")
-            self._csv_writer = csv.writer(self._handle)
-            self._csv_writer.writerow(schema.FIELD_NAMES)
+            handle.write(schema.BINARY_MAGIC + struct.pack("<H", schema.BINARY_VERSION))
         else:
-            self._handle = open(self.path, "w", encoding="utf-8")
-
-    def write(self, record: LogRecord) -> None:
-        """Append one record."""
-        if self._handle is None:
-            raise TraceFormatError("writer is not open; use it as a context manager")
-        if self.fmt == "csv":
-            assert self._csv_writer is not None
-            self._csv_writer.writerow(schema.record_to_row(record))
-        elif self.fmt == "jsonl":
-            self._handle.write(json.dumps(schema.record_to_dict(record)) + "\n")
-        else:
-            self._handle.write(schema.pack_record(record))
-        self.records_written += 1
-
-    def write_all(self, records: Iterable[LogRecord]) -> int:
-        """Append every record from an iterable; returns the count written."""
-        for record in records:
-            self.write(record)
-        return self.records_written
+            handle = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+            if self.fmt == "csv":
+                self._csv_writer = csv.writer(handle)
+                self._csv_writer.writerow(schema.FIELD_NAMES)
+        self._handle = handle
 
     def write_batch(self, batch: RecordBatch) -> None:
-        """Append a whole :class:`RecordBatch` without building records.
+        """Append a whole :class:`RecordBatch`.
 
         The batch's columns are bulk-converted to python rows and fed to
-        the per-format codec directly, skipping ``LogRecord`` construction
-        entirely.
+        the per-format codec directly, without building records.
         """
         if self._handle is None:
             raise TraceFormatError("writer is not open; use it as a context manager")
@@ -163,12 +124,6 @@ class TraceWriteStage:
     def finish(self, stats, result) -> None:
         result.rows_written = self.rows_written
         result.trace_path = self.path
-
-
-def write_trace(records: Iterable[LogRecord], path: str | Path, fmt: str | None = None) -> int:
-    """Write all ``records`` to ``path``; returns the number written."""
-    with TraceWriter(path, fmt=fmt) as writer:
-        return writer.write_all(records)
 
 
 def write_trace_batches(

@@ -11,7 +11,7 @@ from repro.types import CacheStatus, Continent, ContentCategory, DeviceType, OBS
 from repro.workload.catalog import ContentObject
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.population import User
-from repro.workload.profiles import ALL_PROFILES, profile_v2
+from repro.workload.profiles import profile_v2
 from repro.workload.scale import ScaleConfig
 
 

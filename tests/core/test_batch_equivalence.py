@@ -1,12 +1,12 @@
-"""Equivalence contract: batch-built == record-built TraceDataset.
+"""Equivalence contract: batch-built TraceDataset == the scalar reference.
 
-The columnar engine is only allowed to be *faster* than the scalar
-reference loop — every index it builds must be identical, down to
-iteration order (dictionaries are interned in first-appearance order
-precisely so the orders line up).  These tests pin that contract with a
-field-for-field comparison helper, hypothesis-generated traces at varied
-batch sizes, and a full fig01–fig16 study comparison on the shared tiny
-pipeline run.
+The columnar ingest is only allowed to be *faster* than the scalar
+reference loop (:mod:`tests.core.scalar_reference`) — every index it
+builds must be identical, down to iteration order (dictionaries are
+interned in first-appearance order precisely so the orders line up).
+These tests pin that contract with a field-for-field comparison helper,
+hypothesis-generated traces at varied batch sizes, and a full fig01–fig16
+study comparison on the shared tiny pipeline run.
 """
 
 from __future__ import annotations
@@ -18,17 +18,17 @@ from hypothesis import strategies as st
 
 from repro.core.dataset import TraceDataset
 from repro.core.report import Study
-from repro.errors import ConfigError
 from repro.trace.batch import iter_record_batches
 from repro.types import ContentCategory
 
+from tests.core.scalar_reference import scalar_dataset
 from tests.trace.test_io import record_strategy
 
 record_lists = st.lists(record_strategy, max_size=40)
 
 
 def assert_datasets_equivalent(reference: TraceDataset, other: TraceDataset) -> None:
-    """Field-for-field equality of every index both engines build."""
+    """Field-for-field equality of every index both builds hold."""
     assert len(other) == len(reference)
     assert other.sites == reference.sites
     assert other.duration_seconds == reference.duration_seconds
@@ -40,25 +40,36 @@ def assert_datasets_equivalent(reference: TraceDataset, other: TraceDataset) -> 
     for name, stats in reference.object_stats.items():
         assert other.object_stats[name] == stats, name
 
-    # User index: timelines (already time-sorted), home site, user agent.
-    assert list(other._user_times) == list(reference._user_times)
-    for user, times in reference._user_times.items():
-        assert np.array_equal(np.asarray(other._user_times[user]), np.asarray(times)), user
-    assert dict(other._user_site) == dict(reference._user_site)
-    assert dict(other._user_agent) == dict(reference._user_agent)
+    # User index: one time-sorted timeline per user, home site, user agent,
+    # in first-appearance order, and the accessors that read it.
+    timelines, expected = other.user_timelines(), reference.user_timelines()
+    assert timelines.names == expected.names
+    assert timelines.sites == expected.sites
+    assert timelines.agents == expected.agents
+    for column in ("sorted_ts", "starts", "stops"):
+        assert np.array_equal(getattr(timelines, column), getattr(expected, column)), column
+    assert other.users_of() == reference.users_of()
+    for user in reference.users_of():
+        assert other.user_timestamps(user) == reference.user_timestamps(user), user
+        assert other.user_site_of(user) == reference.user_site_of(user), user
+        assert other.user_agent_of(user) == reference.user_agent_of(user), user
 
-    # Per-site row index.
-    assert set(other._site_rows) == set(reference._site_rows)
+    # Per-site row index: row numbers in first-appearance order, extents,
+    # and the rows it serves (the reference's records are its input list).
+    assert list(other._site_rows) == list(reference._site_rows)
+    records = reference.records
     for site, rows in reference._site_rows.items():
-        assert np.array_equal(np.asarray(other._site_rows[site]), np.asarray(rows)), site
+        assert np.array_equal(other._site_rows[site], rows), site
+        assert other.site_records(site) == [records[row] for row in rows], site
+    assert other.site_extents() == reference.site_extents()
 
 
 class TestEngineEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(records=record_lists)
     def test_batch_engine_matches_record_engine(self, records):
-        reference = TraceDataset.from_records(records, engine="record")
-        columnar = TraceDataset.from_records(records, engine="batch")
+        reference = scalar_dataset(records)
+        columnar = TraceDataset.from_records(records)
         assert_datasets_equivalent(reference, columnar)
 
     @settings(max_examples=25, deadline=None)
@@ -66,26 +77,23 @@ class TestEngineEquivalence:
     def test_equivalence_at_any_batch_size(self, records, batch_size):
         # Batch boundaries must be invisible: concat remaps dictionaries
         # so a chunked build equals a single-scan build.
-        reference = TraceDataset.from_records(records, engine="record")
+        reference = scalar_dataset(records)
         batches = list(iter_record_batches(iter(records), batch_size=batch_size))
         columnar = TraceDataset.from_batches(batches)
         assert_datasets_equivalent(reference, columnar)
 
     def test_empty_dataset(self):
-        reference = TraceDataset.from_records([], engine="record")
-        columnar = TraceDataset.from_records([], engine="batch")
+        reference = scalar_dataset([])
+        columnar = TraceDataset.from_records([])
         assert_datasets_equivalent(reference, columnar)
+        assert_datasets_equivalent(reference, TraceDataset())
         assert len(TraceDataset.from_batches([])) == 0
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            TraceDataset.from_records([], engine="bogus")
 
 
 class TestPipelineEquivalence:
     @pytest.fixture(scope="class")
     def record_built(self, pipeline_result):
-        return TraceDataset.from_records(pipeline_result.dataset.records, engine="record")
+        return scalar_dataset(pipeline_result.dataset.records)
 
     @pytest.fixture(scope="class")
     def batch_built(self, pipeline_result):

@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.dataset import ObjectStats, TraceDataset
 from repro.trace.record import LogRecord
-from repro.trace.writer import write_trace
 from repro.types import CacheStatus, ContentCategory
+
+from tests.trace.test_io import write_records
 
 
 def record(ts, obj="o1", user="u1", status=200, hit=True, ext="mp4", size=1000, site="V-1"):
@@ -72,7 +73,7 @@ class TestIngestion:
     def test_from_file(self, tmp_path):
         records = [record(float(i)) for i in range(5)]
         path = tmp_path / "t.csv"
-        write_trace(records, path)
+        write_records(records, path)
         ds = TraceDataset.from_file(path)
         assert len(ds) == 5
 
@@ -211,11 +212,13 @@ class TestLazyMaterialization:
         assert ds._object_stats_map is not None
         assert ds.object_stats is stats  # cached, not rebuilt
 
-    def test_deferred_released_after_both_views(self):
+    def test_deferred_released_after_object_stats(self):
+        # The user index is built at ingest; object_stats is the one lazy
+        # view, and materialising it releases the deferred tables.
         ds = self._columnar([record(0.0), record(1.0, user="u2")])
+        assert ds.user_timestamps("u1") == [0.0]
+        assert ds._deferred is not None
         ds.object_stats
-        assert ds._deferred is not None  # user index still pending
-        ds.user_timestamps("u1")
         assert ds._deferred is None
 
     def test_counts_available_without_materialisation(self):

@@ -79,11 +79,11 @@ def _delta(golden: dict, regenerated: dict, limit: int = 25) -> list[str]:
 
 
 def _regenerate_fixtures() -> None:
-    from repro.trace.writer import write_trace
+    from repro.trace.writer import write_trace_batches
 
     config = RunConfig.resolve(seed=GOLDEN_SEED, scale="tiny")
     result = Plan(config).generate().simulate().ingest().run()
-    write_trace(result.dataset.records[:GOLDEN_RECORDS], TRACE_PATH)
+    write_trace_batches([result.dataset.store().rows(0, GOLDEN_RECORDS)], TRACE_PATH)
     REPORT_PATH.write_text(json.dumps(_build_summary(), indent=2, sort_keys=True) + "\n")
 
 

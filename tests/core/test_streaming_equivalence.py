@@ -1,4 +1,4 @@
-"""Three-engine equivalence: record == eager batches == streaming.
+"""Three-build equivalence: scalar reference == eager batches == streaming.
 
 The streaming accumulators of :mod:`repro.core.accumulate` promise that
 folding a trace batch-by-batch — at *any* batch size, with or without
@@ -8,17 +8,17 @@ arbitrary record list, chunked at an arbitrary batch size (including 1
 and sizes larger than the trace), must yield an identical
 ``Study.run`` report from
 
-* ``TraceDataset.from_records(..., engine="record")`` — the scalar
-  reference loop,
+* ``scalar_dataset(records)`` — the scalar reference loop
+  (:mod:`tests.core.scalar_reference`),
 * ``TraceDataset.from_batches(batches)`` — eager, store-retaining, and
 * ``TraceDataset.from_batches(batches, keep_store=False)`` — streaming,
   aggregates only.
 
-When an engine legitimately refuses (e.g. ``EmptyDatasetError`` on a
+When a build legitimately refuses (e.g. ``EmptyDatasetError`` on a
 trace with no content responses), all three must refuse identically.
-The Fig. 3 / Fig. 16 tables each engine builds at ingest must be equal
-array for array too: the record engine counts them with plain dicts,
-the other two with the accumulators.  On failure, hypothesis shrinks to
+The Fig. 3 / Fig. 16 tables each build holds must be equal array for
+array too: the reference counts them with plain dicts, the other two
+with the accumulators.  On failure, hypothesis shrinks to
 and prints the minimal failing trace via ``note``.
 """
 
@@ -38,6 +38,7 @@ from repro.core.report import Study
 from repro.errors import AnalysisError, EmptyDatasetError
 from repro.trace.batch import RecordBatch, iter_record_batches
 
+from tests.core.scalar_reference import scalar_dataset
 from tests.trace.test_io import record_strategy, sample_records
 
 record_lists = st.lists(record_strategy, max_size=40)
@@ -53,7 +54,7 @@ def _study_outcome(dataset):
 
     Returns ``("report", render_text, summary_dict)`` on success and
     ``("error", type_name, message)`` when the study refuses — either
-    way a value two engines can be compared on with plain ``==``.
+    way a value two builds can be compared on with plain ``==``.
     """
     study = Study(run_clustering=False)
     try:
@@ -77,7 +78,7 @@ class TestThreeEngineEquivalence:
         note(f"batch_size={batch_size}")
         note(f"records={records!r}")
         datasets = [
-            TraceDataset.from_records(records, engine="record"),
+            scalar_dataset(records),
             TraceDataset.from_batches(_chunk(records, batch_size)),
             TraceDataset.from_batches(_chunk(records, batch_size), keep_store=False),
         ]
@@ -89,7 +90,7 @@ class TestThreeEngineEquivalence:
 
     def test_batch_size_one(self):
         records = sample_records(7)
-        reference = _study_outcome(TraceDataset.from_records(records, engine="record"))
+        reference = _study_outcome(scalar_dataset(records))
         streaming = _study_outcome(
             TraceDataset.from_batches(_chunk(records, 1), keep_store=False)
         )
@@ -97,7 +98,7 @@ class TestThreeEngineEquivalence:
 
     def test_batch_size_larger_than_trace(self):
         records = sample_records(5)
-        reference = _study_outcome(TraceDataset.from_records(records, engine="record"))
+        reference = _study_outcome(scalar_dataset(records))
         streaming = _study_outcome(
             TraceDataset.from_batches(_chunk(records, 512), keep_store=False)
         )
@@ -105,7 +106,7 @@ class TestThreeEngineEquivalence:
 
     def test_empty_trace_refused_identically(self):
         assert (
-            _study_outcome(TraceDataset.from_records([], engine="record"))
+            _study_outcome(scalar_dataset([]))
             == _study_outcome(TraceDataset.from_batches([]))
             == _study_outcome(TraceDataset.from_batches([], keep_store=False))
         )
@@ -160,8 +161,8 @@ class TestEmptyDatasets:
         "build",
         [
             TraceDataset,
-            lambda: TraceDataset.from_records([], engine="record"),
-            lambda: TraceDataset.from_records([], engine="batch"),
+            lambda: scalar_dataset([]),
+            lambda: TraceDataset.from_records([]),
             lambda: TraceDataset.from_batches([], keep_store=False),
         ],
         ids=["hand-built", "record", "batch", "storeless"],

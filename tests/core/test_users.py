@@ -183,9 +183,11 @@ class TestUserSiteAccessor:
         from repro.core.dataset import TraceDataset
         from repro.trace.batch import iter_record_batches
 
+        from tests.core.scalar_reference import scalar_dataset
+
         records = self._records()
         if request.param == "record":
-            return TraceDataset.from_records(records, engine="record")
+            return scalar_dataset(records)
         batches = list(iter_record_batches(iter(records), batch_size=2))
         return TraceDataset.from_batches(batches, keep_store=request.param == "batch")
 

@@ -61,7 +61,7 @@ class TestGenerateTraceFile:
         path = tmp_path / "trace.csv"
         written = _v1_plan().simulate().write_trace(path).run().rows_written
         assert written > 0
-        count = sum(1 for _ in TraceReader(path))
+        count = sum(len(batch) for batch in TraceReader(path).iter_batches())
         assert count == written
 
 
@@ -108,7 +108,7 @@ class TestGenerateTracePlan:
         path = tmp_path / "trace.bin"
         config = RunConfig.resolve(seed=1, scale="tiny", batch_size=512)
         result = Plan(config).generate().simulate().write_trace(path).run()
-        assert result.rows_written == sum(1 for _ in TraceReader(path))
+        assert result.rows_written == sum(len(batch) for batch in TraceReader(path).iter_batches())
         assert result.rows_written > 2048
         by_name = {s.name: s for s in result.stage_stats}
         # The tee holds at most one batch resident: the trace never

@@ -31,10 +31,10 @@ from repro.trace.batch import (
 )
 from repro.trace.reader import TraceReader
 from repro.trace.record import LogRecord
-from repro.trace.writer import TraceWriter, write_trace, write_trace_batches
+from repro.trace.writer import TraceWriter, write_trace_batches
 from repro.types import CacheStatus
 
-from tests.trace.test_io import record_strategy, sample_records
+from tests.trace.test_io import record_strategy, rows_of, sample_records, write_records
 
 
 def varied_records(n: int = 24) -> list[LogRecord]:
@@ -191,11 +191,12 @@ class TestBatchIO:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl", "bin"])
     def test_write_batch_identical_to_write_records(self, tmp_path, fmt):
-        # The columnar writer must be byte-for-byte the record writer.
+        # Batch boundaries leave no trace in the file: one batch of every
+        # record is byte for byte the records written one at a time.
         records = varied_records(15)
         record_path = tmp_path / f"records.{fmt}"
         batch_path = tmp_path / f"batch.{fmt}"
-        write_trace(records, record_path)
+        write_trace_batches(iter_record_batches(records, batch_size=1), record_path)
         batch = RecordBatch.from_records(records)
         with TraceWriter(batch_path) as writer:
             writer.write_batch(batch)
@@ -204,7 +205,7 @@ class TestBatchIO:
     def test_reader_filters_apply_to_batches(self, tmp_path):
         records = varied_records(20)
         path = tmp_path / "t.csv"
-        write_trace(records, path)
+        write_records(records, path)
         reader = TraceReader(path, sites={"V-1"})
         loaded = [r for b in reader.iter_batches(batch_size=4) for r in b.iter_records()]
         assert loaded == [r for r in records if r.site == "V-1"]
@@ -214,7 +215,7 @@ class TestBatchIO:
         # partial batch before the truncation error propagates.
         records = sample_records(5)
         header = schema.BINARY_MAGIC + struct.pack("<H", schema.BINARY_VERSION)
-        packed = [schema.pack_record(r) for r in records]
+        packed = [schema.pack_values(*row) for row in rows_of(records)]
         path = tmp_path / "t.bin"
         path.write_bytes(header + b"".join(packed[:4]) + packed[4][:-3])
         seen: list[LogRecord] = []
@@ -226,7 +227,7 @@ class TestBatchIO:
     def test_corrupt_binary_flushes_partial_batch(self, tmp_path):
         records = sample_records(4)
         header = schema.BINARY_MAGIC + struct.pack("<H", schema.BINARY_VERSION)
-        packed = [schema.pack_record(r) for r in records]
+        packed = [schema.pack_values(*row) for row in rows_of(records)]
         bad = bytearray(packed[2])
         bad[schema._FIXED.size + 2] = 0xFF  # invalid UTF-8 in the site string
         path = tmp_path / "t.bin"
@@ -240,7 +241,7 @@ class TestBatchIO:
     def test_corrupt_jsonl_flushes_partial_batch(self, tmp_path):
         records = sample_records(3)
         path = tmp_path / "t.jsonl"
-        write_trace(records, path)
+        write_records(records, path)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{not json\n")
         seen: list[LogRecord] = []
@@ -260,7 +261,7 @@ class TestStreamingKillPoints:
     @staticmethod
     def _binary_trace(records):
         header = schema.BINARY_MAGIC + struct.pack("<H", schema.BINARY_VERSION)
-        packed = [schema.pack_record(r) for r in records]
+        packed = [schema.pack_values(*row) for row in rows_of(records)]
         boundaries = [len(header)]
         for blob in packed:
             boundaries.append(boundaries[-1] + len(blob))

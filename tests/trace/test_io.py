@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gzip
 import io
 import json
 import struct
@@ -17,9 +18,9 @@ from repro.errors import TraceFormatError, TraceSchemaError, TraceTruncationErro
 from repro.trace import reader as reader_module
 from repro.trace import schema
 from repro.trace.batch import NUMERIC_FIELDS, STRING_FIELDS, RecordBatch, iter_record_batches
-from repro.trace.reader import TraceReader, read_trace
+from repro.trace.reader import TraceReader
 from repro.trace.record import LogRecord
-from repro.trace.writer import TraceWriter, write_trace
+from repro.trace.writer import TraceWriter, write_trace_batches
 from repro.types import CacheStatus, ContentCategory
 
 # Strategy for arbitrary-but-valid log records.
@@ -63,37 +64,55 @@ def sample_records(n: int = 5) -> list[LogRecord]:
     ]
 
 
+def write_records(records: list[LogRecord], path) -> int:
+    """Write ``records`` to ``path`` as one batch; returns rows written."""
+    return write_trace_batches([RecordBatch.from_records(records)], path)
+
+
+def read_records(path, **filters) -> list[LogRecord]:
+    """Every (matching) record of the trace at ``path``, read as batches."""
+    return [record for batch in TraceReader(path, **filters).iter_batches() for record in batch.iter_records()]
+
+
+def rows_of(records: list[LogRecord]) -> list[tuple]:
+    """The records' :meth:`RecordBatch.iter_rows` field tuples."""
+    return list(RecordBatch.from_records(records).iter_rows())
+
+
 class TestRoundTrips:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl", "bin"])
     def test_write_read_roundtrip(self, tmp_path, fmt):
         path = tmp_path / f"trace.{fmt}"
         records = sample_records(20)
-        written = write_trace(records, path)
+        written = write_records(records, path)
         assert written == 20
-        loaded = read_trace(path)
+        loaded = read_records(path)
         assert loaded == records
 
     @settings(max_examples=30)
     @given(record=record_strategy)
     def test_row_roundtrip(self, record):
-        assert schema.row_to_record(schema.record_to_row(record)) == record
+        (row,) = rows_of([record])
+        assert schema.row_to_values(schema.values_to_row(*row)) == row
 
     @settings(max_examples=30)
     @given(record=record_strategy)
     def test_dict_roundtrip(self, record):
-        assert schema.dict_to_record(schema.record_to_dict(record)) == record
+        (row,) = rows_of([record])
+        assert schema.dict_to_values(schema.values_to_dict(*row)) == row
 
     @settings(max_examples=30)
     @given(record=record_strategy)
     def test_binary_roundtrip(self, record):
-        packed = schema.pack_record(record)
+        (row,) = rows_of([record])
+        packed = schema.pack_values(*row)
         decoder = schema.BinaryDecoder()
         assert decoder.decode(packed, 0, limit=2) == len(packed)
         assert decoder.finish().to_records() == [record]
 
     def test_binary_multiple_records_sequential(self):
         records = sample_records(4)
-        buffer = b"".join(schema.pack_record(r) for r in records)
+        buffer = b"".join(schema.pack_values(*row) for row in rows_of(records))
         decoder = schema.BinaryDecoder()
         offset = 0
         out = []
@@ -120,18 +139,27 @@ class TestWriter:
     def test_write_before_open_rejected(self, tmp_path):
         writer = TraceWriter(tmp_path / "x.csv")
         with pytest.raises(TraceFormatError):
-            writer.write(sample_records(1)[0])
+            writer.write_batch(RecordBatch.from_records(sample_records(1)))
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "trace.csv"
-        write_trace(sample_records(1), path)
+        write_records(sample_records(1), path)
         assert path.exists()
 
     def test_gzip_binary(self, tmp_path):
         path = tmp_path / "trace.bin.gz"
         records = sample_records(10)
-        write_trace(records, path)
-        assert read_trace(path) == records
+        write_records(records, path)
+        assert read_records(path) == records
+
+    @pytest.mark.parametrize("gz", ["", ".gz"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "bin"])
+    def test_gz_suffix_means_gzip_in_every_format(self, tmp_path, fmt, gz):
+        path = tmp_path / f"trace.{fmt}{gz}"
+        records = sample_records(10)
+        write_records(records, path)
+        assert (path.read_bytes()[:2] == b"\x1f\x8b") == bool(gz)
+        assert read_records(path) == records
 
 
 class TestReader:
@@ -142,43 +170,43 @@ class TestReader:
     def test_site_filter(self, tmp_path):
         records = sample_records(6)
         path = tmp_path / "t.csv"
-        write_trace(records, path)
-        assert read_trace(path, sites={"V-1"}) == records
-        assert read_trace(path, sites={"P-1"}) == []
+        write_records(records, path)
+        assert read_records(path, sites={"V-1"}) == records
+        assert read_records(path, sites={"P-1"}) == []
 
     def test_category_filter(self, tmp_path):
         records = sample_records(6)
         path = tmp_path / "t.jsonl"
-        write_trace(records, path)
-        videos = read_trace(path, categories={ContentCategory.VIDEO})
+        write_records(records, path)
+        videos = read_records(path, categories={ContentCategory.VIDEO})
         assert all(r.category is ContentCategory.VIDEO for r in videos)
         assert len(videos) == 3
 
     def test_time_window_filter(self, tmp_path):
         records = sample_records(10)
         path = tmp_path / "t.bin"
-        write_trace(records, path)
-        window = read_trace(path, start=2.0, end=5.0)
+        write_records(records, path)
+        window = read_records(path, start=2.0, end=5.0)
         assert [r.timestamp for r in window] == [2.0, 3.0, 4.0]
 
     def test_corrupt_binary_magic_rejected(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 10)
         with pytest.raises(TraceFormatError):
-            list(TraceReader(path))
+            list(TraceReader(path).iter_batches())
 
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "t.bin"
-        write_trace(sample_records(3), path)
+        write_records(sample_records(3), path)
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(TraceFormatError):
-            list(TraceReader(path))
+            list(TraceReader(path).iter_batches())
 
     @staticmethod
     def _binary_parts(records):
         header = schema.BINARY_MAGIC + struct.pack("<H", schema.BINARY_VERSION)
-        return header, [schema.pack_record(r) for r in records]
+        return header, [schema.pack_values(*row) for row in rows_of(records)]
 
     def test_truncation_reported_with_byte_offset(self, tmp_path):
         # A genuinely truncated file raises TraceTruncationError naming the
@@ -188,8 +216,8 @@ class TestReader:
         path.write_bytes(header + packed[0] + packed[1] + packed[2][:-4])
         records = []
         with pytest.raises(TraceTruncationError) as excinfo:
-            for record in TraceReader(path):
-                records.append(record)
+            for batch in TraceReader(path).iter_batches():
+                records.extend(batch.iter_records())
         # Everything before the truncated record was still yielded.
         assert len(records) == 2
         expected_offset = len(header) + len(packed[0]) + len(packed[1])
@@ -208,8 +236,8 @@ class TestReader:
         path.write_bytes(header + packed[0] + bytes(bad) + packed[2])
         records = []
         with pytest.raises(TraceFormatError) as excinfo:
-            for record in TraceReader(path):
-                records.append(record)
+            for batch in TraceReader(path).iter_batches():
+                records.extend(batch.iter_records())
         assert not isinstance(excinfo.value, TraceTruncationError)
         assert len(records) == 1
         assert f"byte {len(header) + len(packed[0])}" in str(excinfo.value)
@@ -222,7 +250,7 @@ class TestReader:
         path = tmp_path / "t.bin"
         path.write_bytes(header + bytes(bad) + packed[1])
         with pytest.raises(TraceFormatError) as excinfo:
-            list(TraceReader(path))
+            list(TraceReader(path).iter_batches())
         assert not isinstance(excinfo.value, TraceTruncationError)
         assert "cache-status flag" in str(excinfo.value)
 
@@ -236,7 +264,7 @@ class TestReader:
         for cut in (schema._FIXED.size, schema._FIXED.size + 1, len(bad) - 1):
             path.write_bytes(header + packed[0] + bytes(bad[:cut]))
             with pytest.raises(TraceFormatError, match="cache-status flag 2") as error:
-                list(TraceReader(path))
+                list(TraceReader(path).iter_batches())
             assert not isinstance(error.value, TraceTruncationError)
 
     def test_unpack_record_short_buffer_raises_truncation(self, tmp_path):
@@ -250,7 +278,7 @@ class TestReader:
             assert len(decoder) == 0
             path.write_bytes(header + packed[:cut])
             with pytest.raises(TraceTruncationError, match=f"truncated record at byte {len(header)} "):
-                list(TraceReader(path))
+                list(TraceReader(path).iter_batches())
         # The full buffer parses cleanly.
         decoder = schema.BinaryDecoder()
         assert decoder.decode(packed, 0, limit=1) == len(packed)
@@ -269,7 +297,7 @@ class TestReader:
         # rows read before it.
         records = sample_records(3)
         path = tmp_path / f"t.{fmt}"
-        write_trace(records, path)
+        write_records(records, path)
         lines = path.read_text().splitlines()
         if fmt == "csv":
             lines[2] = lines[2].replace(",2000,", f",{2**70},")
@@ -286,27 +314,60 @@ class TestReader:
         path = tmp_path / "t.csv"
         path.write_text("wrong,header\n1,2\n")
         with pytest.raises(TraceFormatError):
-            list(TraceReader(path))
+            list(TraceReader(path).iter_batches())
 
     def test_invalid_jsonl_line_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("{not json}\n")
         with pytest.raises(TraceFormatError):
-            list(TraceReader(path))
+            list(TraceReader(path).iter_batches())
 
     def test_blank_jsonl_lines_skipped(self, tmp_path):
         records = sample_records(2)
         path = tmp_path / "t.jsonl"
-        write_trace(records, path)
+        write_records(records, path)
         path.write_text(path.read_text() + "\n\n")
-        assert read_trace(path) == records
+        assert read_records(path) == records
 
     def test_streaming_does_not_need_full_load(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trace(sample_records(50), path)
-        iterator = iter(TraceReader(path))
-        first = next(iterator)
-        assert first.timestamp == 0.0
+        write_records(sample_records(50), path)
+        first = next(TraceReader(path).iter_batches(batch_size=1))
+        assert first.to_records() == sample_records(1)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_invalid_utf8_names_line_after_good_rows(self, tmp_path, fmt):
+        # A byte that is not UTF-8 in a text row is a format error at its
+        # file:line, raised after the rows before it were flushed.
+        records = sample_records(3)
+        path = tmp_path / f"t.{fmt}"
+        write_records(records, path)
+        path.write_bytes(path.read_bytes().replace(b"obj1", b"obj\xff"))
+        line = 3 if fmt == "csv" else 2
+        seen: list[LogRecord] = []
+        with pytest.raises(TraceFormatError, match=f"^t\\.{fmt}:{line}: invalid UTF-8") as error:
+            for batch in TraceReader(path).iter_batches(batch_size=4):
+                seen.extend(batch.iter_records())
+        assert not isinstance(error.value, TraceTruncationError)
+        assert seen == records[:1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_gzip_compressed_text_is_read(self, tmp_path, fmt):
+        records = sample_records(5)
+        plain = tmp_path / f"plain.{fmt}"
+        write_records(records, plain)
+        path = tmp_path / f"t.{fmt}.gz"
+        path.write_bytes(gzip.compress(plain.read_bytes()))
+        assert read_records(path) == records
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_text_not_gzip_is_format_error(self, tmp_path, fmt):
+        plain = tmp_path / f"plain.{fmt}"
+        write_records(sample_records(3), plain)
+        path = tmp_path / f"t.{fmt}.gz"
+        path.write_bytes(plain.read_bytes())
+        with pytest.raises(TraceFormatError, match=f"^t\\.{fmt}\\.gz: not a valid gzip stream"):
+            list(TraceReader(path).iter_batches())
 
 
 class TestDamagedBinary:
@@ -319,7 +380,7 @@ class TestDamagedBinary:
         for cut in range(len(schema.BINARY_MAGIC), len(header)):
             path.write_bytes(header[:cut])
             with pytest.raises(TraceTruncationError, match=r"^t\.bin: truncated header"):
-                list(TraceReader(path))
+                list(TraceReader(path).iter_batches())
 
     def test_truncated_gzip_flushes_every_decodable_row(self, tmp_path):
         records = [
@@ -332,7 +393,7 @@ class TestDamagedBinary:
             for i in range(5000)
         ]
         path = tmp_path / "t.bin.gz"
-        write_trace(records, path)
+        write_records(records, path)
         cut = path.read_bytes()[: path.stat().st_size * 2 // 3]
         path.write_bytes(cut)
         # The rows an incremental decompressor recovers from the cut bytes.
@@ -352,17 +413,17 @@ class TestDamagedBinary:
         header, packed = TestReader._binary_parts(sample_records(3))
         path.write_bytes(header + b"".join(packed))
         with pytest.raises(TraceFormatError, match=r"^t\.bin\.gz: not a valid gzip stream") as error:
-            list(TraceReader(path))
+            list(TraceReader(path).iter_batches())
         assert not isinstance(error.value, TraceTruncationError)
 
     def test_corrupt_gzip_payload_is_format_error(self, tmp_path):
         path = tmp_path / "t.bin.gz"
-        write_trace(sample_records(200), path)
+        write_records(sample_records(200), path)
         blob = bytearray(path.read_bytes())
         blob[20:40] = bytes(20)  # zero a run of the deflate payload
         path.write_bytes(bytes(blob))
         with pytest.raises(TraceFormatError, match=r"^t\.bin\.gz: "):
-            list(TraceReader(path))
+            list(TraceReader(path).iter_batches())
 
 
 def _csv_line(fields: list[str]) -> str:
@@ -410,7 +471,7 @@ class TestTextCorruptionFuzz:
     def test_csv(self, tmp_path, variant):
         records = sample_records(9)
         path = tmp_path / "t.csv"
-        write_trace(records, path)
+        write_records(records, path)
         header, *lines = path.read_text().splitlines()
         for index, line in enumerate(lines):
             bad = _csv_line(_CSV_VARIANTS[variant](next(csv.reader([line]))))
@@ -422,7 +483,7 @@ class TestTextCorruptionFuzz:
     def test_jsonl(self, tmp_path, variant):
         records = sample_records(9)
         path = tmp_path / "t.jsonl"
-        write_trace(records, path)
+        write_records(records, path)
         lines = path.read_text().splitlines()
         for index, line in enumerate(lines):
             bad = _JSONL_VARIANTS[variant](json.loads(line))
@@ -491,7 +552,7 @@ class TestBinaryCorruptionFuzz:
         monkeypatch.setattr(reader_module, "_BINARY_CHUNK", chunk)
         error_type, mangle = _BINARY_VARIANTS[variant]
         records = sample_records(9)
-        rows = list(RecordBatch.from_records(records).iter_rows())
+        rows = rows_of(records)
         header, packed = TestReader._binary_parts(records)
         path = tmp_path / "t.bin"
         for index in range(len(records)):
@@ -571,7 +632,7 @@ class TestBinaryDecoderIdentity:
     def test_batches_equal_record_batches(self, tmp_path, monkeypatch, records):
         for name in ("t.bin", "t.bin.gz"):
             path = tmp_path / name
-            write_trace(records, path)
+            write_records(records, path)
             for chunk in (1, 7, 4096):
                 monkeypatch.setattr(reader_module, "_BINARY_CHUNK", chunk)
                 for batch_size in (1, 7, 65_536):
@@ -588,7 +649,7 @@ class TestBinaryDecoderIdentity:
     def test_filtered_batches_equal_filtered_record_batches(self, tmp_path, monkeypatch, kind, records):
         keyword, keep = _FILTERS[kind]
         path = tmp_path / "t.bin"
-        write_trace(records, path)
+        write_records(records, path)
         kept = [record for record in records if keep(record)]
         for chunk in (1, 7, 4096):
             monkeypatch.setattr(reader_module, "_BINARY_CHUNK", chunk)
