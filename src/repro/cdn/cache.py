@@ -49,7 +49,7 @@ class CacheEntry:
         return now - reference
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheStats:
     """Counters accumulated by a cache over its lifetime."""
 
@@ -210,11 +210,15 @@ class Cache:
         if size > self.capacity_bytes:
             self.stats.uncacheable += 1
             return False
-        if key in self._entries:
+        entries = self._entries
+        if key in entries:
             self._remove(key)
-        while self._used + size > self.capacity_bytes and len(self.policy):
+        # The policy tracks exactly the stored keys, so the entry map's
+        # size stands in for ``len(self.policy)``, a Python-level call.
+        while self._used + size > self.capacity_bytes and entries:
             victim = self.policy.victim()
-            self._remove(victim)
+            self._used -= entries.pop(victim).size
+            self.policy.on_evict(victim)
             self.stats.evictions += 1
         effective_ttl = ttl if ttl is not None else self.default_ttl
         expires_at = now + effective_ttl if effective_ttl is not None else None
@@ -234,13 +238,15 @@ class Cache:
         our publishers' entries are continuously pushed out even when their
         own traffic alone would fit.  Returns the bytes actually freed.
         """
+        entries, policy, stats = self._entries, self.policy, self.stats
         freed = 0
-        while freed < bytes_to_free and len(self.policy):
-            victim = self.policy.victim()
-            entry = self._entries[victim]
-            freed += entry.size
-            self._remove(victim)
-            self.stats.evictions += 1
+        while freed < bytes_to_free and entries:
+            victim = policy.victim()
+            size = entries.pop(victim).size
+            self._used -= size
+            policy.on_evict(victim)
+            freed += size
+            stats.evictions += 1
         return freed
 
     def invalidate(self, key: str) -> bool:

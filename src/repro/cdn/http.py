@@ -16,6 +16,7 @@ decision procedure:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,9 +40,8 @@ class ClientIntent:
 FULL_INTENT = ClientIntent(kind="full")
 
 
-@dataclass(frozen=True, slots=True)
-class HttpDecision:
-    """Final response description."""
+class HttpDecision(NamedTuple):
+    """Final response description (a tuple: one is built per request)."""
 
     status_code: int
     bytes_served: int

@@ -16,11 +16,17 @@ from __future__ import annotations
 import bisect
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from repro.stats.sampling import counter_rng, make_rng
+from repro.stats.sampling import CounterStreams, make_rng
 from repro.workload.catalog import ContentObject
+
+#: Mutation gaps drawn when a schedule is first queried.  At the default
+#: rate (one event per 50 days) a week-long trace rarely needs a second
+#: event; a query past the last drawn event redraws twice as many.
+FIRST_MUTATION_GAPS = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,11 +72,14 @@ class OriginServer:
         self.mutation_rate_per_day = mutation_rate_per_day
         self.seed = seed
         self._rng = make_rng(rng)
+        #: Every object's ``counter_rng(seed, "origin-mutation", crc32(id))``
+        #: stream, served by re-keying one bit generator.
+        self._mutation_streams = CounterStreams(seed, "origin-mutation")
         #: Per-object mutation event times, extended lazily as the clock
-        #: advances: object_id -> (stream, sorted absolute event times).
+        #: advances: object_id -> (start, sorted absolute event times).
         #: The last stored time always lies beyond the latest query, so
         #: earlier entries are final.
-        self._schedules: dict[str, tuple[np.random.Generator, list[float]]] = {}
+        self._schedules: dict[str, tuple[float, list[float]]] = {}
         self.fetches = 0
         self.bytes_served = 0
 
@@ -95,16 +104,31 @@ class OriginServer:
         return 1 + bisect.bisect_right(times, now)
 
     def _mutation_times(self, object_id: str, start: float, now: float) -> list[float]:
-        """Mutation event times for ``object_id`` covering up to ``now``."""
+        """Mutation event times for ``object_id`` covering up to ``now``.
+
+        The events are ``start`` plus the running sum of the stream's
+        exponential gaps, added left to right.  One id keeps the start of
+        its first query.  A query past the last event re-keys the stream
+        and redraws a longer block, whose first gaps are the ones already
+        used, so the earlier events do not move.
+        """
+        schedule = self._schedules.get(object_id)
+        if schedule is None:
+            count = FIRST_MUTATION_GAPS
+        else:
+            start, times = schedule
+            if times[-1] > now:
+                return times
+            count = 2 * len(times)
         mean_gap = 86_400.0 / self.mutation_rate_per_day
-        state = self._schedules.get(object_id)
-        if state is None:
-            stream = counter_rng(self.seed, "origin-mutation", zlib.crc32(object_id.encode("utf-8")))
-            state = (stream, [start + float(stream.exponential(mean_gap))])
-            self._schedules[object_id] = state
-        stream, times = state
-        while times[-1] <= now:
-            times.append(times[-1] + float(stream.exponential(mean_gap)))
+        index = zlib.crc32(object_id.encode("utf-8"))
+        while True:
+            gaps = self._mutation_streams.at(index).exponential(mean_gap, size=count)
+            times = list(accumulate(gaps.tolist(), initial=start))[1:]
+            if times[-1] > now:
+                break
+            count *= 2
+        self._schedules[object_id] = (start, times)
         return times
 
     def is_published(self, obj: ContentObject, now: float) -> bool:

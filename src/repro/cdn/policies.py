@@ -194,23 +194,24 @@ class GdsfPolicy(EvictionPolicy):
         self._heap: list[tuple[float, str]] = []
 
     def _score(self, key: str) -> float:
-        return self._floor + self._frequency[key] / max(1, self._size[key])
+        return self._floor + self._frequency[key] / self._size[key]
 
     def on_insert(self, key: str, size: int, now: float) -> None:
         self._frequency[key] = 1
-        self._size[key] = size
+        # Stored as ``max(1, size)``, the divisor every score uses.
+        self._size[key] = size if size > 1 else 1
         priority = self._priority[key] = self._score(key)
         heapq.heappush(self._heap, (priority, key))
 
     def on_hit(self, key: str, now: float) -> None:
         # ``_score`` inline: hits are the hot path.
         frequency = self._frequency[key] = self._frequency[key] + 1
-        self._priority[key] = self._floor + frequency / max(1, self._size[key])
+        self._priority[key] = self._floor + frequency / self._size[key]
 
     def on_evict(self, key: str) -> None:
         priority = self._priority.pop(key, None)
-        if priority is not None:
-            self._floor = max(self._floor, priority)
+        if priority is not None and priority > self._floor:
+            self._floor = priority
         self._frequency.pop(key, None)
         self._size.pop(key, None)
 

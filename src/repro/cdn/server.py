@@ -10,7 +10,7 @@ cache, otherwise a **MISS** (the conservative convention CDN logs use).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cdn.cache import Cache
 from repro.cdn.chunking import Chunker
@@ -31,9 +31,9 @@ TREND_TTL_SECONDS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeResult:
-    """Outcome of serving one request at the edge."""
+class EdgeResult(NamedTuple):
+    """Outcome of serving one request at the edge (a tuple: one is built
+    per served request)."""
 
     cache_status: CacheStatus
     chunks_touched: int

@@ -13,9 +13,13 @@ For each workload request — a row of a
    edge cache chunk-by-chunk (:mod:`repro.cdn.server`);
 5. logs one row — timestamp, publisher, hashed URL, file type, size, user
    agent, anonymised user id, cache status, status code, bytes served and
-   data center, exactly the schema the paper's dataset has (Section III) —
-   as a field tuple that a :class:`~repro.trace.batch.BatchBuilder` stores
-   directly.
+   data center, exactly the schema the paper's dataset has (Section III).
+   The shard hands back only the values it decides per request
+   (timestamp, hit flag, status code, bytes served, chunk index); the run
+   loop keeps them as columns beside the row's user index, object index
+   and shard position, and each batch takes the strings, which are fixed
+   per object, user or shard, from per-table code arrays in numpy
+   (:class:`_TableColumns`, :func:`~repro.trace.batch.seal_columns`).
 
 Sharding and determinism
 ------------------------
@@ -69,7 +73,7 @@ from repro.cdn.routing import Router, user_partition
 from repro.cdn.server import EdgeServer
 from repro.stats.sampling import CounterStreams, counter_rng
 from repro.trace.anonymize import Anonymizer
-from repro.trace.batch import ALL_COLUMNS, BatchBuilder, DEFAULT_BATCH_SIZE, RecordBatch
+from repro.trace.batch import ALL_COLUMNS, DEFAULT_BATCH_SIZE, RecordBatch, StringColumn, seal_columns
 from repro.types import CacheStatus, Continent, ContentCategory
 from repro.workload.catalog import ContentObject
 from repro.workload.generator import RequestBlock, RequestTables
@@ -297,7 +301,6 @@ class SimulatorShard:
             trend_aware_ttl=config.trend_aware_ttl,
         )
         self.client_model = ClientModel()
-        self.anonymizer = Anonymizer(salt=f"repro-{config.seed}")
         self._request_streams = CounterStreams(config.seed, "request")
         self.metrics = SimulationMetrics()
         self.browsers: OrderedDict[str, BrowserCache] = OrderedDict()
@@ -316,6 +319,11 @@ class SimulatorShard:
         self._origin_rtt = 2 * latency_ms(dc.continent, ORIGIN_CONTINENT)
 
     # -- serving -------------------------------------------------------------
+    #
+    # A served row is the tuple ``(timestamp, hit, status_code,
+    # bytes_served, chunk_index)``: the values the CDN decides per request.
+    # The rest of a log row is fixed by its object, its user and the
+    # shard, and the run loop adds it per batch (:class:`_TableColumns`).
 
     def process(self, user: User, obj: ContentObject, now: float, request_id: int) -> list[tuple]:
         """Serve ``user``'s request ``request_id`` for ``obj`` at ``now``,
@@ -324,25 +332,6 @@ class SimulatorShard:
             return self.serve_viewing(user, obj, now, request_id)
         row = self.serve(user, obj, now, request_id)
         return [row] if row is not None else []
-
-    def _row(
-        self, user: User, obj: ContentObject, now: float, cache_status: CacheStatus, decision, chunk_index: int
-    ) -> tuple:
-        """One log row, fields in :meth:`RecordBatch.iter_rows` order."""
-        return (
-            now,
-            obj.site,
-            self.anonymizer.url(obj.object_id),
-            obj.extension,
-            obj.size_bytes,
-            self.anonymizer.user(user.user_id),
-            user.user_agent,
-            cache_status is CacheStatus.HIT,
-            decision.status_code,
-            decision.bytes_served,
-            self.dc.dc_id,
-            chunk_index,
-        )
 
     def _request_rng(self, request_id: int) -> np.random.Generator:
         """The request's private random stream — pure function of the id.
@@ -370,7 +359,7 @@ class SimulatorShard:
 
     def serve(self, user: User, obj: ContentObject, now: float, request_id: int) -> tuple | None:
         """Serve ``user``'s request ``request_id`` for ``obj`` at ``now``
-        end-to-end, returning its log row; None when served from the
+        end-to-end, returning its served row; None when served from the
         browser.
 
         A fresh local copy is served without contacting the CDN with
@@ -438,7 +427,7 @@ class SimulatorShard:
             bytes_from_origin=bytes_from_origin,
             latency_ms=latency,
         )
-        return self._row(user, obj, now, cache_status, decision, chunk_index)
+        return (now, cache_status is CacheStatus.HIT, decision.status_code, decision.bytes_served, chunk_index)
 
     def serve_viewing(self, user: User, obj: ContentObject, now: float, request_id: int) -> list[tuple]:
         """Serve ``user``'s viewing ``request_id`` of video ``obj``, started
@@ -449,7 +438,8 @@ class SimulatorShard:
         through the edge as an independent 206 request and logged
         separately.  The whole viewing is served before this returns —
         its draws come from the request's stream, which the next request
-        re-keys — and its rows come back as one list.
+        re-keys — and its served rows, each at its segment's time, come
+        back as one list.
         """
         edge = self.edge
         rng = self._request_rng(request_id)
@@ -464,7 +454,7 @@ class SimulatorShard:
                 status_code=decision.status_code, bytes_served=0, bytes_from_origin=0,
                 latency_ms=user_rtt,
             )
-            return [self._row(user, obj, now, CacheStatus.MISS, decision, -1)]
+            return [(now, False, decision.status_code, decision.bytes_served, -1)]
 
         assert self.playback is not None
         rows = []
@@ -486,7 +476,10 @@ class SimulatorShard:
                 status_code=decision.status_code, bytes_served=decision.bytes_served,
                 bytes_from_origin=result.bytes_from_origin, latency_ms=latency,
             )
-            rows.append(self._row(user, obj, now, result.cache_status, decision, result.first_chunk_index))
+            rows.append((
+                now, result.cache_status is CacheStatus.HIT, decision.status_code,
+                decision.bytes_served, result.first_chunk_index,
+            ))
         return rows
 
     def _apply_background_churn(self, now: float) -> None:
@@ -518,10 +511,88 @@ class SimulatorShard:
         browser.put(obj.object_id, obj.size_bytes, version, now)
 
 
+def _first_appearance_codes(values: Iterable[str]) -> tuple[np.ndarray, list[str]]:
+    """int32 codes over the distinct ``values``, numbered in first-appearance order."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(value, len(index)) for value in values]
+    return np.asarray(codes, dtype=np.int32), list(index)
+
+
+class _TableColumns:
+    """What a log row takes from its user and its object, by table index.
+
+    Built once per :class:`RequestTables` (every block of one stream
+    shares them), by the sequential loop and by each shard worker.  It
+    holds each user's routing keys (continent code and cache partition)
+    and each object's size, and codes the strings a row takes from them:
+    each object's site, extension and URL, and each user's user agent and
+    id, as int32 codes over the table's distinct values.  :meth:`seal`
+    turns rows served over the table into a batch; the anonymised URL and
+    user tokens behind the codes are computed the first time a batch logs
+    them.
+    """
+
+    def __init__(self, tables: RequestTables, config: SimulationConfig):
+        users, objects = tables.users, tables.objects
+        self.tables = tables
+        self.continent_codes = [user.continent.code for user in users]
+        self.partitions = [user_partition(user.user_id, config.shards_per_dc) for user in users]
+        self.object_size = np.fromiter((obj.size_bytes for obj in objects), dtype=np.int64, count=len(objects))
+        self._site, self._sites = _first_appearance_codes(obj.site for obj in objects)
+        self._extension, self._extensions = _first_appearance_codes(obj.extension for obj in objects)
+        self._url, self._object_ids = _first_appearance_codes(obj.object_id for obj in objects)
+        self._user_agent, self._user_agents = _first_appearance_codes(user.user_agent for user in users)
+        self._user, self._user_ids = _first_appearance_codes(user.user_id for user in users)
+        self._anonymizer = Anonymizer(salt=f"repro-{config.seed}")
+        self._url_tokens: list[str | None] = [None] * len(self._object_ids)
+        self._user_tokens: list[str | None] = [None] * len(self._user_ids)
+
+    def seal(self, values: list, keys: list[int], datacenters: tuple[np.ndarray, list[str]]) -> RecordBatch:
+        """One batch of rows served over this table.
+
+        ``values`` holds each row's served row, five values a row, and
+        ``keys`` its user index, object index and shard position, three a
+        row; ``datacenters`` codes each shard position's data center.
+        """
+        users = np.asarray(keys[0::3], dtype=np.intp)
+        objects = np.asarray(keys[1::3], dtype=np.intp)
+        urls = self._url[objects]
+        user_ids = self._user[users]
+        anonymizer = self._anonymizer
+        dc_codes, dc_values = datacenters
+        return seal_columns(
+            timestamp=np.asarray(values[0::5], dtype=np.float64),
+            object_size=self.object_size[objects],
+            bytes_served=np.asarray(values[3::5], dtype=np.int64),
+            status_code=np.asarray(values[2::5], dtype=np.int64),
+            chunk_index=np.asarray(values[4::5], dtype=np.int64),
+            hit=np.asarray(values[1::5], dtype=np.bool_),
+            strings={
+                "site": StringColumn(self._site[objects], self._sites),
+                "object_id": StringColumn(urls, _tokens(urls, self._url_tokens, self._object_ids, anonymizer.url)),
+                "extension": StringColumn(self._extension[objects], self._extensions),
+                "user_id": StringColumn(
+                    user_ids, _tokens(user_ids, self._user_tokens, self._user_ids, anonymizer.user)
+                ),
+                "user_agent": StringColumn(self._user_agent[users], self._user_agents),
+                "datacenter": StringColumn(dc_codes[np.asarray(keys[2::3], dtype=np.intp)], dc_values),
+            },
+        )
+
+
+def _tokens(codes: np.ndarray, tokens: list, raw: list[str], anonymize: Callable[[str], str]) -> list:
+    """``tokens``, with the token of every value ``codes`` use filled in."""
+    for code in np.unique(codes).tolist():
+        if tokens[code] is None:
+            tokens[code] = anonymize(raw[code])
+    return tokens
+
+
 def _serve_shard_queue(
     worker_id: int,
     shards: dict[int, SimulatorShard],
     tables: RequestTables | None,
+    datacenters: tuple[np.ndarray, list[str]],
     in_queue,
     out_queue,
 ) -> None:
@@ -538,11 +609,14 @@ def _serve_shard_queue(
     per-row ``request_id`` array the parent's frontier merge needs; at
     EOF the worker ships every shard it mutated back whole, so the parent
     can adopt exactly the state a sequential run would have left.
+    Batches are sealed as the sequential loop seals them
+    (:meth:`_TableColumns.seal`), with ``datacenters`` the parent's codes.
     """
     fail_rid = int(os.environ.get(_FAIL_RID_ENV, "-1") or "-1")
     kill_rid = int(os.environ.get(_KILL_RID_ENV, "-1") or "-1")
     busy = {position: 0.0 for position in shards}
     touched: set[int] = set()
+    columns: _TableColumns | None = None
     while True:
         message = in_queue.get()
         if message is None:
@@ -552,9 +626,12 @@ def _serve_shard_queue(
             continue
         position, seq, timestamps, user_index, object_index, request_ids = message
         shard = shards[position]
+        if columns is None or columns.tables is not tables:
+            columns = _TableColumns(tables, shard.config)
         users, objects = tables.users, tables.objects
         start = time.perf_counter()
-        builder = BatchBuilder()
+        values: list = []
+        keys: list[int] = []
         rids: list[int] = []
         try:
             for now, user, obj, request_id in zip(
@@ -564,11 +641,12 @@ def _serve_shard_queue(
                     os.kill(os.getpid(), 9)  # injected hard crash (tests)
                 if request_id == fail_rid:
                     raise RuntimeError(f"injected worker failure at request {fail_rid}")
-                rows = shard.process(users[user], objects[obj], now, request_id)
-                for row in rows:
-                    builder.append(*row)
-                rids.extend([request_id] * len(rows))
-            batch = builder.finish() if len(builder) else None
+                served = shard.process(users[user], objects[obj], now, request_id)
+                for row in served:
+                    values.extend(row)
+                    keys.extend((user, obj, position))
+                rids.extend([request_id] * len(served))
+            batch = columns.seal(values, keys, datacenters) if keys else None
         except Exception as exc:
             out_queue.put(("error", worker_id, position, f"{type(exc).__name__}: {exc}"))
             return
@@ -844,9 +922,10 @@ class CdnSimulator:
                 self._shards[(dc.dc_id, partition)] = SimulatorShard(
                     dc, partition, self.config, self._cache_priority
                 )
-        #: The latest request tables and their per-user routing keys (see
-        #: :meth:`_user_keys`).
-        self._user_keys_of: tuple | None = None
+        #: Each shard position's data center, coded over the distinct ids.
+        self._datacenters = _first_appearance_codes(shard.dc.dc_id for shard in self._shards.values())
+        #: The :class:`_TableColumns` of the latest request tables.
+        self._columns: _TableColumns | None = None
         #: Statistics of the latest :meth:`run_batches` call.
         self.sim_stats: SimStats | None = None
 
@@ -1055,23 +1134,24 @@ class CdnSimulator:
 
     # -- internals -----------------------------------------------------------
 
-    def _user_keys(self, tables: RequestTables) -> tuple[list[int], list[int]]:
-        """Each user's continent code and cache partition, by user index.
+    def _table_columns(self, tables: RequestTables) -> _TableColumns:
+        """The :class:`_TableColumns` of ``tables``, kept for the latest tables.
 
-        Computed once per :class:`RequestTables` (every block of one
-        stream shares its tables).  A user's shard is then at position
+        A user with continent code ``code`` and cache partition
+        ``partition`` is served by the shard at position
         ``router.route_positions[code] * shards_per_dc + partition`` of
         ``_shards``, which lists each data center's partitions in
         topology order.
         """
-        if self._user_keys_of is None or self._user_keys_of[0] is not tables:
-            partitions = self.config.shards_per_dc
-            self._user_keys_of = (
-                tables,
-                [user.continent.code for user in tables.users],
-                [user_partition(user.user_id, partitions) for user in tables.users],
-            )
-        return self._user_keys_of[1], self._user_keys_of[2]
+        if self._columns is None or self._columns.tables is not tables:
+            self._columns = _TableColumns(tables, self.config)
+        return self._columns
+
+    def _seal_runs(self, runs: list[tuple[_TableColumns, list, list[int]]]) -> RecordBatch:
+        """One batch from its runs of rows, one run per request table."""
+        return RecordBatch.concat(
+            [columns.seal(values, keys, self._datacenters) for columns, values, keys in runs if keys]
+        )
 
     def _run_batches_sequential(
         self, blocks: Iterable[RequestBlock], batch_size: int
@@ -1086,14 +1166,24 @@ class CdnSimulator:
         partitions_per_dc = self.config.shards_per_dc
         clock = time.perf_counter
         peak_resident = 0
-        builder = BatchBuilder()
+        # The batch in the making, in one run per request table: each
+        # run's served rows flattened, five values a row, beside each row's
+        # user index, object index and shard position, three a row.
+        runs: list[tuple[_TableColumns, list, list[int]]] = []
+        values: list = []
+        keys: list[int] = []
+        held = 0
         for block in source:
             if not len(block):
                 continue
             if len(block) > peak_resident:
                 peak_resident = len(block)
             users, objects = block.tables.users, block.tables.objects
-            codes, partitions = self._user_keys(block.tables)
+            columns = self._table_columns(block.tables)
+            if not runs or runs[-1][0] is not columns:
+                values, keys = [], []
+                runs.append((columns, values, keys))
+            codes, partitions = columns.continent_codes, columns.partitions
             # Refilled in place by every mark_down/mark_up, so each
             # request below reads the routing table as it is then.
             routes = self.router.route_positions
@@ -1105,19 +1195,23 @@ class CdnSimulator:
             ):
                 position = routes[codes[user]] * partitions_per_dc + partitions[user]
                 tick = clock()
-                rows = shards[position].process(users[user], objects[obj], now, request_id)
+                served = shards[position].process(users[user], objects[obj], now, request_id)
                 busy[position] += clock() - tick
                 queued[position] += 1
-                emitted[position] += len(rows)
+                emitted[position] += len(served)
                 # Cut at exactly batch_size rows: a playback request's
                 # rows may straddle two batches.
-                for row in rows:
-                    builder.append(*row)
-                    if len(builder) >= batch_size:
-                        yield builder.finish()
-                        builder = BatchBuilder()
-        if len(builder):
-            yield builder.finish()
+                for row in served:
+                    values.extend(row)
+                    keys.extend((user, obj, position))
+                    held += 1
+                    if held == batch_size:
+                        yield self._seal_runs(runs)
+                        values, keys = [], []
+                        runs = [(columns, values, keys)]
+                        held = 0
+        if held:
+            yield self._seal_runs(runs)
         self.sim_stats = self._build_stats(
             workers=1,
             wall_seconds=time.perf_counter() - start,
@@ -1173,7 +1267,7 @@ class CdnSimulator:
                 }
                 process = context.Process(
                     target=_serve_shard_queue,
-                    args=(worker_id, owned, tables, in_queues[worker_id], out_queue),
+                    args=(worker_id, owned, tables, self._datacenters, in_queues[worker_id], out_queue),
                     daemon=True,
                 )
                 processes.append(process)
@@ -1298,7 +1392,9 @@ class CdnSimulator:
                             in_queue.put(sent_tables)
                     else:
                         start_workers(sent_tables)
-                    codes, partitions = map(np.asarray, self._user_keys(sent_tables))
+                    columns = self._table_columns(sent_tables)
+                    codes = np.asarray(columns.continent_codes)
+                    partitions = np.asarray(columns.partitions)
                 users = block.user_index
                 routes = np.asarray(self.router.route_positions)
                 shard_of = routes[codes[users]] * partitions_per_dc + partitions[users]

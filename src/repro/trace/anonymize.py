@@ -12,10 +12,6 @@ from __future__ import annotations
 
 import hashlib
 
-#: Tokens one anonymiser remembers per kind; the memo is cleared when it
-#: fills, which bounds its memory on traces with many distinct identifiers.
-MEMO_CAP = 1 << 16
-
 
 class Anonymizer:
     """Stable, salted anonymisation of identifier strings.
@@ -36,10 +32,6 @@ class Anonymizer:
             raise ValueError(f"digest_chars must be in [8, 64], got {digest_chars}")
         self._salt = salt.encode("utf-8")
         self._digest_chars = digest_chars
-        # Memos of the pure ``user``/``url`` tokens: users and objects
-        # repeat heavily in a trace, and each token costs a keyed hash.
-        self._users: dict[str, str] = {}
-        self._urls: dict[str, str] = {}
 
     def token(self, kind: str, raw: str) -> str:
         """Anonymise ``raw`` within namespace ``kind`` (e.g. "user", "url").
@@ -56,22 +48,8 @@ class Anonymizer:
 
     def user(self, raw_user: str) -> str:
         """Anonymise a user identifier (e.g. an IP address)."""
-        token = self._users.get(raw_user)
-        if token is None:
-            token = _remember(self._users, raw_user, "u" + self.token("user", raw_user))
-        return token
+        return "u" + self.token("user", raw_user)
 
     def url(self, raw_url: str) -> str:
         """Anonymise/hash an object URL."""
-        token = self._urls.get(raw_url)
-        if token is None:
-            token = _remember(self._urls, raw_url, "o" + self.token("url", raw_url))
-        return token
-
-
-def _remember(memo: dict[str, str], raw: str, token: str) -> str:
-    """Store ``raw -> token`` in ``memo``, first clearing it when full."""
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-    memo[raw] = token
-    return token
+        return "o" + self.token("url", raw_url)

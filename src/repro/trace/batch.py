@@ -6,11 +6,12 @@ cache-status codes — with the string-valued fields (site, object id,
 extension, user id, user agent, datacenter) dictionary-interned as int32
 codes over a per-batch value list.  Batches are what flows between the
 pipeline stages (generator → simulator → writer/reader → dataset →
-analysis passes): the simulator and the text readers append each row's
-field tuple straight into a :class:`BatchBuilder`, the binary reader
-decodes rows straight into columns
-(:class:`~repro.trace.schema.BinaryDecoder`), and both seal their
-batches with :func:`seal_batch`.  A :class:`~repro.trace.record.LogRecord`
+analysis passes): the text readers append each row's field tuple
+straight into a :class:`BatchBuilder`; the simulator keeps its rows as
+columns, with each string field coded over per-table value lists, and
+seals them with :func:`seal_columns`; the binary reader decodes rows
+straight into columns (:class:`~repro.trace.schema.BinaryDecoder`).  All
+of them seal their batches with :func:`seal_batch`.  A :class:`~repro.trace.record.LogRecord`
 is only a view built on demand (:func:`record_from_row`,
 :meth:`RecordBatch.iter_records`) for tests and record-level consumers.
 
@@ -24,7 +25,7 @@ ingest relies on to match the tests' scalar reference ingest exactly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,43 +211,95 @@ class BatchBuilder:
             status_code = np.asarray(self._status_code, dtype=np.int64)
             chunk_index = np.asarray(self._chunk_index, dtype=np.int64)
         except OverflowError:
-            self._check_rows()
+            sites, object_ids = (
+                [self._values[name][code] for code in self._codes[name]] for name in ("site", "object_id")
+            )
+            _check_rows(
+                self._timestamp, sites, object_ids, self._object_size,
+                self._bytes_served, self._status_code, self._chunk_index,
+            )
             raise
-        bad = (
-            ~np.isfinite(timestamp)
-            | (timestamp < 0)
-            | (object_size < 0)
-            | (bytes_served < 0)
-            | (status_code < 100)
-            | (status_code > 599)
-        )
-        if bad.any() or "" in self._dicts["site"] or "" in self._dicts["object_id"]:
-            self._check_rows()
-        return seal_batch(
-            timestamp,
-            object_size,
-            bytes_served,
-            status_code,
-            chunk_index,
-            np.asarray(self._hit, dtype=np.bool_).astype(np.uint8),
-            self._codes,
-            self._values,
+        strings = {
+            name: StringColumn(np.asarray(self._codes[name], dtype=np.int32), self._values[name])
+            for name in STRING_FIELDS
+        }
+        return _checked_batch(
+            timestamp, object_size, bytes_served, status_code, chunk_index,
+            np.asarray(self._hit, dtype=np.bool_), strings,
         )
 
-    def _check_rows(self) -> None:
-        """Run the schema check row by row; raises at the first bad row."""
-        strings = [
-            [self._values[name][code] for code in self._codes[name]] for name in ("site", "object_id")
-        ]
-        for row in zip(
-            self._timestamp,
-            *strings,
-            self._object_size,
-            self._bytes_served,
-            self._status_code,
-            self._chunk_index,
-        ):
-            check_fields(*row)
+
+def seal_columns(
+    timestamp: np.ndarray,
+    object_size: np.ndarray,
+    bytes_served: np.ndarray,
+    status_code: np.ndarray,
+    chunk_index: np.ndarray,
+    hit: np.ndarray,
+    strings: Mapping[str, StringColumn],
+) -> "RecordBatch":
+    """Seal per-row columns into a batch, checked against the schema.
+
+    ``strings[name]`` codes each row's string over a value list that may
+    hold values no row uses (say, one per table entry, each distinct).
+    Each column is compacted to the values its rows use, numbered in first
+    appearance — the dictionary a :class:`BatchBuilder` appending these
+    rows assigns — and the batch passes the check
+    :meth:`BatchBuilder.finish` runs.
+    """
+    return _checked_batch(
+        timestamp, object_size, bytes_served, status_code, chunk_index, hit,
+        {name: strings[name].compact() for name in STRING_FIELDS},
+    )
+
+
+def _checked_batch(
+    timestamp: np.ndarray,
+    object_size: np.ndarray,
+    bytes_served: np.ndarray,
+    status_code: np.ndarray,
+    chunk_index: np.ndarray,
+    hit: np.ndarray,
+    strings: dict[str, StringColumn],
+) -> "RecordBatch":
+    """The schema check, then :func:`seal_batch`.
+
+    A vectorised test first; when it finds a bad value (or an empty site
+    or object id among the used values ``strings`` holds), the rows are
+    checked one by one, which raises the first bad row's
+    :class:`~repro.errors.TraceSchemaError`.
+    """
+    bad = (
+        ~np.isfinite(timestamp)
+        | (timestamp < 0)
+        | (object_size < 0)
+        | (bytes_served < 0)
+        | (status_code < 100)
+        | (status_code > 599)
+    )
+    site, object_id = strings["site"], strings["object_id"]
+    if bad.any() or "" in site.values or "" in object_id.values:
+        _check_rows(
+            timestamp.tolist(), site.tolist(), object_id.tolist(), object_size.tolist(),
+            bytes_served.tolist(), status_code.tolist(), chunk_index.tolist(),
+        )
+    return seal_batch(
+        timestamp,
+        object_size,
+        bytes_served,
+        status_code,
+        chunk_index,
+        hit.astype(np.uint8),
+        {name: column.codes for name, column in strings.items()},
+        {name: column.values for name, column in strings.items()},
+    )
+
+
+def _check_rows(timestamp, site, object_id, object_size, bytes_served, status_code, chunk_index) -> None:
+    """Run the schema check row by row over per-field sequences; raises at
+    the first bad row."""
+    for row in zip(timestamp, site, object_id, object_size, bytes_served, status_code, chunk_index):
+        check_fields(*row)
 
 
 def seal_batch(
@@ -256,15 +309,16 @@ def seal_batch(
     status_code: np.ndarray,
     chunk_index: np.ndarray,
     cache_status: np.ndarray,
-    codes: dict[str, list[int]],
+    codes: dict[str, list[int] | np.ndarray],
     values: dict[str, list[str]],
 ) -> "RecordBatch":
     """Assemble checked columns into a batch.
 
     ``codes[name]`` and ``values[name]`` are a string field's
     first-appearance codes and interned values; the category column is
-    derived from the extensions.  :class:`BatchBuilder` and the binary
-    decoder both seal their batches here.
+    derived from the extensions.  :class:`BatchBuilder`,
+    :func:`seal_columns` and the binary decoder all seal their batches
+    here.
     """
     columns = {
         name: StringColumn(np.asarray(codes[name], dtype=np.int32), values[name])

@@ -71,15 +71,23 @@ def _split(input_path: str | Path, directory: Path, pieces: Callable) -> dict:
 
     ``pieces(batch)`` yields ``(key, file name, row mask)`` in the order
     the keys first appear in the batch, so files open in first-appearance
-    order and each receives its rows in trace order.
+    order and each receives its rows in trace order.  Two keys whose file
+    names coincide (sites ``a/b`` and ``a_b``) raise :class:`TraceError`
+    rather than share a file.
     """
     directory.mkdir(parents=True, exist_ok=True)
     writers: dict = {}
+    owners: dict[str, object] = {}  # file name -> the key writing it
     try:
         for batch in TraceReader(input_path).iter_batches():
             for key, name, mask in pieces(batch):
                 writer = writers.get(key)
                 if writer is None:
+                    owner = owners.setdefault(name, key)
+                    if owner != key:
+                        raise TraceError(
+                            f"{owner!r} and {key!r} would both be written to {directory / name}"
+                        )
                     writer = writers[key] = TraceWriter(directory / name)
                     writer.open()
                 writer.write_batch(batch.filter(mask))

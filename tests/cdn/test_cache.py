@@ -170,29 +170,43 @@ class TestTtl:
     policy_name=st.sampled_from(["lru", "fifo", "lfu", "slru", "gdsf"]),
     operations=st.lists(
         st.tuples(
-            st.sampled_from(["insert", "lookup"]),
+            st.sampled_from(["insert", "lookup", "revalidate", "pressure", "invalidate"]),
             st.integers(min_value=0, max_value=20),   # key id
-            st.integers(min_value=1, max_value=40),   # size
+            st.integers(min_value=1, max_value=100),  # size; bytes to free for "pressure"
+            st.sampled_from([None, 2.0, 5.0]),        # insert TTL, so lookups run past it
         ),
         max_size=120,
     ),
 )
 def test_cache_invariants_hold_under_any_workload(policy_name, operations):
-    """Property: for every policy and operation sequence,
+    """Property: for every policy and operation sequence (inserts with and
+    without a TTL, lookups and revalidating lookups before and past it,
+    background pressure and invalidation),
 
-    * used bytes never exceed capacity,
+    * used bytes never exceed capacity and equal the stored entries' sizes,
     * hits + misses == lookups,
+    * pressure frees its budget or empties the cache,
     * tracked-key count matches the entry map.
     """
     cache = Cache(capacity_bytes=100, policy=make_policy(policy_name))
     now = 0.0
-    for op, key_id, size in operations:
+    for op, key_id, size, ttl in operations:
         now += 1.0
         key = f"k{key_id}"
         if op == "insert":
-            cache.insert(key, size, now)
-        else:
+            cache.insert(key, size, now, ttl=ttl, version=key_id % 3)
+        elif op == "lookup":
             cache.lookup(key, now)
+        elif op == "revalidate":
+            cache.lookup(key, now, revalidate_version=size % 3)
+        elif op == "pressure":
+            used = cache.used_bytes
+            freed = cache.apply_pressure(size)
+            assert freed == used - cache.used_bytes
+            assert freed >= size or len(cache) == 0
+        else:
+            cache.invalidate(key)
         assert cache.used_bytes <= 100
+        assert cache.used_bytes == sum(cache.peek(k).size for k in cache.keys())
         assert cache.stats.hits + cache.stats.misses == cache.stats.lookups
         assert len(cache.policy) == len(cache)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.cdn.browser import BrowserCache
 from repro.cdn.http import ClientIntent, ClientModel, decide_response
-from repro.cdn.origin import OriginServer
-from repro.stats.sampling import make_rng
+from repro.cdn.origin import FIRST_MUTATION_GAPS, OriginServer
+from repro.stats.sampling import counter_rng, make_rng
 from repro.types import ContentCategory, TrendClass
 from repro.workload.catalog import ContentObject
 from repro.workload.sessions import SESSION_TIMEOUT_SECONDS
@@ -69,6 +73,69 @@ class TestOriginServer:
         rng = make_rng(2)
         denials = sum(not origin.check_access(rng) for _ in range(5000)) / 5000
         assert denials == pytest.approx(0.3, abs=0.03)
+
+
+class _ReferenceSchedules:
+    """Mutation versions as one ``counter_rng`` generator per id draws them:
+    one scalar exponential gap per event, added to the previous event time,
+    from the start of the id's first query."""
+
+    def __init__(self, seed: int, mutation_rate_per_day: float):
+        self.seed = seed
+        self.mean_gap = 86_400.0 / mutation_rate_per_day
+        self.schedules: dict[str, tuple[np.random.Generator, list[float]]] = {}
+
+    def version(self, obj: ContentObject, now: float) -> int:
+        start = max(obj.birth_time, 0.0)
+        if now <= start:
+            return 1
+        state = self.schedules.get(obj.object_id)
+        if state is None:
+            stream = counter_rng(self.seed, "origin-mutation", zlib.crc32(obj.object_id.encode("utf-8")))
+            state = (stream, [start + float(stream.exponential(self.mean_gap))])
+            self.schedules[obj.object_id] = state
+        stream, times = state
+        while times[-1] <= now:
+            times.append(times[-1] + float(stream.exponential(self.mean_gap)))
+        return 1 + bisect.bisect_right(times, now)
+
+
+class TestMutationSchedules:
+    """``current_version`` equals the scalar reference for any query order."""
+
+    def _assert_matches(self, queries, seed=8, rate=0.5):
+        origin = OriginServer(mutation_rate_per_day=rate, seed=seed)
+        reference = _ReferenceSchedules(seed, rate)
+        for obj, now in queries:
+            assert origin.current_version(obj, now) == reference.version(obj, now), (obj.object_id, now)
+
+    def test_many_ids_and_instants(self):
+        rng = np.random.default_rng(3)
+        objects = [
+            dataclasses.replace(make_object(), object_id=f"V-1/video/{i:06d}", birth_time=float(birth))
+            for i, birth in enumerate(rng.uniform(-5 * 86_400.0, 20 * 86_400.0, size=60))
+        ]
+        queries = [
+            (objects[int(i)], float(now))
+            for i, now in zip(rng.integers(0, len(objects), size=3000), rng.uniform(0.0, 60 * 86_400.0, size=3000))
+        ]
+        self._assert_matches(queries)
+        self._assert_matches(sorted(queries, key=lambda query: query[1]), seed=9, rate=0.02)
+
+    def test_query_far_past_the_first_block(self):
+        obj = make_object()
+        # At one event a day, a year out is ~90 first blocks of gaps.
+        year = 365 * 86_400.0
+        assert 365 > 50 * FIRST_MUTATION_GAPS
+        self._assert_matches([(obj, year), (obj, 10.0), (obj, 3 * year), (obj, 86_400.0)], rate=1.0)
+
+    @pytest.mark.parametrize("first_born_first", [True, False])
+    def test_objects_sharing_an_id_with_other_birth_times(self, first_born_first):
+        early = make_object(birth=0.0)
+        late = dataclasses.replace(early, birth_time=5 * 86_400.0)
+        pair = (early, late) if first_born_first else (late, early)
+        queries = [(obj, now * 86_400.0) for now in (2.0, 10.0, 30.0, 90.0) for obj in pair]
+        self._assert_matches(queries, rate=0.3)
 
 
 class TestBrowserCache:

@@ -179,20 +179,21 @@ class TestRevalidationCacheStatus:
         shard.origin.forbidden_rate = 0.0
         shard.origin.mutation_rate_per_day = 0.0
         shard.edge.serve(obj, ClientIntent(kind="full"), now=0.0)
-        first = shard.serve(user, obj, 10.0, 0)  # fills the browser cache
-        assert first[8] in (200, 206)
+        # A served row is (timestamp, hit, status_code, bytes_served, chunk_index).
+        _, _, first_status, _, _ = shard.serve(user, obj, 10.0, 0)  # fills the browser cache
+        assert first_status in (200, 206)
 
-        held = shard.serve(user, obj, 20.0, 1)
-        assert held[8] == 304
-        assert held[7] is True  # logged HIT
+        _, held_hit, held_status, _, _ = shard.serve(user, obj, 20.0, 1)
+        assert held_status == 304
+        assert held_hit is True  # logged HIT
 
         holder = shard.edge.small_cache if category is ContentCategory.IMAGE else shard.edge.large_cache
         assert holder.invalidate(first_key)
         if category is ContentCategory.VIDEO:
             assert "vid#c1" in holder  # later chunks stay; only the first decides
-        evicted = shard.serve(user, obj, 30.0, 2)
-        assert evicted[8] == 304
-        assert evicted[7] is False  # logged MISS
+        _, evicted_hit, evicted_status, _, _ = shard.serve(user, obj, 30.0, 2)
+        assert evicted_status == 304
+        assert evicted_hit is False  # logged MISS
 
 
 class TestConfigVariants:

@@ -9,12 +9,18 @@ so an unintended analysis change fails with a readable delta (the exact
 paths that moved, golden vs regenerated values) instead of a wall of
 JSON.
 
-To refresh the fixtures after an *intended* change::
+The trace is a frozen analysis input: it was simulated once (seed
+1609, ``tiny``) and is never rebuilt, because today's simulator no
+longer reproduces it.  What
+the simulator emits is pinned by ``tests/test_pipeline_digests.py``
+instead.
+
+To refresh the report after an *intended* analysis change::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/core/test_golden_report.py
 
-(the test then rewrites both files and fails once, reminding you to
-review and commit the diff).
+(the test then rewrites ``golden_report.json`` from the committed trace
+and fails once, reminding you to review and commit the diff).
 """
 
 from __future__ import annotations
@@ -27,13 +33,11 @@ import pytest
 
 from repro.core.dataset import TraceDataset
 from repro.core.report import Study
-from repro.dataflow import Plan, RunConfig
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRACE_PATH = FIXTURES / "golden_trace.csv"
 REPORT_PATH = FIXTURES / "golden_report.json"
 
-GOLDEN_SEED = 1609  # fixed forever; changing it invalidates the fixtures
 GOLDEN_RECORDS = 1500
 
 _REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
@@ -78,21 +82,17 @@ def _delta(golden: dict, regenerated: dict, limit: int = 25) -> list[str]:
     return lines
 
 
-def _regenerate_fixtures() -> None:
-    from repro.trace.writer import write_trace_batches
-
-    config = RunConfig.resolve(seed=GOLDEN_SEED, scale="tiny")
-    result = Plan(config).generate().simulate().ingest().run()
-    write_trace_batches([result.dataset.store().rows(0, GOLDEN_RECORDS)], TRACE_PATH)
+def _regenerate_report() -> None:
+    """Rewrite the golden report from the committed trace (never the trace)."""
     REPORT_PATH.write_text(json.dumps(_build_summary(), indent=2, sort_keys=True) + "\n")
 
 
 class TestGoldenReport:
     def test_report_matches_golden(self):
         if _REGEN:
-            _regenerate_fixtures()
+            _regenerate_report()
             pytest.fail(
-                "regenerated golden fixtures — review the diff, commit, and rerun "
+                "regenerated the golden report — review the diff, commit, and rerun "
                 "without REPRO_REGEN_GOLDEN"
             )
         assert TRACE_PATH.exists() and REPORT_PATH.exists(), (

@@ -26,8 +26,10 @@ from repro.trace.batch import (
     STRING_FIELDS,
     BatchBuilder,
     RecordBatch,
+    StringColumn,
     iter_record_batches,
     record_from_row,
+    seal_columns,
 )
 from repro.trace.reader import TraceReader
 from repro.trace.record import LogRecord
@@ -377,4 +379,73 @@ class TestBatchBuilder:
         builder.append(*row)
         with pytest.raises(TraceSchemaError) as error:
             builder.finish()
+        assert str(error.value) == str(expected.value)
+
+
+def _sealed_from_columns(rows: list[tuple]) -> RecordBatch:
+    """``seal_columns`` over ``rows``, each string column coded over a value
+    list in another order, with a value no row uses."""
+    (timestamp, site, object_id, extension, object_size, user_id,
+     user_agent, hit, status_code, bytes_served, datacenter, chunk_index) = zip(*rows)
+
+    def coded(values) -> StringColumn:
+        table = ["unused"] + sorted(set(values), reverse=True)
+        index = {value: code for code, value in enumerate(table)}
+        return StringColumn(np.asarray([index[value] for value in values], dtype=np.int32), table)
+
+    return seal_columns(
+        timestamp=np.asarray(timestamp, dtype=np.float64),
+        object_size=np.asarray(object_size, dtype=np.int64),
+        bytes_served=np.asarray(bytes_served, dtype=np.int64),
+        status_code=np.asarray(status_code, dtype=np.int64),
+        chunk_index=np.asarray(chunk_index, dtype=np.int64),
+        hit=np.asarray(hit, dtype=np.bool_),
+        strings={
+            "site": coded(site), "object_id": coded(object_id), "extension": coded(extension),
+            "user_id": coded(user_id), "user_agent": coded(user_agent), "datacenter": coded(datacenter),
+        },
+    )
+
+
+class TestSealColumns:
+    """``seal_columns`` seals the batch a :class:`BatchBuilder` appending
+    the same rows seals, and rejects what it rejects."""
+
+    def test_equals_builder_batch_column_for_column(self):
+        rows = list(RecordBatch.from_records(varied_records(24)).iter_rows())
+        builder = BatchBuilder()
+        for row in rows:
+            builder.append(*row)
+        expected, sealed = builder.finish(), _sealed_from_columns(rows)
+        for name in NUMERIC_FIELDS:
+            assert getattr(sealed, name).dtype == getattr(expected, name).dtype, name
+            assert getattr(sealed, name).tolist() == getattr(expected, name).tolist(), name
+        for name in STRING_FIELDS:
+            column, reference = getattr(sealed, name), getattr(expected, name)
+            assert column.codes.dtype == reference.codes.dtype, name
+            assert column.codes.tolist() == reference.codes.tolist(), name
+            assert column.values == reference.values, name
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("timestamp", -0.5),
+            ("timestamp", float("nan")),
+            ("site", ""),
+            ("object_id", ""),
+            ("object_size", -1),
+            ("bytes_served", -7),
+            ("status_code", 600),
+        ],
+    )
+    def test_rejects_what_the_builder_rejects(self, field, value):
+        rows = [list(row) for row in RecordBatch.from_records(varied_records(4)).iter_rows()]
+        rows[2][schema.FIELD_NAMES.index(field)] = value
+        builder = BatchBuilder()
+        for row in rows:
+            builder.append(*row)
+        with pytest.raises(TraceSchemaError) as expected:
+            builder.finish()
+        with pytest.raises(TraceSchemaError) as error:
+            _sealed_from_columns([tuple(row) for row in rows])
         assert str(error.value) == str(expected.value)

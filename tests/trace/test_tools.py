@@ -65,6 +65,14 @@ class TestSplit:
         assert len(read_records(parts["V-1"])) == 2
         assert len(read_records(parts["P-1"])) == 1
 
+    def test_split_by_site_refuses_sites_sharing_a_file(self, tmp_path):
+        # "a/b" and "a_b" both map to a_b.csv: one file would hold both
+        # sites' rows under either name.
+        source = tmp_path / "trace.csv"
+        write_records([record(float(i), site=("a/b", "a_b")[i % 2]) for i in range(6)], source)
+        with pytest.raises(TraceError, match=r"'a/b' and 'a_b' would both be written to .*a_b\.csv"):
+            split_trace_by_site(source, tmp_path / "by_site")
+
     def test_split_by_day(self, tmp_path):
         source = tmp_path / "trace.csv"
         write_records([record(0.0), record(86_400.0 + 5), record(86_400.0 + 10)], source)
